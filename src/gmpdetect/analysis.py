@@ -12,27 +12,28 @@ Three layers:
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .gmpid import variance_fixed_point
+from .gmpid import variance_fixed_point, variance_recursion
 from .model import SystemInstance
+# spectral_radius is defined next to auto_relaxation, its other user, and
+# convergence_check looks it up through this module.
 from .sagmpid import (
+    DENSE_EIG_LIMIT,
     RelaxationChoice,
     WMode,
-    _converged_edge_state,
     choose_w,
     relaxation_iteration_matrix,
     relaxation_system_matrix,
+    spectral_radius,
 )
 
 # Load factor below which beta + 2*sqrt(beta) < 1: the plain detector's
 # mean iteration contracts asymptotically.
 THRESHOLD_BETA = float((np.sqrt(2.0) - 1.0) ** 2)
-
-DENSE_EIG_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -66,40 +67,6 @@ class RmtMse(NamedTuple):
     exact: float
     asymptote: float
     regime: str
-
-
-def spectral_radius(
-    B: np.ndarray,
-    dense_limit: int = DENSE_EIG_LIMIT,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
-) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
-
-    Full eigendecomposition up to ``dense_limit``; above that, a power
-    iteration on the matrix (converges to the dominant magnitude for the
-    diagonalizable real-spectrum matrices used here).
-    """
-    n = B.shape[0]
-    if B.shape != (n, n):
-        raise ValueError("spectral_radius requires a square matrix")
-    if n <= dense_limit:
-        return float(np.max(np.abs(np.linalg.eigvals(B))))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    est = 0.0
-    for _ in range(max_iter):
-        Bv = B @ v
-        est = float(np.linalg.norm(Bv))
-        if est == 0.0:
-            return 0.0
-        v = Bv / est
-        if abs(est - prev) < tol * max(est, 1.0):
-            break
-        prev = est
-    return est
 
 
 def convergence_check(
@@ -165,7 +132,7 @@ def rmt_mmse_mse(
 
 def _measured_gamma(inst: SystemInstance) -> float:
     """Variance ratio from actually running the variance recursion."""
-    vv, _ = _converged_edge_state(inst)
+    vv, _, _ = variance_recursion(inst)
     mean_var = float(np.mean(vv))
     return mean_var / (inst.dims.n_users * mean_var + inst.noise_var)
 
@@ -191,12 +158,8 @@ def gmpid_mean_convergence_report(
     base = convergence_check(
         B, beta=beta, asymptotic_radius=beta + 2.0 * np.sqrt(beta)
     )
-    return ConvergenceReport(
-        diag_dominant=base.diag_dominant,
-        spectral_radius=base.spectral_radius,
-        asymptotic_radius=base.asymptotic_radius,
-        predicted_converges=base.predicted_converges,
-        beta=base.beta,
+    return replace(
+        base,
         gamma=fp.gamma,
         gamma_measured=_measured_gamma(inst) if measured_gamma else None,
     )
@@ -229,11 +192,6 @@ def sagmpid_convergence_report(
     base = convergence_check(
         B, beta=beta, asymptotic_radius=2.0 * np.sqrt(beta) / (1.0 + beta)
     )
-    return ConvergenceReport(
-        diag_dominant=base.diag_dominant,
-        spectral_radius=base.spectral_radius,
-        asymptotic_radius=base.asymptotic_radius,
-        predicted_converges=bool(0.0 < relax.w < 2.0 / lam_max),
-        beta=base.beta,
-        gamma=fp.gamma,
+    return replace(
+        base, predicted_converges=bool(0.0 < relax.w < 2.0 / lam_max), gamma=fp.gamma
     )

@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ConvergenceReport, convergence_check  # re-exported
 from .model import SystemInstance
-from .results import IterationTrace, Termination
+from .results import DetectionResult, IterationTrace, Termination
 
 __all__ = [
     "AffineIteration",
-    "AffineOutcome",
-    "ConvergenceReport",
-    "convergence_check",
     "iterate",
     "jacobi_for_mmse",
     "richardson_for_mmse",
@@ -44,31 +40,21 @@ class AffineIteration:
             raise ValueError("iteration matrix and offset sizes disagree")
 
 
-@dataclass
-class AffineOutcome:
-    """Result of driving an affine iteration to termination."""
-
-    x: np.ndarray
-    trace: IterationTrace
-    terminated: Termination
-    iterations: int
-    flops: int
-
-
 def iterate(
     iteration: AffineIteration,
     x0: np.ndarray | None = None,
     eps: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     oracle: np.ndarray | None = None,
-) -> AffineOutcome:
+) -> DetectionResult:
     """Run ``x(t) = B x(t-1) + c`` until the step change is below ``eps``.
 
     Terminates Converged when the max-norm step change drops below ``eps``
     (default ``1e-8 * (1 + ||c||_inf)``), Diverged when the iterate grows
     past ``1e12 * (1 + ||c||_inf)`` or turns non-finite, otherwise
     MaxIterations. ``oracle`` adds a per-iteration 2-norm gap column to the
-    trace (diagnostic only, not counted as detector work).
+    trace (diagnostic only, not counted as detector work). The final
+    iterate is the result's ``estimate``; ``posterior_var`` stays None.
     """
     B, c = iteration.matrix, iteration.offset
     K = c.shape[0]
@@ -106,8 +92,12 @@ def iterate(
         if change < eps:
             terminated = Termination.CONVERGED
             break
-    return AffineOutcome(
-        x=x, trace=trace, terminated=terminated, iterations=iterations, flops=flops
+    return DetectionResult(
+        estimate=x,
+        iterations=iterations,
+        flops=flops,
+        terminated=terminated,
+        trace=trace,
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .analysis import (
     gmpid_mean_convergence_report,
@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .gmpid import variance_fixed_point
 from .harness import (
+    ComplexityRecord,
     ConfigError,
     ExperimentConfig,
     aggregate_records,
@@ -186,6 +187,8 @@ def _experiment_config(settings: dict, command: str) -> ExperimentConfig:
         record_wall_time=not bool(settings["no_wall_time"]),
     )
     cfg.validate()
+    if command in ("table", "complexity", "analyze") and len(snr_grid) != 1:
+        raise ConfigError(f"{command} requires a single SNR point")
     return cfg
 
 
@@ -223,8 +226,6 @@ def _cmd_table(settings: dict) -> int:
     cfg = _experiment_config(settings, "table")
     beta = settings["beta"]
     beta_list = _parse_list(beta) if isinstance(beta, str) else [float(b) for b in beta]
-    if len(cfg.snr_grid_db) != 1:
-        raise ConfigError("table requires a single SNR point")
     rows = run_convergence_table(
         beta_list,
         cfg.dims.n_users,
@@ -260,8 +261,6 @@ def _cmd_table(settings: dict) -> int:
 
 def _cmd_complexity(settings: dict) -> int:
     cfg = _experiment_config(settings, "complexity")
-    if len(cfg.snr_grid_db) != 1:
-        raise ConfigError("complexity requires a single SNR point")
     records = run_complexity(
         cfg.dims.n_users,
         cfg.dims.n_antennas,
@@ -276,16 +275,7 @@ def _cmd_complexity(settings: dict) -> int:
     )
     _emit_rows(
         [asdict(r) for r in records],
-        [
-            "detector",
-            "trial",
-            "reach_iteration",
-            "flops_to_target",
-            "total_flops",
-            "final_mse",
-            "mmse_mse",
-            "mmse_flops",
-        ],
+        [f.name for f in fields(ComplexityRecord)],
         settings,
     )
     return 0
@@ -293,8 +283,8 @@ def _cmd_complexity(settings: dict) -> int:
 
 def _cmd_analyze(settings: dict) -> int:
     cfg = _experiment_config(settings, "analyze")
-    if len(cfg.snr_grid_db) != 1:
-        raise ConfigError("analyze requires a single SNR point")
+    if not cfg.dims.beta < 1:
+        raise ConfigError("analyze requires load beta < 1")
     inst = build_instance(
         cfg.dims.n_users,
         cfg.dims.n_antennas,
@@ -302,7 +292,7 @@ def _cmd_analyze(settings: dict) -> int:
         prior_var=cfg.prior_var,
         channel_seed=cfg.master_seed,
     )
-    relax = resolve_relaxation(inst, cfg.w_mode) if cfg.w_mode != "auto" else None
+    relax = resolve_relaxation(inst, cfg.w_mode)  # None means auto
     fp = variance_fixed_point(inst)
     pred = rmt_mmse_mse(
         cfg.dims.n_users, cfg.dims.n_antennas, cfg.prior_var, inst.noise_var

@@ -72,12 +72,15 @@ class VarianceFixedPoint:
 
 @dataclass
 class MessagePassingOutput:
-    """Everything a message-passing run produces."""
+    """Everything a message-passing run produces.
+
+    The fixed-point residual of the decision rule at exit is the last step
+    change, ``result.trace.step_change[-1]``.
+    """
 
     result: DetectionResult
     state: MessageState
     relax: object | None = None       # RelaxationChoice when run with relaxation
-    decision_residual: float = 0.0    # max-norm fixed-point residual at exit
 
 
 def sum_node_update(
@@ -184,6 +187,32 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
     )
 
 
+def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run the message-variance recursion from the prior to its fixed point.
+
+    The variances depend on neither the means, ``y`` nor the relaxation
+    factor. Sweeps stop once no user variance moves by 1e-16 or more, or
+    after 500 sweeps. Returns the user variances (K,), the matching
+    sum-node message variances (M, K) and the number of sweeps run.
+    """
+    H = inst.channel
+    H2 = H * H
+    s = inst.noise_var
+    px = inst.prior.precisions
+    vv = inst.prior.variances.astype(float).copy()
+    for sweeps in range(1, 501):
+        Tm = H2 @ vv
+        V_su = (Tm + s)[:, None] - H2 * vv[None, :]
+        u = (H2 / V_su).sum(axis=0)
+        vv_new = 1.0 / (u + px)
+        settled = np.max(np.abs(vv_new - vv)) < 1e-16
+        vv = vv_new
+        if settled:
+            break
+    V_su = (H2 @ vv + s)[:, None] - H2 * vv[None, :]
+    return vv, V_su, sweeps
+
+
 def _run_message_passing(
     inst: SystemInstance,
     y: np.ndarray,
@@ -237,7 +266,6 @@ def _run_message_passing(
 
     ev = np.zeros(K)
     vv_w = np.zeros(K)  # current user weights; 0 == infinite variance
-    ev_prev = ev
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
     iterations = 0
@@ -248,23 +276,11 @@ def _run_message_passing(
     if variance_mode == "frozen":
         # Converge the variance recursion first (it does not depend on the
         # means), then keep the weights fixed during the mean iterations.
-        vv = inst.prior.variances.astype(float).copy()
-        var_tol = 1e-14 * float(np.max(inst.prior.variances))
-        for _ in range(1000):
-            Tm = H2 @ vv
-            V_su = (Tm + s)[:, None] - H2 * vv[None, :]
-            u = (H2 / V_su).sum(axis=0)
-            vv_new = 1.0 / (u + px)
-            flops += 8 * K * M + M + 2 * K
-            if np.max(np.abs(vv_new - vv)) < var_tol:
-                vv = vv_new
-                break
-            vv = vv_new
-        V_su = (H2 @ vv + s)[:, None] - H2 * vv[None, :]
+        _, V_su, sweeps = variance_recursion(inst)
         W_su_frozen = 1.0 / V_su
         u_frozen = (H2 * W_su_frozen).sum(axis=0)
         vv_w = u_frozen + px
-        flops += 7 * K * M + M + K
+        flops += sweeps * (8 * K * M + M + 2 * K) + 7 * K * M + M + K
 
     for t in range(1, max_iter + 1):
         S = Hp @ ev
@@ -299,7 +315,6 @@ def _run_message_passing(
             flops += 3 * K
         change = float(np.max(np.abs(ev_new - ev)))
         flops += 2 * K
-        ev_prev = ev
         ev = ev_new
         vv_w = pw
         iterations = t
@@ -349,10 +364,7 @@ def _run_message_passing(
         terminated=terminated,
         trace=trace,
     )
-    # Fix-point residual of the decision rule at exit: the decision IS the
-    # final mean update, so the residual is the last step change.
-    residual = trace.step_change[-1] if len(trace) else 0.0
-    return MessagePassingOutput(result=result, state=state, decision_residual=residual)
+    return MessagePassingOutput(result=result, state=state)
 
 
 def gmpid_detect(

@@ -36,12 +36,8 @@ from .reference import (
     matched_filter_detect,
     mmse_detect,
 )
-from .results import Termination
+from .results import DetectionResult
 from .sagmpid import WMode, choose_w, sagmpid_detect
-
-DETECTORS = frozenset(
-    {"mf", "if", "gmp", "mmse", "jacobi", "richardson", "gmpid", "sagmpid"}
-)
 
 CSV_HEADER = "detector,snr_db,trial,seed,mse,iterations,flops,terminated,wall_time_ns"
 
@@ -65,7 +61,6 @@ class ExperimentConfig:
     w_mode: str = "auto"
     output_path: str | None = None
     output_format: str = "csv"
-    trace_mset: bool = False
     record_wall_time: bool = True
 
     def validate(self) -> None:
@@ -75,11 +70,7 @@ class ExperimentConfig:
             raise ConfigError("snr grid must be non-empty")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
-        unknown = [d for d in self.detectors if d not in DETECTORS]
-        if unknown:
-            raise ConfigError(
-                f"unknown detectors {unknown}; known: {sorted(DETECTORS)}"
-            )
+        _check_detectors(self.detectors)
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.eps is not None and not self.eps > 0:
@@ -143,18 +134,6 @@ class AggregateRecord:
     trials: int
 
 
-@dataclass
-class DetectorRun:
-    """Uniform detector output consumed by the runners."""
-
-    estimate: np.ndarray
-    iterations: int
-    flops: int
-    terminated: Termination
-    trace: object | None = None
-    setup_flops: int = 0  # one-time cost outside the per-iteration trace
-
-
 def _normal_equation_setup_flops(K: int, M: int) -> int:
     # Build A = H^T H / s + diag(p) and b = H^T y / s.
     return 2 * M * K * K + K * K + K + 2 * M * K + K
@@ -163,6 +142,69 @@ def _normal_equation_setup_flops(K: int, M: int) -> int:
 def _eigendecomposition_flops(K: int) -> int:
     # Symmetric eigenvalues-only estimate: ~(8/3) K^3 total operations.
     return (8 * K * K * K) // 3
+
+
+def _mmse_splitting(inst, it, eig_flops, max_iter, eps, truth) -> DetectionResult:
+    """Drive a splitting of the MMSE normal equations and charge its set-up.
+
+    Set-up is the normal equations, the eigenvalue solve if the splitting
+    needs one (``eig_flops``) and the K x K iteration matrix and offset.
+    """
+    K, M = inst.dims.n_users, inst.dims.n_antennas
+    setup = _normal_equation_setup_flops(K, M) + eig_flops + K * K + K
+    r = iterate(it, eps=eps, max_iter=max_iter, oracle=truth)
+    r.flops += setup
+    r.setup_flops = setup
+    return r
+
+
+def _jacobi(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
+    it = jacobi_for_mmse(inst, y)
+    return _mmse_splitting(inst, it, 0, max_iter, eps, truth)
+
+
+def _richardson(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
+    it, _ = richardson_for_mmse(inst, y)
+    eig_flops = _eigendecomposition_flops(inst.dims.n_users)
+    return _mmse_splitting(inst, it, eig_flops, max_iter, eps, truth)
+
+
+def _gmpid(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
+    return gmpid_detect(inst, y, eps=eps, max_iter=max_iter, truth=truth).result
+
+
+def _sagmpid(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
+    relax = resolve_relaxation(inst, w_mode)
+    out = sagmpid_detect(inst, y, relax, eps=eps, max_iter=max_iter, truth=truth)
+    return out.result
+
+
+# Detector name -> callable(inst, y, max_iter, eps, w_mode, truth). Entries
+# look the detector functions up in this module's namespace at call time.
+_ONE_SHOT = {
+    "mmse": lambda inst, y, *_: mmse_detect(inst, y),
+    "mf": lambda inst, y, *_: matched_filter_detect(inst, y),
+    "if": lambda inst, y, *_: inverse_filter_detect(inst, y),
+    "gmp": lambda inst, y, *_: gmp_block_detect(inst, y),
+}
+_REGISTRY = {
+    **_ONE_SHOT,
+    "gmpid": _gmpid,
+    "sagmpid": _sagmpid,
+    "jacobi": _jacobi,
+    "richardson": _richardson,
+}
+DETECTORS = frozenset(_REGISTRY)
+ONE_SHOT_DETECTORS = frozenset(_ONE_SHOT)
+
+
+def _check_detectors(
+    names, known=DETECTORS, message: str = "unknown detectors"
+) -> None:
+    """Raise ConfigError naming every entry of ``names`` not in ``known``."""
+    unknown = [d for d in names if d not in known]
+    if unknown:
+        raise ConfigError(f"{message} {unknown}; known: {sorted(known)}")
 
 
 def run_detector(
@@ -174,52 +216,19 @@ def run_detector(
     eps: float | None = None,
     w_mode: str = "auto",
     truth: np.ndarray | None = None,
-) -> DetectorRun:
+) -> DetectionResult:
     """Run one registered detector on one realization."""
-    K, M = inst.dims.n_users, inst.dims.n_antennas
-    if name == "mmse":
-        r = mmse_detect(inst, y)
-        return DetectorRun(r.estimate, r.iterations, r.flops, r.terminated)
-    if name == "mf":
-        r = matched_filter_detect(inst, y)
-        return DetectorRun(r.estimate, r.iterations, r.flops, r.terminated)
-    if name == "if":
-        r = inverse_filter_detect(inst, y)
-        return DetectorRun(r.estimate, r.iterations, r.flops, r.terminated)
-    if name == "gmp":
-        r = gmp_block_detect(inst, y)
-        return DetectorRun(r.estimate, r.iterations, r.flops, r.terminated)
-    if name == "gmpid":
-        out = gmpid_detect(inst, y, eps=eps, max_iter=max_iter, truth=truth)
-        r = out.result
-        return DetectorRun(r.estimate, r.iterations, r.flops, r.terminated, r.trace)
-    if name == "sagmpid":
-        relax = resolve_relaxation(inst, w_mode)
-        out = sagmpid_detect(
-            inst, y, relax, eps=eps, max_iter=max_iter, truth=truth
-        )
-        r = out.result
-        return DetectorRun(r.estimate, r.iterations, r.flops, r.terminated, r.trace)
-    if name == "jacobi":
-        it = jacobi_for_mmse(inst, y)
-        setup = _normal_equation_setup_flops(K, M) + K * K + K
-        o = iterate(it, eps=eps, max_iter=max_iter, oracle=truth)
-        return DetectorRun(
-            o.x, o.iterations, setup + o.flops, o.terminated, o.trace, setup
-        )
-    if name == "richardson":
-        it, _ = richardson_for_mmse(inst, y)
-        setup = (
-            _normal_equation_setup_flops(K, M)
-            + _eigendecomposition_flops(K)
-            + K * K
-            + K
-        )
-        o = iterate(it, eps=eps, max_iter=max_iter, oracle=truth)
-        return DetectorRun(
-            o.x, o.iterations, setup + o.flops, o.terminated, o.trace, setup
-        )
-    raise ConfigError(f"unknown detector {name!r}")
+    _check_detectors((name,))
+    return _REGISTRY[name](inst, y, max_iter, eps, w_mode, truth)
+
+
+def _seeded_draw(master_seed, index, trial, K, M, snr_db, prior_var):
+    """Channel seed, instance and realization of one (index, trial) pair."""
+    channel_seed, realization_seed = derive_trial_seeds(master_seed, index, trial)
+    inst = build_instance(
+        K, M, snr_db=snr_db, prior_var=prior_var, channel_seed=channel_seed
+    )
+    return channel_seed, inst, realize(inst, realization_seed)
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -234,17 +243,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for snr_index, snr_db in enumerate(config.snr_grid_db):
         for trial in range(config.trials):
-            channel_seed, realization_seed = derive_trial_seeds(
-                config.master_seed, snr_index, trial
+            channel_seed, inst, real = _seeded_draw(
+                config.master_seed, snr_index, trial, K, M, snr_db, config.prior_var
             )
-            inst = build_instance(
-                K,
-                M,
-                snr_db=float(snr_db),
-                prior_var=config.prior_var,
-                channel_seed=channel_seed,
-            )
-            real = realize(inst, realization_seed)
             for name in config.detectors:
                 start = time.perf_counter_ns()
                 run = run_detector(
@@ -312,33 +313,23 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
     if len(config.snr_grid_db) != 1:
         raise ConfigError("mset trace requires a single SNR point")
     name = config.detectors[0]
+    snr_db = config.snr_grid_db[0]
     K, M = config.dims.n_users, config.dims.n_antennas
     var_traces: list[list[float]] = []
     mse_traces: list[list[float]] = []
     for trial in range(config.trials):
-        channel_seed, realization_seed = derive_trial_seeds(
-            config.master_seed, 0, trial
+        _, inst, real = _seeded_draw(
+            config.master_seed, 0, trial, K, M, snr_db, config.prior_var
         )
-        inst = build_instance(
-            K,
-            M,
-            snr_db=float(config.snr_grid_db[0]),
-            prior_var=config.prior_var,
-            channel_seed=channel_seed,
-        )
-        real = realize(inst, realization_seed)
-        if name == "gmpid":
-            out = gmpid_detect(
-                inst, real.received, eps=0.0, max_iter=config.max_iter,
-                truth=real.symbols,
-            )
-        else:
-            relax = resolve_relaxation(inst, config.w_mode)
-            out = sagmpid_detect(
-                inst, real.received, relax, eps=0.0, max_iter=config.max_iter,
-                truth=real.symbols,
-            )
-        tr = out.result.trace
+        tr = run_detector(
+            name,
+            inst,
+            real.received,
+            max_iter=config.max_iter,
+            eps=0.0,
+            w_mode=config.w_mode,
+            truth=real.symbols,
+        ).trace
         var_traces.append(list(tr.mean_variance))
         mse_traces.append(list(tr.mse_to_truth))
     n = min(len(v) for v in var_traces)
@@ -388,25 +379,15 @@ def run_convergence_table(
     for beta in beta_list:
         if not 0.0 < beta < 1.0:
             raise ConfigError("table loads must satisfy 0 < beta < 1")
-    unknown = [d for d in detectors if d not in DETECTORS]
-    if unknown:
-        raise ConfigError(f"unknown detectors {unknown}")
+    _check_detectors(detectors)
     rows: list[TableRow] = []
     for row_index, beta in enumerate(beta_list):
         M = int(round(n_users / beta))
         successes = {d: 0 for d in detectors}
         for trial in range(trials):
-            channel_seed, realization_seed = derive_trial_seeds(
-                master_seed, row_index, trial
+            _, inst, real = _seeded_draw(
+                master_seed, row_index, trial, n_users, M, snr_db, prior_var
             )
-            inst = build_instance(
-                n_users,
-                M,
-                snr_db=snr_db,
-                prior_var=prior_var,
-                channel_seed=channel_seed,
-            )
-            real = realize(inst, realization_seed)
             x_ref = mmse_detect(inst, real.received).estimate
             denom = float(np.linalg.norm(x_ref))
             for name in detectors:
@@ -472,20 +453,16 @@ def run_complexity(
     relaxation-parameter search cost stays out of the comparison; the
     MMSE reference cost is its one-shot flop count.
     """
-    unknown = [d for d in detectors if d not in DETECTORS or d == "mmse"]
-    if unknown:
-        raise ConfigError(f"complexity detectors must be iterative: {unknown}")
+    _check_detectors(
+        detectors,
+        DETECTORS - ONE_SHOT_DETECTORS,
+        "complexity detectors must be iterative:",
+    )
     out: list[ComplexityRecord] = []
     for trial in range(trials):
-        channel_seed, realization_seed = derive_trial_seeds(master_seed, 0, trial)
-        inst = build_instance(
-            n_users,
-            n_antennas,
-            snr_db=snr_db,
-            prior_var=prior_var,
-            channel_seed=channel_seed,
+        _, inst, real = _seeded_draw(
+            master_seed, 0, trial, n_users, n_antennas, snr_db, prior_var
         )
-        real = realize(inst, realization_seed)
         ref = mmse_detect(inst, real.received)
         mmse_err = float(mse(ref.estimate, real.symbols))
         for name in detectors:
@@ -500,20 +477,16 @@ def run_complexity(
             )
             reach = None
             flops_to_target = None
-            if run.trace is not None:
-                K = n_users
-                series: list[float] = []
-                if run.trace.mse_to_truth:
-                    series = list(run.trace.mse_to_truth)
-                elif run.trace.oracle_gap:
-                    series = [g * g / K for g in run.trace.oracle_gap]
-                for idx, m in enumerate(series):
-                    if abs(m / mmse_err - 1.0) < rel_target:
-                        reach = idx + 1
-                        flops_to_target = (
-                            run.setup_flops + run.trace.cum_flops[idx]
-                        )
-                        break
+            series: list[float] = []
+            if run.trace.mse_to_truth:
+                series = list(run.trace.mse_to_truth)
+            elif run.trace.oracle_gap:
+                series = [g * g / n_users for g in run.trace.oracle_gap]
+            for idx, m in enumerate(series):
+                if abs(m / mmse_err - 1.0) < rel_target:
+                    reach = idx + 1
+                    flops_to_target = run.setup_flops + run.trace.cum_flops[idx]
+                    break
             out.append(
                 ComplexityRecord(
                     detector=name,

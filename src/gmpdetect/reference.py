@@ -28,6 +28,16 @@ def _chol_inverse_factor(W: np.ndarray) -> tuple[np.ndarray, int]:
     return Linv, flops
 
 
+def _exact(x: np.ndarray, var: np.ndarray, flops: int) -> DetectionResult:
+    return DetectionResult(
+        estimate=x,
+        iterations=0,
+        flops=flops,
+        terminated=Termination.EXACT,
+        posterior_var=var,
+    )
+
+
 def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     """Exact linear MMSE estimate with per-user posterior variances.
 
@@ -71,13 +81,7 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
         post_var = vx - vx * vx * quad
         flops += 2 * M * M * K + 2 * M * K + 3 * K
 
-    return DetectionResult(
-        estimate=x_hat,
-        posterior_var=post_var,
-        iterations=0,
-        flops=flops,
-        terminated=Termination.EXACT,
-    )
+    return _exact(x_hat, post_var, flops)
 
 
 def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
@@ -101,13 +105,7 @@ def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     post_var = interference / (d * d) + s / d
     flops = 2 * M * K * K + 2 * M * K + K + 2 * K * K + 6 * K
 
-    return DetectionResult(
-        estimate=x_hat,
-        posterior_var=post_var,
-        iterations=0,
-        flops=flops,
-        terminated=Termination.EXACT,
-    )
+    return _exact(x_hat, post_var, flops)
 
 
 def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
@@ -136,13 +134,7 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     if s == 0.0:
         # Noiseless: the decorrelator recovers the sources exactly and the
         # posterior collapses; no prior information can move the estimate.
-        return DetectionResult(
-            estimate=x_tilde,
-            posterior_var=np.zeros(K),
-            iterations=0,
-            flops=flops,
-            terminated=Termination.EXACT,
-        )
+        return _exact(x_tilde, np.zeros(K), flops)
 
     # Precision-form combine of the decorrelator output (covariance
     # s * G^{-1}) with the prior; flat-prior users contribute precision 0.
@@ -155,13 +147,7 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     post_var = (Lwinv * Lwinv).sum(axis=0)
     flops += 2 * K * K + K + 4 * K * K + 2 * K * K
 
-    return DetectionResult(
-        estimate=x_hat,
-        posterior_var=post_var,
-        iterations=0,
-        flops=flops,
-        terminated=Termination.EXACT,
-    )
+    return _exact(x_hat, post_var, flops)
 
 
 def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
@@ -190,10 +176,4 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     x_hat = V @ pre
     flops += K + 2 * K**3 + 2 * K * K
 
-    return DetectionResult(
-        estimate=x_hat,
-        posterior_var=np.diag(V).copy(),
-        iterations=0,
-        flops=flops,
-        terminated=Termination.EXACT,
-    )
+    return _exact(x_hat, np.diag(V).copy(), flops)

@@ -43,18 +43,15 @@ class IterationTrace:
         self.iteration.append(t)
         self.step_change.append(float(step_change))
         self.cum_flops.append(int(cum_flops))
-        if oracle_gap is not None:
-            if self.oracle_gap is None:
-                self.oracle_gap = []
-            self.oracle_gap.append(float(oracle_gap))
-        if mean_variance is not None:
-            if self.mean_variance is None:
-                self.mean_variance = []
-            self.mean_variance.append(float(mean_variance))
-        if mse_to_truth is not None:
-            if self.mse_to_truth is None:
-                self.mse_to_truth = []
-            self.mse_to_truth.append(float(mse_to_truth))
+        for name, value in (
+            ("oracle_gap", oracle_gap),
+            ("mean_variance", mean_variance),
+            ("mse_to_truth", mse_to_truth),
+        ):
+            if value is not None:
+                if getattr(self, name) is None:
+                    setattr(self, name, [])
+                getattr(self, name).append(float(value))
 
     def __len__(self) -> int:
         return len(self.iteration)
@@ -62,11 +59,17 @@ class IterationTrace:
 
 @dataclass
 class DetectionResult:
-    """Output of one detector run on one realized problem."""
+    """Output of one detector run on one realized problem.
+
+    Every detector returns this type: the exact detectors, message passing
+    (inside :class:`~gmpdetect.gmpid.MessagePassingOutput`), the affine
+    iterations of :mod:`gmpdetect.classic` and ``harness.run_detector``.
+    """
 
     estimate: np.ndarray        # length-K posterior mean estimate of the sources
-    posterior_var: np.ndarray   # length-K per-user posterior variance
     iterations: int             # 0 for one-shot detectors
     flops: int                  # floating-point operations actually spent
     terminated: Termination
+    posterior_var: np.ndarray | None = None  # length-K; None for affine iterations
     trace: IterationTrace | None = None  # filled by iterative detectors
+    setup_flops: int = 0  # one-time cost included in flops, outside the trace

@@ -26,9 +26,12 @@ from .gmpid import (
     MessagePassingOutput,
     _run_message_passing,
     variance_fixed_point,
+    variance_recursion,
 )
 from .model import SystemInstance
 
+# Largest matrix order that gets a full eigendecomposition; above it the
+# spectral radius comes from a power iteration.
 DENSE_EIG_LIMIT = 2000
 
 
@@ -74,6 +77,40 @@ def relaxation_system_matrix(
     return A
 
 
+def spectral_radius(
+    B: np.ndarray,
+    dense_limit: int = DENSE_EIG_LIMIT,
+    tol: float = 1e-6,
+    max_iter: int = 10000,
+) -> float:
+    """Largest eigenvalue magnitude of a square matrix.
+
+    Full eigendecomposition up to ``dense_limit``; above that, a power
+    iteration on the matrix (converges to the dominant magnitude for the
+    diagonalizable real-spectrum matrices used here).
+    """
+    n = B.shape[0]
+    if B.shape != (n, n):
+        raise ValueError("spectral_radius requires a square matrix")
+    if n <= dense_limit:
+        return float(np.max(np.abs(np.linalg.eigvals(B))))
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    prev = 0.0
+    est = 0.0
+    for _ in range(max_iter):
+        Bv = B @ v
+        est = float(np.linalg.norm(Bv))
+        if est == 0.0:
+            return 0.0
+        v = Bv / est
+        if abs(est - prev) < tol * max(est, 1.0):
+            break
+        prev = est
+    return est
+
+
 def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(A)
     return float(evals[0]), float(evals[-1])
@@ -117,30 +154,6 @@ def choose_w(
     raise ValueError(f"unknown relaxation mode: {mode!r}")
 
 
-def _converged_edge_state(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Run the variance recursion to its fixed point.
-
-    Returns the converged user variances (K,) and the matching antenna-side
-    message variances (M, K).
-    """
-    H = inst.channel
-    H2 = H * H
-    s = inst.noise_var
-    px = inst.prior.precisions
-    vv = inst.prior.variances.astype(float).copy()
-    for _ in range(500):
-        Tm = H2 @ vv
-        V_su = (Tm + s)[:, None] - H2 * vv[None, :]
-        u = (H2 / V_su).sum(axis=0)
-        vv_new = 1.0 / (u + px)
-        if np.max(np.abs(vv_new - vv)) < 1e-16:
-            vv = vv_new
-            break
-        vv = vv_new
-    V_su = (H2 @ vv + s)[:, None] - H2 * vv[None, :]
-    return vv, V_su
-
-
 def _measured_system_matrix(inst: SystemInstance) -> np.ndarray:
     """The mean-update system matrix at the *converged per-edge weights*.
 
@@ -151,7 +164,7 @@ def _measured_system_matrix(inst: SystemInstance) -> np.ndarray:
     the true radius minimizer for the instance.
     """
     H = inst.channel
-    vv, V_su = _converged_edge_state(inst)
+    vv, V_su, _ = variance_recursion(inst)
     G = (H / V_su).T @ H
     u = (H * H / V_su).sum(axis=0)
     Mt = vv[:, None] * G
@@ -167,10 +180,10 @@ def auto_relaxation(
     For K <= dense_limit, a full eigendecomposition of the measured system
     matrix gives ``w = 2/(mu_min + mu_max)`` (mu_min floored at a tiny
     positive multiple of mu_max so a numerically zero edge cannot produce
-    w >= 2/mu_max). Above the dense limit, a power iteration estimates
-    mu_max and w is set just inside the admissible interval. Tagged MANUAL
-    because the value comes from measurement, not one of the closed-form
-    rules.
+    w >= 2/mu_max). Above the dense limit, :func:`spectral_radius`
+    estimates mu_max by power iteration and w is set just inside the
+    admissible interval. Tagged MANUAL because the value comes from
+    measurement, not one of the closed-form rules.
     """
     Mt = _measured_system_matrix(inst)
     K = Mt.shape[0]
@@ -181,17 +194,7 @@ def auto_relaxation(
         return RelaxationChoice(
             mode=WMode.MANUAL, w=w, lambda_min=mu_min, lambda_max=mu_max
         )
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(K)
-    v /= np.linalg.norm(v)
-    mu_max = 0.0
-    for _ in range(200):
-        Av = Mt @ v
-        nrm = float(np.linalg.norm(Av))
-        if nrm == 0.0:
-            break
-        v = Av / nrm
-        mu_max = nrm
+    mu_max = spectral_radius(Mt, dense_limit=dense_limit)
     w = 1.98 / mu_max  # 1% inside the 2/mu_max admissibility limit
     return RelaxationChoice(mode=WMode.MANUAL, w=w, lambda_max=mu_max)
 

@@ -26,7 +26,7 @@ from gmpdetect import SourcePrior, SystemDims, SystemInstance
 def test_zero_matrix_jumps_to_offset():
     c = np.array([3.0, -1.0, 0.5])
     out = iterate(AffineIteration(matrix=np.zeros((3, 3)), offset=c, label="t"))
-    np.testing.assert_array_equal(out.x, c)
+    np.testing.assert_array_equal(out.estimate, c)
     assert out.terminated is Termination.CONVERGED
     assert out.iterations <= 2
 
@@ -34,7 +34,7 @@ def test_zero_matrix_jumps_to_offset():
 def test_geometric_contraction_halves_error_each_step():
     it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.array([1.0, 1.0]), label="t")
     out = iterate(it, eps=1e-10, max_iter=100)
-    np.testing.assert_allclose(out.x, [2.0, 2.0], rtol=1e-9)
+    np.testing.assert_allclose(out.estimate, [2.0, 2.0], rtol=1e-9)
     steps = out.trace.step_change
     np.testing.assert_allclose(steps[:4], [1.0, 0.5, 0.25, 0.125], rtol=1e-12)
 
@@ -49,7 +49,7 @@ def test_contractive_iteration_matches_dense_solve():
     )
     x_ref = np.linalg.solve(np.eye(20) - B, c)
     assert out.terminated is Termination.CONVERGED
-    assert np.max(np.abs(out.x - x_ref)) < 1e-8
+    assert np.max(np.abs(out.estimate - x_ref)) < 1e-8
 
 
 def test_fixed_point_independent_of_start():
@@ -59,7 +59,7 @@ def test_fixed_point_independent_of_start():
     it = AffineIteration(matrix=B, offset=rng.standard_normal(15), label="t")
     eps = 1e-12
     finals = [
-        iterate(it, x0=rng.standard_normal(15), eps=eps, max_iter=5000).x
+        iterate(it, x0=rng.standard_normal(15), eps=eps, max_iter=5000).estimate
         for _ in range(3)
     ]
     for i in range(3):
@@ -123,7 +123,7 @@ def test_jacobi_single_user_solves_in_one_step():
     np.testing.assert_allclose(it.matrix, 0.0, atol=1e-15)
     out = iterate(it)
     ref = mmse_detect(inst, real.received).estimate
-    np.testing.assert_allclose(out.x, ref, rtol=1e-12)
+    np.testing.assert_allclose(out.estimate, ref, rtol=1e-12)
     assert out.iterations <= 2
 
 
@@ -141,7 +141,7 @@ def test_jacobi_converges_to_mmse_at_low_load():
     out = iterate(jacobi_for_mmse(inst, real.received), eps=1e-12, max_iter=2000)
     ref = mmse_detect(inst, real.received).estimate
     assert out.terminated is Termination.CONVERGED
-    assert np.max(np.abs(out.x - ref)) < 1e-8
+    assert np.max(np.abs(out.estimate - ref)) < 1e-8
 
 
 def test_jacobi_rejects_zero_diagonal():
@@ -171,7 +171,7 @@ def test_richardson_single_user_with_reciprocal_step_converges_immediately():
     np.testing.assert_allclose(it.matrix, 0.0, atol=1e-15)
     out = iterate(it)
     ref = mmse_detect(inst, real.received).estimate
-    np.testing.assert_allclose(out.x, ref, rtol=1e-12)
+    np.testing.assert_allclose(out.estimate, ref, rtol=1e-12)
     assert out.iterations <= 2
 
 
@@ -193,7 +193,7 @@ def test_richardson_converges_to_mmse_at_two_thirds_load():
     out = iterate(it, eps=1e-12, max_iter=5000)
     ref = mmse_detect(inst, real.received).estimate
     assert out.terminated is Termination.CONVERGED
-    assert np.max(np.abs(out.x - ref)) < 1e-8
+    assert np.max(np.abs(out.estimate - ref)) < 1e-8
 
 
 def test_richardson_rejects_nonpositive_step():

@@ -2,11 +2,14 @@
 output formats, and reproducibility of emitted files."""
 
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from gmpdetect import cli
 from gmpdetect.cli import main
 from gmpdetect.harness import CSV_HEADER
 
@@ -40,6 +43,8 @@ def test_help_exits_zero():
         ["complexity", "--detectors", "mmse"],
         ["table", "--beta", "1.5"],
         ["analyze", "--snr-db", "0,10"],
+        ["complexity", "--detectors", "mf"],  # one-shot detectors have no reach
+        ["analyze", "--users", "50", "--antennas", "50"],  # beta = 1
     ],
 )
 def test_configuration_errors_exit_one(argv, capsys):
@@ -47,12 +52,13 @@ def test_configuration_errors_exit_one(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_runtime_failure_exits_two(tmp_path, capsys):
-    # a square system has no mean-convergence margin: numerical/runtime error
-    code = main(
-        ["analyze", "--users", "50", "--antennas", "50", "--out", str(tmp_path / "r.json")]
-    )
-    assert code == 2
+def test_runtime_failure_exits_two(monkeypatch, capsys):
+    # a numerical failure inside a runner is a runtime error
+    def failing_runner(config):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_runner)
+    assert main(["sweep", *_SMALL]) == 2
     assert "runtime error" in capsys.readouterr().err
 
 
@@ -279,6 +285,9 @@ def test_analyze_report_keys(tmp_path):
 
 def test_module_invocation_smoke(tmp_path):
     out = tmp_path / "smoke.csv"
+    # the child imports the package from wherever this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -294,6 +303,7 @@ def test_module_invocation_smoke(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert out.read_text().startswith(CSV_HEADER)

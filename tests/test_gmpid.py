@@ -362,7 +362,7 @@ def test_detect_stopping_not_armed_on_first_iteration():
     out = gmpid_detect(inst, np.zeros(8))
     assert out.result.iterations == 2
     assert out.result.terminated is Termination.CONVERGED
-    assert out.decision_residual == 0.0
+    assert out.result.trace.step_change[-1] == 0.0
 
 
 def test_detect_zero_iterations_returns_prior_state():

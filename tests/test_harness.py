@@ -4,7 +4,15 @@ emission, variance traces, verdict tables, and complexity accounting."""
 import numpy as np
 import pytest
 
-from gmpdetect import SystemDims, WMode, build_instance, variance_fixed_point
+from gmpdetect import (
+    DetectionResult,
+    SystemDims,
+    Termination,
+    WMode,
+    build_instance,
+    realize,
+    variance_fixed_point,
+)
 from gmpdetect.harness import (
     CSV_HEADER,
     DETECTORS,
@@ -72,6 +80,26 @@ def test_full_registry_sweep_counts_pairing_and_order():
         (r.detector, r.snr_db, r.trial) for r in records
     )
     assert all(r.wall_time_ns == 0 for r in records)
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_registry_entry_returns_detection_result(name):
+    inst = build_instance(6, 24, snr_db=10.0, channel_seed=0)
+    real = realize(inst, 1)
+    r = run_detector(name, inst, real.received, max_iter=50, truth=real.symbols)
+    assert isinstance(r, DetectionResult)
+    assert r.estimate.shape == (6,)
+    assert r.flops > 0
+    if name in ("mmse", "mf", "if", "gmp"):
+        assert r.iterations == 0
+        assert r.terminated is Termination.EXACT
+        assert r.setup_flops == 0
+    else:
+        assert r.iterations >= 1
+        assert len(r.trace) == r.iterations
+    if name in ("jacobi", "richardson"):
+        assert 0 < r.setup_flops < r.flops
+        assert r.posterior_var is None
 
 
 def test_rerun_with_identical_config_is_byte_identical():
@@ -302,5 +330,6 @@ def test_complexity_records_reach_target_with_consistent_costs():
 
 
 def test_complexity_rejects_non_iterative_detector():
-    with pytest.raises(ConfigError):
-        run_complexity(10, 40, 10.0, 1, detectors=("mmse",))
+    for name in ("mmse", "mf", "if", "gmp"):
+        with pytest.raises(ConfigError):
+            run_complexity(10, 40, 10.0, 1, detectors=(name,))

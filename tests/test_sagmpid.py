@@ -250,6 +250,17 @@ def test_relaxed_reaches_target_in_fewer_iterations():
     assert relaxed_hit < plain_hit
 
 
+def test_forced_power_path_matches_dense_lambda_max():
+    # Above the dense limit auto_relaxation takes mu_max from the power
+    # iteration; it must agree with the full eigendecomposition.
+    inst = build_instance(400, 1600, snr_db=10.0, channel_seed=3)
+    dense = auto_relaxation(inst)
+    power = auto_relaxation(inst, dense_limit=10)
+    assert power.lambda_min is None
+    rel = abs(power.lambda_max - dense.lambda_max) / dense.lambda_max
+    assert rel < 1e-3
+
+
 def test_error_decay_rate_tracks_iteration_matrix_radius():
     for sidx in range(3):
         inst = build_instance(100, 200, noise_var=1e-8, channel_seed=50 + sidx)
@@ -272,4 +283,4 @@ def test_converged_run_reports_small_decision_residual():
     out = sagmpid_detect(inst, real.received, max_iter=300)
     assert out.result.terminated is Termination.CONVERGED
     eps_used = 1e-8 * (1.0 + float(np.max(np.abs(real.received))))
-    assert out.decision_residual < eps_used
+    assert out.result.trace.step_change[-1] < eps_used
