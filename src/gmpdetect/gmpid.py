@@ -15,7 +15,8 @@ no special-case arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .model import SystemDims, SystemInstance
 from .results import DetectionResult, IterationTrace, Termination
 
 DEFAULT_MAX_ITER = 500
-
-VARIANCE_MODES = ("interleaved", "frozen")
 
 
 @dataclass
@@ -79,8 +78,36 @@ class MessagePassingOutput:
     """
 
     result: DetectionResult
-    state: MessageState
     relax: object | None = None       # RelaxationChoice when run with relaxation
+    # (inst, y, w, mean before the last update, user variances behind the
+    # last sum-node variances): what the engine leaves for ``state``.
+    _exit: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def state(self) -> MessageState:
+        """The four edge-message arrays at exit, built on first access.
+
+        Runs that never read it allocate none of them. The sum-to-user
+        means carry the engine's sqrt(w) scaling.
+        """
+        inst, y, w, ev_prev, vvar_prev = self._exit
+        if ev_prev is None:  # no iteration ran
+            return MessageState.initial(inst.dims)
+        H = inst.channel
+        M, K = H.shape
+        ev, post_var = self.result.estimate, self.result.posterior_var
+        Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
+        if vvar_prev is None:  # every user variance was still infinite
+            V_su = np.full((M, K), np.inf)
+        else:
+            H2 = H * H
+            V_su = (H2 @ vvar_prev + inst.noise_var)[:, None] - H2 * vvar_prev
+        return MessageState(
+            user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
+            user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
+            sum_to_user_mean=(yp - Hp @ ev_prev)[:, None] + Hp * ev_prev,
+            sum_to_user_var=V_su,
+        )
 
 
 def sum_node_update(
@@ -220,26 +247,29 @@ def _run_message_passing(
     *,
     eps: float | None,
     max_iter: int,
-    variance_mode: str,
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
 ) -> MessagePassingOutput:
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
     Rank-1 fast path: user-side messages are edge-independent, so the state
-    is one mean vector ``ev`` and one weight vector ``vv_w`` (reciprocal
+    is one mean vector ``ev`` and one weight vector ``pw`` (reciprocal
     variances; 0 means infinite). Relaxation scales the system by sqrt(w)
     in the mean updates and adds a (w-1)-weighted memory term; the variance
     recursion is identical for every w. ``w == 1.0`` runs the exact same
     statements with the scaling and memory term skipped, so a w=1 run is
     bit-identical to the plain detector.
 
-    ``variance_mode``: "interleaved" (default) updates variances and means
-    together each sweep; "frozen" first converges the variance recursion,
-    then iterates means only with fixed weights (cheaper per iteration).
+    Each iteration sweeps the variances, then updates the means. The sweep
+    turns the previous user variances into the sum-node weights
+    ``W = 1/V`` in one reused (M, K) buffer, then into ``u = sum_m H^2 W``
+    and ``A = sqrt(w) H o W``. The mean update is ``r = y' - H' ev`` and
+    ``ev' = vv (A^T r + w u ev) - (w-1) ev``, which never forms the
+    sum-to-user means. The sweep does not depend on the means, so once it
+    returns the previous weights bit for bit it always will: from then on
+    ``A`` and ``u`` are reused, and an iteration is two gemv calls plus
+    O(K) work on the same trajectory.
     """
-    if variance_mode not in VARIANCE_MODES:
-        raise ValueError(f"variance_mode must be one of {VARIANCE_MODES}")
     if not w > 0:
         raise ValueError("relaxation factor must be positive")
     H = inst.channel
@@ -265,59 +295,37 @@ def _run_message_passing(
     thresh = 1e12 * (1.0 + float(np.max(np.abs(y))))
 
     ev = np.zeros(K)
-    vv_w = np.zeros(K)  # current user weights; 0 == infinite variance
+    ev_prev = None
+    pw = np.zeros(K)  # current user weights; 0 == infinite variance
+    vvar = None       # user variances behind the current sum-node weights
+    A = np.zeros((M, K))  # the first sweep sees infinite variances: W == 0
+    u = np.zeros(K)
+    frozen = False
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
-    iterations = 0
-    E_su = None
-    V_su = None
-    W_su_frozen = None
-
-    if variance_mode == "frozen":
-        # Converge the variance recursion first (it does not depend on the
-        # means), then keep the weights fixed during the mean iterations.
-        _, V_su, sweeps = variance_recursion(inst)
-        W_su_frozen = 1.0 / V_su
-        u_frozen = (H2 * W_su_frozen).sum(axis=0)
-        vv_w = u_frozen + px
-        flops += sweeps * (8 * K * M + M + 2 * K) + 7 * K * M + M + K
 
     for t in range(1, max_iter + 1):
-        S = Hp @ ev
-        E_su = (yp - S)[:, None] + Hp * ev[None, :]
-        flops += 4 * K * M + M
-        if variance_mode == "frozen":
-            W_su = W_su_frozen
-            u = u_frozen
-            pw = vv_w
-            vv_new = 1.0 / pw
-            flops += K
-        else:
-            if vv_w.min() > 0.0:
-                vvar = 1.0 / vv_w
-                Tm = H2 @ vvar
-                V_su = (Tm + s)[:, None] - H2 * vvar[None, :]
-                W_su = 1.0 / V_su
-                flops += 5 * K * M + M + K
-            else:
-                W_su = np.zeros((M, K))
-            u = (H2 * W_su).sum(axis=0)
-            pw = u + px
-            vv_new = 1.0 / pw
-            flops += 2 * K * M + 2 * K
-        g = (Hp * W_su * E_su).sum(axis=0)
-        flops += 3 * K * M
-        if w == 1.0:
-            ev_new = vv_new * g
-            flops += K
-        else:
-            ev_new = vv_new * g - (w - 1.0) * ev
-            flops += 3 * K
+        if not frozen:
+            if t > 1:
+                vvar = 1.0 / pw
+                np.multiply(H2, vvar, out=A)
+                np.subtract((H2 @ vvar + s)[:, None], A, out=A)
+                np.divide(1.0, A, out=A)
+                u = np.einsum("mk,mk->k", H2, A)
+                A *= Hp
+                flops += 8 * K * M + M + K
+            pw_new = u + px
+            frozen = np.array_equal(pw_new, pw)
+            pw = pw_new
+            vv = 1.0 / pw
+            uw = u if w == 1.0 else w * u
+            flops += 2 * K if w == 1.0 else 3 * K
+        r = yp - Hp @ ev
+        g = A.T @ r + uw * ev
+        ev_new = vv * g if w == 1.0 else vv * g - (w - 1.0) * ev
         change = float(np.max(np.abs(ev_new - ev)))
-        flops += 2 * K
-        ev = ev_new
-        vv_w = pw
-        iterations = t
+        flops += 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)
+        ev_prev, ev = ev, ev_new
 
         trace.append(
             t,
@@ -326,7 +334,7 @@ def _run_message_passing(
             oracle_gap=(
                 float(np.linalg.norm(ev - oracle)) if oracle is not None else None
             ),
-            mean_variance=float(np.mean(1.0 / vv_w)),
+            mean_variance=float(np.mean(vv)),
             mse_to_truth=(
                 float(np.mean((ev - truth) ** 2)) if truth is not None else None
             ),
@@ -342,29 +350,17 @@ def _run_message_passing(
             break
 
     with np.errstate(divide="ignore"):
-        post_var = 1.0 / vv_w  # zero weight -> exact +inf variance
-
-    if E_su is None:  # max_iter == 0 edge: never swept
-        state = MessageState.initial(inst.dims)
-    else:
-        state = MessageState(
-            user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
-            user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
-            sum_to_user_mean=E_su,
-            sum_to_user_var=(
-                V_su if V_su is not None else np.full((M, K), np.inf)
-            ),
-        )
+        post_var = 1.0 / pw  # zero weight -> exact +inf variance
 
     result = DetectionResult(
         estimate=ev,
         posterior_var=post_var,
-        iterations=iterations,
+        iterations=len(trace),
         flops=flops,
         terminated=terminated,
         trace=trace,
     )
-    return MessagePassingOutput(result=result, state=state)
+    return MessagePassingOutput(result=result, _exit=(inst, y, w, ev_prev, vvar))
 
 
 def gmpid_detect(
@@ -373,7 +369,6 @@ def gmpid_detect(
     *,
     eps: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    variance_mode: str = "interleaved",
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
 ) -> MessagePassingOutput:
@@ -390,7 +385,6 @@ def gmpid_detect(
         1.0,
         eps=eps,
         max_iter=max_iter,
-        variance_mode=variance_mode,
         truth=truth,
         oracle=oracle,
     )

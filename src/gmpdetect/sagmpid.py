@@ -85,15 +85,17 @@ def spectral_radius(
 ) -> float:
     """Largest eigenvalue magnitude of a square matrix.
 
-    Full eigendecomposition up to ``dense_limit``; above that, a power
-    iteration on the matrix (converges to the dominant magnitude for the
-    diagonalizable real-spectrum matrices used here).
+    Eigenvalues up to ``dense_limit``, by the symmetric solver when ``B``
+    equals its transpose exactly; above that, a power iteration on the
+    matrix (converges to the dominant magnitude for the diagonalizable
+    real-spectrum matrices used here).
     """
     n = B.shape[0]
     if B.shape != (n, n):
         raise ValueError("spectral_radius requires a square matrix")
     if n <= dense_limit:
-        return float(np.max(np.abs(np.linalg.eigvals(B))))
+        eig = np.linalg.eigvalsh if np.array_equal(B, B.T) else np.linalg.eigvals
+        return float(np.max(np.abs(eig(B))))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -220,7 +222,6 @@ def sagmpid_detect(
     *,
     eps: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    variance_mode: str = "interleaved",
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
     dense_limit: int = DENSE_EIG_LIMIT,
@@ -240,7 +241,6 @@ def sagmpid_detect(
         float(relax.w),
         eps=eps,
         max_iter=max_iter,
-        variance_mode=variance_mode,
         truth=truth,
         oracle=oracle,
     )

@@ -102,6 +102,18 @@ def test_spectral_radius_power_fallback_agrees_on_symmetric_matrix():
     assert abs(dense - power) < 1e-3
 
 
+def test_spectral_radius_takes_general_path_for_nonsymmetric_matrix():
+    # Eigenvalues +-2; a symmetric solver reading one triangle would see +-1.
+    B = np.array([[0.0, 4.0], [1.0, 0.0]])
+    assert spectral_radius(B) == pytest.approx(2.0, rel=1e-14)
+    rng = np.random.default_rng(8)
+    S = rng.standard_normal((60, 60))
+    S = S + S.T
+    assert spectral_radius(S) == pytest.approx(
+        float(np.max(np.abs(np.linalg.eigvals(S)))), rel=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # Plain-detector convergence report
 # ---------------------------------------------------------------------------

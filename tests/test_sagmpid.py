@@ -284,3 +284,22 @@ def test_converged_run_reports_small_decision_residual():
     assert out.result.terminated is Termination.CONVERGED
     eps_used = 1e-8 * (1.0 + float(np.max(np.abs(real.received))))
     assert out.result.trace.step_change[-1] < eps_used
+
+
+# Iteration counts of the engine that re-swept the variances on every
+# iteration; reusing the frozen weights must not change the trajectory.
+@pytest.mark.parametrize(
+    "seed, plain_iterations, relaxed_iterations",
+    [(0, 95, 38), (1, 171, 38), (2, 174, 38)],
+)
+def test_iteration_counts_match_full_sweep_engine(
+    seed, plain_iterations, relaxed_iterations
+):
+    inst = build_instance(100, 600, snr_db=10.0, channel_seed=seed)
+    y = realize(inst, 100 + seed).received
+    plain = gmpid_detect(inst, y).result
+    relaxed = sagmpid_detect(inst, y).result
+    assert plain.iterations == plain_iterations
+    assert relaxed.iterations == relaxed_iterations
+    assert plain.terminated is Termination.CONVERGED
+    assert relaxed.terminated is Termination.CONVERGED
