@@ -184,10 +184,8 @@ def sagmpid_convergence_report(
     A = relaxation_system_matrix(inst, fp.gamma)
     if relax.mode is WMode.EXACT_EIGEN and relax.lambda_max is not None:
         lam_max = relax.lambda_max
-    elif A.shape[0] <= DENSE_EIG_LIMIT:
-        lam_max = float(np.linalg.eigvalsh(A)[-1])
     else:
-        lam_max = spectral_radius(A)  # symmetric, dominant eigenvalue positive
+        lam_max = spectral_radius(A)  # symmetric positive definite
     B = relaxation_iteration_matrix(inst, relax.w, fp.gamma)
     base = convergence_check(
         B, beta=beta, asymptotic_radius=2.0 * np.sqrt(beta) / (1.0 + beta)

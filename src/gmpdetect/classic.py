@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemInstance
-from .results import DetectionResult, IterationTrace, Termination
+from .results import DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination
 
 __all__ = [
     "AffineIteration",
@@ -22,8 +22,6 @@ __all__ = [
     "jacobi_for_mmse",
     "richardson_for_mmse",
 ]
-
-DEFAULT_MAX_ITER = 500
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,21 @@ prior, which makes the user-to-sum messages identical across edges and
 lets the engine keep a rank-1 state in O(KM) per iteration.
 
 Initialization is the uninformative state (zero means, infinite
-variances). Internally variances are represented by their reciprocals
-(weights), so "infinite" is an exact 0 weight and the first sweep needs
-no special-case arithmetic.
+variances). Internally the sum-node variances are represented by their
+reciprocals (weights), so "infinite" is an exact 0 weight.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .model import SystemDims, SystemInstance
-from .results import DetectionResult, IterationTrace, Termination
+from .results import DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination
 
-DEFAULT_MAX_ITER = 500
+VARIANCE_SWEEP_CAP = 500  # variance_recursion stops here if never settled
 
 
 @dataclass
@@ -79,29 +79,30 @@ class MessagePassingOutput:
 
     result: DetectionResult
     relax: object | None = None       # RelaxationChoice when run with relaxation
-    # (inst, y, w, mean before the last update, user variances behind the
-    # last sum-node variances): what the engine leaves for ``state``.
+    # (inst, y, w, mean before the last update): what ``state`` rebuilds from.
     _exit: tuple = field(default=(), repr=False)
 
     @cached_property
     def state(self) -> MessageState:
         """The four edge-message arrays at exit, built on first access.
 
-        Runs that never read it allocate none of them. The sum-to-user
-        means carry the engine's sqrt(w) scaling.
+        Runs that never read it allocate none of them. The sum-node
+        variances re-run the variance sweeps the engine ran (one per
+        iteration until settled). The sum-to-user means carry the engine's
+        sqrt(w) scaling.
         """
-        inst, y, w, ev_prev, vvar_prev = self._exit
+        inst, y, w, ev_prev = self._exit
         if ev_prev is None:  # no iteration ran
             return MessageState.initial(inst.dims)
         H = inst.channel
         M, K = H.shape
         ev, post_var = self.result.estimate, self.result.posterior_var
         Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
-        if vvar_prev is None:  # every user variance was still infinite
-            V_su = np.full((M, K), np.inf)
-        else:
-            H2 = H * H
-            V_su = (H2 @ vvar_prev + inst.noise_var)[:, None] - H2 * vvar_prev
+        W = np.empty((M, K))
+        for _ in islice(_variance_sweeps(inst, W), self.result.iterations):
+            pass
+        with np.errstate(divide="ignore"):
+            V_su = 1.0 / W  # zero weight -> exact +inf variance
         return MessageState(
             user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
             user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
@@ -214,30 +215,58 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
     )
 
 
-def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the message-variance recursion from the prior to its fixed point.
+def _variance_sweeps(inst: SystemInstance, W: np.ndarray, Hp: np.ndarray | None = None):
+    """The message-variance recursion from the uninformative state, one sweep a step.
 
-    The variances depend on neither the means, ``y`` nor the relaxation
-    factor. Sweeps stop once no user variance moves by 1e-16 or more, or
-    after 500 sweeps. Returns the user variances (K,), the matching
-    sum-node message variances (M, K) and the number of sweeps run.
+    Each step writes the sum-node weights ``W = 1/V`` (times ``Hp`` if
+    given) into the caller's (M, K) buffer and yields ``(u, vv, flops,
+    settled)``: ``u = sum_m H^2 W``, the user variances ``1/(u + 1/prior)``
+    and the step's flops. The first step is the all-infinite start, ``W ==
+    0``, at no cost. A sweep reads neither the buffer nor the means, so once
+    the user weights equal bitwise those of one sweep back (a fixed point)
+    or two (the last-bit 2-cycle some channels settle into), they repeat
+    forever: that step is ``settled`` and the last.
     """
     H = inst.channel
+    M, K = H.shape
     H2 = H * H
-    s = inst.noise_var
-    px = inst.prior.precisions
-    vv = inst.prior.variances.astype(float).copy()
-    for sweeps in range(1, 501):
-        Tm = H2 @ vv
-        V_su = (Tm + s)[:, None] - H2 * vv[None, :]
-        u = (H2 / V_su).sum(axis=0)
-        vv_new = 1.0 / (u + px)
-        settled = np.max(np.abs(vv_new - vv)) < 1e-16
-        vv = vv_new
+    s, px = inst.noise_var, inst.prior.precisions
+    W.fill(0.0)
+    u = np.zeros(K)
+    flops = 0
+    back: tuple = ()
+    while True:
+        pw = u + px
+        settled = any(np.array_equal(pw, b) for b in back)
+        vv = 1.0 / pw
+        yield u, vv, flops, settled
         if settled:
-            break
-    V_su = (H2 @ vv + s)[:, None] - H2 * vv[None, :]
-    return vv, V_su, sweeps
+            return
+        back = (pw, *back[:1])
+        np.multiply(H2, vv, out=W)
+        np.subtract((H2 @ vv + s)[:, None], W, out=W)
+        np.divide(1.0, W, out=W)
+        u = np.einsum("mk,mk->k", H2, W)
+        flops = 7 * K * M + M + K
+        if Hp is not None:
+            W *= Hp
+            flops += K * M
+
+
+def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run the message-variance recursion from the uninformative state until it settles.
+
+    The variances depend on neither the means, ``y`` nor the relaxation
+    factor. Sweeps stop where the detectors freeze their weights (a bitwise
+    repeat of one or two sweeps back) or after ``VARIANCE_SWEEP_CAP``; the
+    first sweep only installs the prior. Returns the user variances (K,),
+    the sum-node weights ``W = 1/V`` (M, K) behind them, and the sweeps run.
+    """
+    W = np.empty(inst.channel.shape)
+    steps = islice(_variance_sweeps(inst, W), VARIANCE_SWEEP_CAP)
+    for sweeps, (_, vv, _, _) in enumerate(steps, 1):
+        pass
+    return vv, W, sweeps
 
 
 def _run_message_passing(
@@ -253,73 +282,51 @@ def _run_message_passing(
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
     Rank-1 fast path: user-side messages are edge-independent, so the state
-    is one mean vector ``ev`` and one weight vector ``pw`` (reciprocal
-    variances; 0 means infinite). Relaxation scales the system by sqrt(w)
-    in the mean updates and adds a (w-1)-weighted memory term; the variance
-    recursion is identical for every w. ``w == 1.0`` runs the exact same
-    statements with the scaling and memory term skipped, so a w=1 run is
-    bit-identical to the plain detector.
+    is one mean vector ``ev`` and one variance vector ``vv``. Relaxation
+    scales the system by sqrt(w) in the mean updates and adds a
+    (w-1)-weighted memory term; the variance recursion is identical for
+    every w. ``w == 1.0`` runs the exact same statements with the scaling
+    and memory term skipped, so a w=1 run is bit-identical to the plain
+    detector.
 
-    Each iteration sweeps the variances, then updates the means. The sweep
-    turns the previous user variances into the sum-node weights
-    ``W = 1/V`` in one reused (M, K) buffer, then into ``u = sum_m H^2 W``
-    and ``A = sqrt(w) H o W``. The mean update is ``r = y' - H' ev`` and
-    ``ev' = vv (A^T r + w u ev) - (w-1) ev``, which never forms the
-    sum-to-user means. The sweep does not depend on the means, so once it
-    returns the previous weights bit for bit it always will: from then on
-    ``A`` and ``u`` are reused, and an iteration is two gemv calls plus
-    O(K) work on the same trajectory.
+    Each iteration takes one step of :func:`_variance_sweeps`, which
+    writes ``A = sqrt(w) H o W`` into one reused (M, K) buffer and returns
+    ``u``, then updates the means: ``r = y' - H' ev`` and ``ev' = vv (A^T r
+    + w u ev) - (w-1) ev``, which never forms the sum-to-user means. Once
+    the sweeps settle, ``A`` and ``u`` are reused, and an iteration is two
+    gemv calls plus O(K) work. On a fixed point that is the same
+    trajectory bit for bit; on a rounding 2-cycle it keeps one of the two
+    weight sets, a last-bit difference from sweeping on.
     """
     if not w > 0:
         raise ValueError("relaxation factor must be positive")
     H = inst.channel
     M, K = H.shape
-    s = inst.noise_var
-    if not s > 0:
+    if not inst.noise_var > 0:
         raise ValueError("message passing requires positive noise variance")
     if not np.all(np.isfinite(inst.prior.variances)):
         raise ValueError("message passing requires finite prior variances")
-    px = inst.prior.precisions
 
-    H2 = H * H
-    flops = K * M
-    if w == 1.0:
-        Hp, yp = H, y
-    else:
-        sw = np.sqrt(w)
-        Hp = sw * H
-        yp = sw * y
-        flops += K * M + M + 1
+    Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
+    flops = K * M if w == 1.0 else 2 * K * M + M + 1
     if eps is None:
         eps = 1e-8 * (1.0 + float(np.max(np.abs(y))))
     thresh = 1e12 * (1.0 + float(np.max(np.abs(y))))
 
     ev = np.zeros(K)
     ev_prev = None
-    pw = np.zeros(K)  # current user weights; 0 == infinite variance
-    vvar = None       # user variances behind the current sum-node weights
-    A = np.zeros((M, K))  # the first sweep sees infinite variances: W == 0
-    u = np.zeros(K)
-    frozen = False
+    vv = np.full(K, np.inf)  # the uninformative state, returned if no iteration runs
+    A = np.empty((M, K))
+    sweeps = _variance_sweeps(inst, A, Hp)
+    settled = False
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
 
     for t in range(1, max_iter + 1):
-        if not frozen:
-            if t > 1:
-                vvar = 1.0 / pw
-                np.multiply(H2, vvar, out=A)
-                np.subtract((H2 @ vvar + s)[:, None], A, out=A)
-                np.divide(1.0, A, out=A)
-                u = np.einsum("mk,mk->k", H2, A)
-                A *= Hp
-                flops += 8 * K * M + M + K
-            pw_new = u + px
-            frozen = np.array_equal(pw_new, pw)
-            pw = pw_new
-            vv = 1.0 / pw
+        if not settled:
+            u, vv, sweep_flops, settled = next(sweeps)
             uw = u if w == 1.0 else w * u
-            flops += 2 * K if w == 1.0 else 3 * K
+            flops += sweep_flops + (2 * K if w == 1.0 else 3 * K)
         r = yp - Hp @ ev
         g = A.T @ r + uw * ev
         ev_new = vv * g if w == 1.0 else vv * g - (w - 1.0) * ev
@@ -349,18 +356,15 @@ def _run_message_passing(
             terminated = Termination.CONVERGED
             break
 
-    with np.errstate(divide="ignore"):
-        post_var = 1.0 / pw  # zero weight -> exact +inf variance
-
     result = DetectionResult(
         estimate=ev,
-        posterior_var=post_var,
+        posterior_var=vv,
         iterations=len(trace),
         flops=flops,
         terminated=terminated,
         trace=trace,
     )
-    return MessagePassingOutput(result=result, _exit=(inst, y, w, ev_prev, vvar))
+    return MessagePassingOutput(result=result, _exit=(inst, y, w, ev_prev))
 
 
 def gmpid_detect(

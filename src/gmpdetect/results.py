@@ -6,6 +6,8 @@ from enum import Enum
 
 import numpy as np
 
+DEFAULT_MAX_ITER = 500  # iteration budget of every iterative detector
+
 
 class Termination(Enum):
     """Why a detector stopped."""

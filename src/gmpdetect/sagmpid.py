@@ -22,13 +22,13 @@ from enum import Enum
 import numpy as np
 
 from .gmpid import (
-    DEFAULT_MAX_ITER,
     MessagePassingOutput,
     _run_message_passing,
     variance_fixed_point,
     variance_recursion,
 )
 from .model import SystemInstance
+from .results import DEFAULT_MAX_ITER
 
 # Largest matrix order that gets a full eigendecomposition; above it the
 # spectral radius comes from a power iteration.
@@ -113,11 +113,6 @@ def spectral_radius(
     return est
 
 
-def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
-    evals = np.linalg.eigvalsh(A)
-    return float(evals[0]), float(evals[-1])
-
-
 def choose_w(
     inst: SystemInstance,
     gamma: float | None = None,
@@ -145,7 +140,8 @@ def choose_w(
         return RelaxationChoice(mode=mode, w=1.0 / (1.0 + beta))
     A = relaxation_system_matrix(inst, gamma)
     if mode is WMode.EXACT_EIGEN:
-        lmin, lmax = _extreme_eigenvalues(A)
+        evals = np.linalg.eigvalsh(A)
+        lmin, lmax = float(evals[0]), float(evals[-1])
         return RelaxationChoice(
             mode=mode, w=2.0 / (lmin + lmax), lambda_min=lmin, lambda_max=lmax
         )
@@ -166,11 +162,12 @@ def _measured_system_matrix(inst: SystemInstance) -> np.ndarray:
     the true radius minimizer for the instance.
     """
     H = inst.channel
-    vv, V_su, _ = variance_recursion(inst)
-    G = (H / V_su).T @ H
-    u = (H * H / V_su).sum(axis=0)
-    Mt = vv[:, None] * G
-    np.fill_diagonal(Mt, vv * np.diag(G) - vv * u + 1.0)
+    vv, W, _ = variance_recursion(inst)
+    W *= H  # H o W, in place
+    Mt = vv[:, None] * (W.T @ H)
+    # With G = (H o W)^T H the diagonal is vv * (diag G - u) + 1, and
+    # diag G = sum_m H^2 W = u in exact arithmetic: it is exactly 1.
+    np.fill_diagonal(Mt, 1.0)
     return Mt
 
 

@@ -11,6 +11,7 @@ from gmpdetect import (
     build_instance,
     convergence_check,
     gmpid_mean_convergence_report,
+    relaxation_system_matrix,
     rmt_mmse_mse,
     sagmpid_convergence_report,
     spectral_radius,
@@ -100,6 +101,17 @@ def test_spectral_radius_power_fallback_agrees_on_symmetric_matrix():
     power = spectral_radius(B, dense_limit=10)  # force the iterative path
     assert dense == pytest.approx(0.9, abs=1e-10)
     assert abs(dense - power) < 1e-3
+
+
+def test_spectral_radius_of_system_matrix_is_its_top_eigenvalue():
+    # sagmpid_convergence_report takes lambda_max(A) from spectral_radius:
+    # A is exactly symmetric and positive definite, so that is the top
+    # eigenvalue of the symmetric solver, bit for bit.
+    for channel_seed in range(3):
+        A = relaxation_system_matrix(
+            build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
+        )
+        assert spectral_radius(A) == np.linalg.eigvalsh(A)[-1]
 
 
 def test_spectral_radius_takes_general_path_for_nonsymmetric_matrix():

@@ -283,27 +283,33 @@ def test_analyze_report_keys(tmp_path):
     assert report["mmse_mse_prediction"]["regime"] == "underloaded"
 
 
-def test_module_invocation_smoke(tmp_path):
-    out = tmp_path / "smoke.csv"
+def _run_module_sweep(out, args, **env):
+    """``python -m gmpdetect.cli sweep ARGS --out OUT --no-wall-time``."""
     # the child imports the package from wherever this process found it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "gmpdetect.cli",
-            "sweep",
-            *_SMALL,
-            "--detectors",
-            "mmse",
-            "--out",
-            str(out),
-            "--no-wall-time",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "gmpdetect.cli", "sweep", *args]
+        + ["--out", str(out), "--no-wall-time"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def test_module_invocation_smoke(tmp_path):
+    out = tmp_path / "smoke.csv"
+    proc = _run_module_sweep(out, [*_SMALL, "--detectors", "mmse"])
     assert proc.returncode == 0
     assert out.read_text().startswith(CSV_HEADER)
+
+
+def test_reruns_at_one_blas_thread_are_byte_identical(tmp_path):
+    # The README's claim as stated: same build, same BLAS thread count.
+    args = ["--users", "100", "--antennas", "600", "--snr-db", "0,10"]
+    args += ["--trials", "2", "--seed", "0", "--detectors", "mmse,gmpid"]
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for out in outs:
+        proc = _run_module_sweep(out, args, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -18,6 +18,7 @@ from gmpdetect import (
     sum_node_update,
     variable_node_update,
     variance_fixed_point,
+    variance_recursion,
 )
 
 
@@ -357,13 +358,31 @@ def test_detect_engine_matches_composition_past_weight_freeze():
 
 
 def test_detect_iteration_after_weight_freeze_costs_two_gemv():
-    K, M = 50, 300
-    inst = build_instance(K, M, snr_db=12.0, channel_seed=1)
-    real = realize(inst, 2)
-    out = gmpid_detect(inst, real.received, eps=0.0, max_iter=80)
-    steps = np.diff(out.result.trace.cum_flops)
-    assert steps[1] > 8 * K * M  # iteration 3 still sweeps the variances
-    assert steps[-1] <= 4 * K * M + 10 * (K + M)
+    # The second channel's weights settle into a last-bit 2-cycle, not a
+    # bitwise fixed point; the freeze must catch that too.
+    for K, M, snr_db, channel_seed, realization in (
+        (50, 300, 12.0, 1, 2),
+        (100, 600, 10.0, 2, 102),
+    ):
+        inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
+        real = realize(inst, realization)
+        out = gmpid_detect(inst, real.received, eps=0.0, max_iter=80)
+        steps = np.diff(out.result.trace.cum_flops)
+        assert steps[1] > 8 * K * M  # iteration 3 still sweeps the variances
+        assert steps[-1] <= 4 * K * M + 10 * (K + M)
+
+
+def test_variance_recursion_is_the_engine_recursion():
+    # Channels 0 and 1 settle on a bitwise fixed point, 2 and 3 on a
+    # last-bit 2-cycle; both stop where the engine freezes its weights.
+    for channel_seed in range(4):
+        inst = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
+        y = realize(inst, 100 + channel_seed).received
+        vv, W, sweeps = variance_recursion(inst)
+        assert sweeps <= 40
+        assert W.shape == (600, 100)
+        out = gmpid_detect(inst, y, eps=0.0, max_iter=sweeps + 5)
+        np.testing.assert_array_equal(vv, out.result.posterior_var)
 
 
 def test_detect_converges_to_mmse_on_small_underloaded_system():

@@ -13,6 +13,7 @@ from gmpdetect import (
     build_instance,
     choose_w,
     gmpid_detect,
+    gmpid_mean_convergence_report,
     mmse_detect,
     realize,
     relaxation_iteration_matrix,
@@ -259,6 +260,22 @@ def test_forced_power_path_matches_dense_lambda_max():
     assert power.lambda_min is None
     rel = abs(power.lambda_max - dense.lambda_max) / dense.lambda_max
     assert rel < 1e-3
+
+
+def test_measured_relaxation_and_gamma_do_not_depend_on_units():
+    # Scaling the prior and the noise by 2**-40 scales every variance and
+    # weight exactly, so a rule with no absolute tolerance returns the same
+    # bits.
+    for channel_seed in range(4):
+        unit = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
+        tiny = build_instance(
+            100, 600, snr_db=10.0, channel_seed=channel_seed, prior_var=2.0**-40
+        )
+        assert auto_relaxation(tiny).w == auto_relaxation(unit).w
+        assert (
+            gmpid_mean_convergence_report(tiny, measured_gamma=True).gamma_measured
+            == gmpid_mean_convergence_report(unit, measured_gamma=True).gamma_measured
+        )
 
 
 def test_error_decay_rate_tracks_iteration_matrix_radius():
