@@ -88,8 +88,8 @@ class MessagePassingOutput:
 
         Runs that never read it allocate none of them. The sum-node
         variances re-run the variance sweeps the engine ran (one per
-        iteration until settled). The sum-to-user means carry the engine's
-        sqrt(w) scaling.
+        iteration until settled), so the first read costs as much as those
+        sweeps did. The sum-to-user means carry the engine's sqrt(w) scaling.
         """
         inst, y, w, ev_prev = self._exit
         if ev_prev is None:  # no iteration ran
@@ -215,17 +215,16 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
     )
 
 
-def _variance_sweeps(inst: SystemInstance, W: np.ndarray, Hp: np.ndarray | None = None):
+def _variance_sweeps(inst: SystemInstance, W: np.ndarray):
     """The message-variance recursion from the uninformative state, one sweep a step.
 
-    Each step writes the sum-node weights ``W = 1/V`` (times ``Hp`` if
-    given) into the caller's (M, K) buffer and yields ``(u, vv, flops,
-    settled)``: ``u = sum_m H^2 W``, the user variances ``1/(u + 1/prior)``
-    and the step's flops. The first step is the all-infinite start, ``W ==
-    0``, at no cost. A sweep reads neither the buffer nor the means, so once
-    the user weights equal bitwise those of one sweep back (a fixed point)
-    or two (the last-bit 2-cycle some channels settle into), they repeat
-    forever: that step is ``settled`` and the last.
+    Each step writes the sum-node weights ``W = 1/V`` into the caller's
+    (M, K) buffer and yields ``(u, vv, flops, settled)``: ``u = sum_m H^2
+    W``, the user variances ``1/(u + 1/prior)`` and the step's flops. The
+    first step is the all-infinite start, ``W == 0``, at no cost. A sweep
+    reads only the user weights, so once they repeat bitwise those of any
+    earlier sweep (a fixed point, a last-bit 2-cycle or, rarely, a longer
+    rounding cycle) they cycle forever: that step is ``settled``, the last.
     """
     H = inst.channel
     M, K = H.shape
@@ -234,23 +233,20 @@ def _variance_sweeps(inst: SystemInstance, W: np.ndarray, Hp: np.ndarray | None 
     W.fill(0.0)
     u = np.zeros(K)
     flops = 0
-    back: tuple = ()
+    seen = set()  # the bytes of every user-weight vector so far
     while True:
         pw = u + px
-        settled = any(np.array_equal(pw, b) for b in back)
+        settled = pw.tobytes() in seen
         vv = 1.0 / pw
         yield u, vv, flops, settled
         if settled:
             return
-        back = (pw, *back[:1])
+        seen.add(pw.tobytes())
         np.multiply(H2, vv, out=W)
         np.subtract((H2 @ vv + s)[:, None], W, out=W)
         np.divide(1.0, W, out=W)
         u = np.einsum("mk,mk->k", H2, W)
         flops = 7 * K * M + M + K
-        if Hp is not None:
-            W *= Hp
-            flops += K * M
 
 
 def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
@@ -258,7 +254,7 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
 
     The variances depend on neither the means, ``y`` nor the relaxation
     factor. Sweeps stop where the detectors freeze their weights (a bitwise
-    repeat of one or two sweeps back) or after ``VARIANCE_SWEEP_CAP``; the
+    repeat of any earlier sweep) or after ``VARIANCE_SWEEP_CAP``; the
     first sweep only installs the prior. Returns the user variances (K,),
     the sum-node weights ``W = 1/V`` (M, K) behind them, and the sweeps run.
     """
@@ -290,13 +286,14 @@ def _run_message_passing(
     detector.
 
     Each iteration takes one step of :func:`_variance_sweeps`, which
-    writes ``A = sqrt(w) H o W`` into one reused (M, K) buffer and returns
-    ``u``, then updates the means: ``r = y' - H' ev`` and ``ev' = vv (A^T r
-    + w u ev) - (w-1) ev``, which never forms the sum-to-user means. Once
-    the sweeps settle, ``A`` and ``u`` are reused, and an iteration is two
-    gemv calls plus O(K) work. On a fixed point that is the same
-    trajectory bit for bit; on a rounding 2-cycle it keeps one of the two
-    weight sets, a last-bit difference from sweeping on.
+    writes ``W`` into one reused (M, K) buffer ``A`` and returns ``u``,
+    scales ``A`` in place to ``sqrt(w) H o W``, then updates the means:
+    ``r = y' - H' ev`` and ``ev' = vv (A^T r + w u ev) - (w-1) ev``, which
+    never forms the sum-to-user means. Once the sweeps settle, ``A`` and
+    ``u`` are reused, and an iteration is two gemv calls plus O(K) work. On
+    a fixed point that is the same trajectory bit for bit; on a rounding
+    cycle it keeps one of the cycle's weight sets, a last-bit difference
+    from sweeping on.
     """
     if not w > 0:
         raise ValueError("relaxation factor must be positive")
@@ -317,7 +314,7 @@ def _run_message_passing(
     ev_prev = None
     vv = np.full(K, np.inf)  # the uninformative state, returned if no iteration runs
     A = np.empty((M, K))
-    sweeps = _variance_sweeps(inst, A, Hp)
+    sweeps = _variance_sweeps(inst, A)
     settled = False
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
@@ -327,6 +324,9 @@ def _run_message_passing(
             u, vv, sweep_flops, settled = next(sweeps)
             uw = u if w == 1.0 else w * u
             flops += sweep_flops + (2 * K if w == 1.0 else 3 * K)
+            if sweep_flops:  # a real sweep wrote W: A = W o H'
+                A *= Hp
+                flops += K * M
         r = yp - Hp @ ev
         g = A.T @ r + uw * ev
         ev_new = vv * g if w == 1.0 else vv * g - (w - 1.0) * ev

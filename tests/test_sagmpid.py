@@ -21,6 +21,7 @@ from gmpdetect import (
     sagmpid_detect,
     spectral_radius,
     variance_fixed_point,
+    variance_recursion,
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 
@@ -260,6 +261,19 @@ def test_forced_power_path_matches_dense_lambda_max():
     assert power.lambda_min is None
     rel = abs(power.lambda_max - dense.lambda_max) / dense.lambda_max
     assert rel < 1e-3
+
+
+def test_weights_freeze_on_a_rounding_cycle_longer_than_two():
+    # This channel's user weights cycle bitwise with period 5 from sweep 63
+    # on. The recursion must settle there, not run to its cap, and the
+    # engine must freeze on it: its last iteration is two gemv calls.
+    K, M = 50, 100
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=14)
+    vv, _, sweeps = variance_recursion(inst)
+    assert sweeps <= 80
+    out = sagmpid_detect(inst, realize(inst, 3).received, eps=0.0, max_iter=sweeps + 5)
+    np.testing.assert_array_equal(vv, out.result.posterior_var)
+    assert np.diff(out.result.trace.cum_flops)[-1] <= 4 * K * M + 10 * (K + M)
 
 
 def test_measured_relaxation_and_gamma_do_not_depend_on_units():
