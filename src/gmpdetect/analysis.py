@@ -22,10 +22,9 @@ from .model import SystemInstance
 # spectral_radius is defined next to auto_relaxation, its other user, and
 # convergence_check looks it up through this module.
 from .sagmpid import (
-    DENSE_EIG_LIMIT,
     RelaxationChoice,
     WMode,
-    choose_w,
+    auto_relaxation,
     relaxation_iteration_matrix,
     relaxation_system_matrix,
     spectral_radius,
@@ -74,7 +73,6 @@ def convergence_check(
     *,
     beta: float = float("nan"),
     asymptotic_radius: float = float("nan"),
-    dense_limit: int = DENSE_EIG_LIMIT,
 ) -> ConvergenceReport:
     """Diagnose an affine iteration's matrix: dominance, radius, verdict.
 
@@ -83,7 +81,7 @@ def convergence_check(
     the verdict is that condition OR measured spectral radius < 1.
     """
     dominant = bool(float(np.max(np.abs(B).sum(axis=1))) < 1.0)
-    rho = spectral_radius(B, dense_limit=dense_limit)
+    rho = spectral_radius(B)
     return ConvergenceReport(
         diag_dominant=dominant,
         spectral_radius=rho,
@@ -174,12 +172,14 @@ def sagmpid_convergence_report(
     ``2*sqrt(beta)/(1+beta)``. The verdict uses the admissibility
     characterization ``0 < w < 2/lambda_max(A)``, which for this symmetric
     positive-definite system matrix is equivalent to radius < 1.
+    ``relax=None`` reports on :func:`auto_relaxation`'s w, the one
+    :func:`sagmpid_detect` runs by default.
     """
     beta = inst.dims.beta
     if not beta < 1:
         raise ValueError("mean-convergence report requires load beta < 1")
     if relax is None:
-        relax = choose_w(inst)
+        relax = auto_relaxation(inst)
     fp = variance_fixed_point(inst)
     A = relaxation_system_matrix(inst, fp.gamma)
     if relax.mode is WMode.EXACT_EIGEN and relax.lambda_max is not None:

@@ -187,20 +187,17 @@ def _experiment_config(settings: dict, command: str) -> ExperimentConfig:
         record_wall_time=not bool(settings["no_wall_time"]),
     )
     cfg.validate()
-    if command in ("table", "complexity", "analyze") and len(snr_grid) != 1:
-        raise ConfigError(f"{command} requires a single SNR point")
     return cfg
 
 
-def _emit_rows(rows: list[dict], header: list[str], settings: dict) -> None:
-    out = str(settings["out"])
-    if settings["format"] == "json":
-        write_text(out, json.dumps(rows, indent=1) + "\n")
+def _emit_rows(rows: list[dict], header: list[str], cfg: ExperimentConfig) -> None:
+    if cfg.output_format == "json":
+        write_text(cfg.output_path, json.dumps(rows, indent=1) + "\n")
         return
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
-    write_text(out, "\n".join(lines) + "\n")
+    write_text(cfg.output_path, "\n".join(lines) + "\n")
 
 
 def _cmd_sweep(settings: dict) -> int:
@@ -216,9 +213,7 @@ def _cmd_sweep(settings: dict) -> int:
 def _cmd_mset(settings: dict) -> int:
     cfg = _experiment_config(settings, "mset")
     rows = run_mset_trace(cfg)
-    _emit_rows(
-        [asdict(r) for r in rows], ["iteration", "mean_variance", "mse"], settings
-    )
+    _emit_rows([asdict(r) for r in rows], ["iteration", "mean_variance", "mse"], cfg)
     return 0
 
 
@@ -226,18 +221,7 @@ def _cmd_table(settings: dict) -> int:
     cfg = _experiment_config(settings, "table")
     beta = settings["beta"]
     beta_list = _parse_list(beta) if isinstance(beta, str) else [float(b) for b in beta]
-    rows = run_convergence_table(
-        beta_list,
-        cfg.dims.n_users,
-        cfg.snr_grid_db[0],
-        cfg.trials,
-        detectors=cfg.detectors,
-        max_iter=cfg.max_iter,
-        eps=cfg.eps,
-        master_seed=cfg.master_seed,
-        w_mode=cfg.w_mode,
-        prior_var=cfg.prior_var,
-    )
+    rows = run_convergence_table(cfg, beta_list)
     flat = []
     for row in rows:
         for det in row.fraction:
@@ -254,41 +238,29 @@ def _cmd_table(settings: dict) -> int:
     _emit_rows(
         flat,
         ["beta", "n_users", "n_antennas", "detector", "fraction_converged", "verdict"],
-        settings,
+        cfg,
     )
     return 0
 
 
 def _cmd_complexity(settings: dict) -> int:
     cfg = _experiment_config(settings, "complexity")
-    records = run_complexity(
-        cfg.dims.n_users,
-        cfg.dims.n_antennas,
-        cfg.snr_grid_db[0],
-        cfg.trials,
-        detectors=cfg.detectors,
-        max_iter=cfg.max_iter,
-        eps=cfg.eps,
-        master_seed=cfg.master_seed,
-        w_mode=cfg.w_mode,
-        prior_var=cfg.prior_var,
-    )
+    records = run_complexity(cfg)
     _emit_rows(
-        [asdict(r) for r in records],
-        [f.name for f in fields(ComplexityRecord)],
-        settings,
+        [asdict(r) for r in records], [f.name for f in fields(ComplexityRecord)], cfg
     )
     return 0
 
 
 def _cmd_analyze(settings: dict) -> int:
     cfg = _experiment_config(settings, "analyze")
+    snr_db = cfg.single_snr("analyze")
     if not cfg.dims.beta < 1:
         raise ConfigError("analyze requires load beta < 1")
     inst = build_instance(
         cfg.dims.n_users,
         cfg.dims.n_antennas,
-        snr_db=cfg.snr_grid_db[0],
+        snr_db=snr_db,
         prior_var=cfg.prior_var,
         channel_seed=cfg.master_seed,
     )
@@ -301,7 +273,7 @@ def _cmd_analyze(settings: dict) -> int:
         "n_users": cfg.dims.n_users,
         "n_antennas": cfg.dims.n_antennas,
         "beta": cfg.dims.beta,
-        "snr_db": cfg.snr_grid_db[0],
+        "snr_db": snr_db,
         "seed": cfg.master_seed,
         "variance_fixed_point": asdict(fp),
         "mmse_mse_prediction": {
@@ -312,7 +284,7 @@ def _cmd_analyze(settings: dict) -> int:
         "gmpid": gmpid_mean_convergence_report(inst).to_dict(),
         "sagmpid": sagmpid_convergence_report(inst, relax).to_dict(),
     }
-    write_text(str(settings["out"]), json.dumps(report, indent=1) + "\n")
+    write_text(cfg.output_path, json.dumps(report, indent=1) + "\n")
     return 0
 
 

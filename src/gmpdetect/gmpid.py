@@ -23,7 +23,7 @@ import numpy as np
 from .model import SystemDims, SystemInstance
 from .results import DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination
 
-VARIANCE_SWEEP_CAP = 500  # variance_recursion stops here if never settled
+VARIANCE_SWEEP_CAP = 5000  # variance_recursion stops here if never settled
 
 
 @dataclass

@@ -23,13 +23,7 @@ import numpy as np
 
 from .classic import iterate, jacobi_for_mmse, richardson_for_mmse
 from .gmpid import gmpid_detect
-from .model import (
-    SystemDims,
-    build_instance,
-    derive_trial_seeds,
-    mse,
-    realize,
-)
+from .model import SystemDims, build_instance, derive_trial_seeds, mse, realize
 from .reference import (
     gmp_block_detect,
     inverse_filter_detect,
@@ -40,6 +34,14 @@ from .results import DetectionResult
 from .sagmpid import WMode, choose_w, sagmpid_detect
 
 CSV_HEADER = "detector,snr_db,trial,seed,mse,iterations,flops,terminated,wall_time_ns"
+# A table trial converges when its estimate is within TABLE_TARGET_REL
+# relative 2-norm error of exact MMSE; a row is C when TABLE_PASS_FRACTION
+# of its trials converge.
+TABLE_TARGET_REL = 1e-4
+TABLE_PASS_FRACTION = 0.95
+# A complexity trial reaches its target when its MSE is within
+# COMPLEXITY_REL_TARGET (relatively) of the exact MMSE detector's MSE.
+COMPLEXITY_REL_TARGET = 0.1
 
 
 class ConfigError(ValueError):
@@ -80,6 +82,12 @@ class ExperimentConfig:
         if self.output_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         _parse_w_mode(self.w_mode)  # raises ConfigError on bad syntax
+
+    def single_snr(self, what: str) -> float:
+        """The one SNR point of the grid; ConfigError naming ``what`` if not."""
+        if len(self.snr_grid_db) != 1:
+            raise ConfigError(f"{what} requires a single SNR point")
+        return self.snr_grid_db[0]
 
 
 def _parse_w_mode(text: str) -> tuple[str, float | None]:
@@ -222,13 +230,25 @@ def run_detector(
     return _REGISTRY[name](inst, y, max_iter, eps, w_mode, truth)
 
 
-def _seeded_draw(master_seed, index, trial, K, M, snr_db, prior_var):
+def _seeded_draw(config, index, trial, snr_db, n_antennas):
     """Channel seed, instance and realization of one (index, trial) pair."""
-    channel_seed, realization_seed = derive_trial_seeds(master_seed, index, trial)
+    channel_seed, realization_seed = derive_trial_seeds(
+        config.master_seed, index, trial
+    )
     inst = build_instance(
-        K, M, snr_db=snr_db, prior_var=prior_var, channel_seed=channel_seed
+        config.dims.n_users,
+        n_antennas,
+        snr_db=snr_db,
+        prior_var=config.prior_var,
+        channel_seed=channel_seed,
     )
     return channel_seed, inst, realize(inst, realization_seed)
+
+
+def _run(config, name, inst, y, **overrides) -> DetectionResult:
+    """:func:`run_detector` with the config's budget, eps and w-mode."""
+    opts = dict(max_iter=config.max_iter, eps=config.eps, w_mode=config.w_mode)
+    return run_detector(name, inst, y, **{**opts, **overrides})
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -239,23 +259,15 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     :func:`aggregate_records`.
     """
     config.validate()
-    K, M = config.dims.n_users, config.dims.n_antennas
     records: list[TrialRecord] = []
     for snr_index, snr_db in enumerate(config.snr_grid_db):
         for trial in range(config.trials):
             channel_seed, inst, real = _seeded_draw(
-                config.master_seed, snr_index, trial, K, M, snr_db, config.prior_var
+                config, snr_index, trial, snr_db, config.dims.n_antennas
             )
             for name in config.detectors:
                 start = time.perf_counter_ns()
-                run = run_detector(
-                    name,
-                    inst,
-                    real.received,
-                    max_iter=config.max_iter,
-                    eps=config.eps,
-                    w_mode=config.w_mode,
-                )
+                run = _run(config, name, inst, real.received)
                 elapsed = time.perf_counter_ns() - start
                 records.append(
                     TrialRecord(
@@ -310,26 +322,13 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
     config.validate()
     if len(config.detectors) != 1 or config.detectors[0] not in ("gmpid", "sagmpid"):
         raise ConfigError("mset trace requires exactly one of: gmpid, sagmpid")
-    if len(config.snr_grid_db) != 1:
-        raise ConfigError("mset trace requires a single SNR point")
-    name = config.detectors[0]
-    snr_db = config.snr_grid_db[0]
-    K, M = config.dims.n_users, config.dims.n_antennas
+    snr_db = config.single_snr("mset trace")
     var_traces: list[list[float]] = []
     mse_traces: list[list[float]] = []
     for trial in range(config.trials):
-        _, inst, real = _seeded_draw(
-            config.master_seed, 0, trial, K, M, snr_db, config.prior_var
-        )
-        tr = run_detector(
-            name,
-            inst,
-            real.received,
-            max_iter=config.max_iter,
-            eps=0.0,
-            w_mode=config.w_mode,
-            truth=real.symbols,
-        ).trace
+        _, inst, real = _seeded_draw(config, 0, trial, snr_db, config.dims.n_antennas)
+        name = config.detectors[0]
+        tr = _run(config, name, inst, real.received, eps=0.0, truth=real.symbols).trace
         var_traces.append(list(tr.mean_variance))
         mse_traces.append(list(tr.mse_to_truth))
     n = min(len(v) for v in var_traces)
@@ -355,56 +354,40 @@ class TableRow:
 
 
 def run_convergence_table(
-    beta_list: list[float],
-    n_users: int,
-    snr_db: float,
-    trials: int,
-    *,
-    detectors: tuple[str, ...] = ("jacobi", "gmpid", "richardson", "sagmpid"),
-    max_iter: int = 8000,
-    eps: float | None = None,
-    master_seed: int = 0,
-    w_mode: str = "auto",
-    prior_var: float = 1.0,
-    target_rel: float = 1e-4,
-    pass_fraction: float = 0.95,
+    config: ExperimentConfig, beta_list: list[float]
 ) -> list[TableRow]:
     """Converged/Diverged verdict table across load factors.
 
+    The row for load beta has K = ``config.dims.n_users`` users and
+    M = round(K / beta) antennas; ``config.dims.n_antennas`` is ignored.
     A trial counts as converged when the detector's final estimate is
-    within ``target_rel`` relative 2-norm error of the exact MMSE solution
-    on the same realization (within the iteration budget); the verdict is
-    C when at least ``pass_fraction`` of trials converge, else D.
+    within ``TABLE_TARGET_REL`` relative 2-norm error of the exact MMSE
+    solution on the same realization (within the iteration budget); the
+    verdict is C when at least ``TABLE_PASS_FRACTION`` of trials converge,
+    else D.
     """
+    config.validate()
+    snr_db = config.single_snr("table")
     for beta in beta_list:
         if not 0.0 < beta < 1.0:
             raise ConfigError("table loads must satisfy 0 < beta < 1")
-    _check_detectors(detectors)
+    n_users, detectors = config.dims.n_users, config.detectors
     rows: list[TableRow] = []
     for row_index, beta in enumerate(beta_list):
         M = int(round(n_users / beta))
         successes = {d: 0 for d in detectors}
-        for trial in range(trials):
-            _, inst, real = _seeded_draw(
-                master_seed, row_index, trial, n_users, M, snr_db, prior_var
-            )
+        for trial in range(config.trials):
+            _, inst, real = _seeded_draw(config, row_index, trial, snr_db, M)
             x_ref = mmse_detect(inst, real.received).estimate
             denom = float(np.linalg.norm(x_ref))
             for name in detectors:
-                run = run_detector(
-                    name,
-                    inst,
-                    real.received,
-                    max_iter=max_iter,
-                    eps=eps,
-                    w_mode=w_mode,
-                )
+                run = _run(config, name, inst, real.received)
                 rel = float(np.linalg.norm(run.estimate - x_ref)) / denom
-                if np.isfinite(rel) and rel < target_rel:
+                if np.isfinite(rel) and rel < TABLE_TARGET_REL:
                     successes[name] += 1
-        fraction = {d: successes[d] / trials for d in detectors}
+        fraction = {d: successes[d] / config.trials for d in detectors}
         verdict = {
-            d: "C" if fraction[d] >= pass_fraction else "D" for d in detectors
+            d: "C" if fraction[d] >= TABLE_PASS_FRACTION else "D" for d in detectors
         }
         rows.append(
             TableRow(
@@ -432,58 +415,38 @@ class ComplexityRecord:
     mmse_flops: int
 
 
-def run_complexity(
-    n_users: int,
-    n_antennas: int,
-    snr_db: float,
-    trials: int,
-    *,
-    detectors: tuple[str, ...] = ("gmpid", "sagmpid", "jacobi", "richardson"),
-    max_iter: int = 500,
-    eps: float | None = None,
-    master_seed: int = 0,
-    w_mode: str = "beta",
-    prior_var: float = 1.0,
-    rel_target: float = 0.1,
-) -> list[ComplexityRecord]:
-    """Cumulative flops until the per-trial MSE is within ``rel_target``
-    (relatively) of the exact MMSE detector's MSE on the same realization.
+def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
+    """Cumulative flops until the per-trial MSE is within
+    ``COMPLEXITY_REL_TARGET`` (relatively) of the exact MMSE detector's MSE
+    on the same realization.
 
-    The default w selection is the closed-form load-based rule so that
-    relaxation-parameter search cost stays out of the comparison; the
-    MMSE reference cost is its one-shot flop count.
+    Only iterative detectors qualify. The MMSE reference cost is its
+    one-shot flop count; the ``complexity`` command defaults to w-mode
+    ``beta`` so that relaxation search cost stays out of the comparison.
     """
+    config.validate()
+    snr_db = config.single_snr("complexity")
     _check_detectors(
-        detectors,
+        config.detectors,
         DETECTORS - ONE_SHOT_DETECTORS,
         "complexity detectors must be iterative:",
     )
     out: list[ComplexityRecord] = []
-    for trial in range(trials):
-        _, inst, real = _seeded_draw(
-            master_seed, 0, trial, n_users, n_antennas, snr_db, prior_var
-        )
+    for trial in range(config.trials):
+        _, inst, real = _seeded_draw(config, 0, trial, snr_db, config.dims.n_antennas)
         ref = mmse_detect(inst, real.received)
         mmse_err = float(mse(ref.estimate, real.symbols))
-        for name in detectors:
-            run = run_detector(
-                name,
-                inst,
-                real.received,
-                max_iter=max_iter,
-                eps=eps,
-                w_mode=w_mode,
-                truth=real.symbols,
-            )
+        for name in config.detectors:
+            run = _run(config, name, inst, real.received, truth=real.symbols)
             reach = None
             flops_to_target = None
             series: list[float] = []
             if run.trace.mse_to_truth:
                 series = list(run.trace.mse_to_truth)
             elif run.trace.oracle_gap:
-                series = [g * g / n_users for g in run.trace.oracle_gap]
+                series = [g * g / config.dims.n_users for g in run.trace.oracle_gap]
             for idx, m in enumerate(series):
-                if abs(m / mmse_err - 1.0) < rel_target:
+                if abs(m / mmse_err - 1.0) < COMPLEXITY_REL_TARGET:
                     reach = idx + 1
                     flops_to_target = run.setup_flops + run.trace.cum_flops[idx]
                     break

@@ -31,8 +31,11 @@ from .model import SystemInstance
 from .results import DEFAULT_MAX_ITER
 
 # Largest matrix order that gets a full eigendecomposition; above it the
-# spectral radius comes from a power iteration.
+# spectral radius comes from a power iteration, which stops when the
+# estimate moves by less than POWER_TOL relative, or after POWER_MAX_ITER.
 DENSE_EIG_LIMIT = 2000
+POWER_TOL = 1e-6
+POWER_MAX_ITER = 10000
 
 
 class WMode(Enum):
@@ -77,12 +80,7 @@ def relaxation_system_matrix(
     return A
 
 
-def spectral_radius(
-    B: np.ndarray,
-    dense_limit: int = DENSE_EIG_LIMIT,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
-) -> float:
+def spectral_radius(B: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> float:
     """Largest eigenvalue magnitude of a square matrix.
 
     Eigenvalues up to ``dense_limit``, by the symmetric solver when ``B``
@@ -101,13 +99,13 @@ def spectral_radius(
     v /= np.linalg.norm(v)
     prev = 0.0
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         Bv = B @ v
         est = float(np.linalg.norm(Bv))
         if est == 0.0:
             return 0.0
         v = Bv / est
-        if abs(est - prev) < tol * max(est, 1.0):
+        if abs(est - prev) < POWER_TOL * max(est, 1.0):
             break
         prev = est
     return est
@@ -221,7 +219,6 @@ def sagmpid_detect(
     max_iter: int = DEFAULT_MAX_ITER,
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
-    dense_limit: int = DENSE_EIG_LIMIT,
 ) -> MessagePassingOutput:
     """Relaxed Gaussian message-passing detection.
 
@@ -231,7 +228,7 @@ def sagmpid_detect(
     carries the relaxation choice used.
     """
     if relax is None:
-        relax = auto_relaxation(inst, dense_limit=dense_limit)
+        relax = auto_relaxation(inst)
     out = _run_message_passing(
         inst,
         y,

@@ -183,9 +183,15 @@ def test_criterion_07_monte_carlo_mse_matches_random_matrix_prediction():
 
 def test_criterion_08_convergence_verdict_table():
     """Verdicts across loads 0.05 / 0.20 / 0.9 at K=100."""
-    rows = run_convergence_table(
-        [0.05, 0.20, 0.9], 100, 80.0, 3, max_iter=8000, master_seed=1236
+    cfg = ExperimentConfig(
+        dims=SystemDims(100, 100),  # the table sets M from each load
+        snr_grid_db=[80.0],
+        trials=3,
+        master_seed=1236,
+        detectors=("jacobi", "gmpid", "richardson", "sagmpid"),
+        max_iter=8000,
     )
+    rows = run_convergence_table(cfg, [0.05, 0.20, 0.9])
     verdicts = {round(r.beta, 2): r.verdict for r in rows}
     expected = {
         0.05: {"jacobi": "C", "gmpid": "C", "richardson": "C", "sagmpid": "C"},
@@ -209,16 +215,16 @@ def test_criterion_09_flop_accounting_and_complexity_advantage():
     steps = np.diff(out.result.trace.cum_flops)
     per_iter = float(np.max(steps))
     budget = 2.0 * 8.0 * n_users * n_antennas
-    records = run_complexity(
-        n_users,
-        n_antennas,
-        10.0,
-        3,
+    cfg = ExperimentConfig(
+        dims=SystemDims(n_users, n_antennas),
+        snr_grid_db=[10.0],
+        trials=3,
+        master_seed=0,
         detectors=("gmpid", "sagmpid"),
         max_iter=300,
-        master_seed=0,
         w_mode="beta",
     )
+    records = run_complexity(cfg)
     relaxed = [r for r in records if r.detector == "sagmpid"]
     reach_ok = all(r.reach_iteration is not None for r in relaxed)
     flops_ok = all(r.flops_to_target < r.mmse_flops for r in relaxed)

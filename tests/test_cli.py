@@ -9,7 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from gmpdetect import cli
+from gmpdetect import (
+    auto_relaxation,
+    build_instance,
+    cli,
+    sagmpid_convergence_report,
+)
 from gmpdetect.cli import main
 from gmpdetect.harness import CSV_HEADER
 
@@ -45,6 +50,8 @@ def test_help_exits_zero():
         ["analyze", "--snr-db", "0,10"],
         ["complexity", "--detectors", "mf"],  # one-shot detectors have no reach
         ["analyze", "--users", "50", "--antennas", "50"],  # beta = 1
+        ["table", "--snr-db", "0,10"],  # the table needs a single SNR
+        ["complexity", "--snr-db", "0,10"],
     ],
 )
 def test_configuration_errors_exit_one(argv, capsys):
@@ -281,6 +288,11 @@ def test_analyze_report_keys(tmp_path):
     assert report["gmpid"]["predicted_converges"] is True
     assert 0 < report["variance_fixed_point"]["sigma_hat_sq"] < 1
     assert report["mmse_mse_prediction"]["regime"] == "underloaded"
+    # With the default w-mode (auto) the report describes the w that
+    # sagmpid_detect runs, not the closed-form eigen w.
+    inst = build_instance(100, 600, snr_db=20.0, channel_seed=3)
+    expected = sagmpid_convergence_report(inst, auto_relaxation(inst))
+    assert report["sagmpid"]["spectral_radius"] == expected.spectral_radius
 
 
 def _run_module_sweep(out, args, **env):

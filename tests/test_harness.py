@@ -289,8 +289,19 @@ def test_mset_requires_one_iterative_message_passing_detector():
 # ---------------------------------------------------------------------------
 
 
+_TABLE_DETECTORS = ("jacobi", "gmpid", "richardson", "sagmpid")
+
+
 def test_table_low_load_all_converge():
-    rows = run_convergence_table([0.05], 20, 40.0, 2, max_iter=2000, master_seed=5)
+    cfg = _config(
+        dims=SystemDims(20, 40),
+        snr_grid_db=[40.0],
+        trials=2,
+        master_seed=5,
+        detectors=_TABLE_DETECTORS,
+        max_iter=2000,
+    )
+    rows = run_convergence_table(cfg, [0.05])
     assert len(rows) == 1
     row = rows[0]
     assert row.n_antennas == 400
@@ -300,12 +311,15 @@ def test_table_low_load_all_converge():
 
 
 def test_table_rejects_invalid_loads_and_detectors():
+    cfg = _config(
+        dims=SystemDims(20, 40), snr_grid_db=[40.0], detectors=_TABLE_DETECTORS
+    )
     with pytest.raises(ConfigError):
-        run_convergence_table([1.0], 20, 40.0, 1)
+        run_convergence_table(cfg, [1.0])
     with pytest.raises(ConfigError):
-        run_convergence_table([0.0], 20, 40.0, 1)
+        run_convergence_table(cfg, [0.0])
     with pytest.raises(ConfigError):
-        run_convergence_table([0.5], 20, 40.0, 1, detectors=("zf",))
+        run_convergence_table(_config(snr_grid_db=[40.0], detectors=("zf",)), [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +328,14 @@ def test_table_rejects_invalid_loads_and_detectors():
 
 
 def test_complexity_records_reach_target_with_consistent_costs():
-    records = run_complexity(50, 350, 10.0, 2)
+    cfg = _config(
+        dims=SystemDims(50, 350),
+        trials=2,
+        detectors=("gmpid", "sagmpid", "jacobi", "richardson"),
+        max_iter=500,
+        w_mode="beta",
+    )
+    records = run_complexity(cfg)
     assert len(records) == 4 * 2
     for r in records:
         assert r.detector in {"gmpid", "sagmpid", "jacobi", "richardson"}
@@ -332,4 +353,21 @@ def test_complexity_records_reach_target_with_consistent_costs():
 def test_complexity_rejects_non_iterative_detector():
     for name in ("mmse", "mf", "if", "gmp"):
         with pytest.raises(ConfigError):
-            run_complexity(10, 40, 10.0, 1, detectors=(name,))
+            run_complexity(_config(detectors=(name,)))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(trials=0),
+        dict(max_iter=0),
+        dict(eps=-1.0),
+        dict(snr_grid_db=[0.0, 10.0]),
+    ],
+)
+def test_table_and_complexity_reject_what_the_cli_rejects(overrides):
+    cfg = _config(detectors=("gmpid",), **overrides)
+    with pytest.raises(ConfigError):
+        run_convergence_table(cfg, [0.5])
+    with pytest.raises(ConfigError):
+        run_complexity(cfg)

@@ -263,14 +263,25 @@ def test_forced_power_path_matches_dense_lambda_max():
     assert rel < 1e-3
 
 
-def test_weights_freeze_on_a_rounding_cycle_longer_than_two():
-    # This channel's user weights cycle bitwise with period 5 from sweep 63
-    # on. The recursion must settle there, not run to its cap, and the
-    # engine must freeze on it: its last iteration is two gemv calls.
-    K, M = 50, 100
-    inst = build_instance(K, M, snr_db=10.0, channel_seed=14)
+@pytest.mark.parametrize(
+    "K, M, snr_db, channel_seed, max_sweeps",
+    [
+        # User weights cycle bitwise with period 5 from sweep 63 on.
+        (50, 100, 10.0, 14, 80),
+        # Load 0.95 at 80 dB: the weights first repeat after about 740
+        # sweeps, above the old cap of 500.
+        (100, 105, 80.0, 1016, 800),
+    ],
+    ids=["period-5", "load-0.95"],
+)
+def test_weights_freeze_on_a_rounding_cycle_longer_than_two(
+    K, M, snr_db, channel_seed, max_sweeps
+):
+    # The recursion must settle, not run to its cap, and the engine must
+    # freeze on the same weights: its last iteration is two gemv calls.
+    inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
     vv, _, sweeps = variance_recursion(inst)
-    assert sweeps <= 80
+    assert sweeps <= max_sweeps
     out = sagmpid_detect(inst, realize(inst, 3).received, eps=0.0, max_iter=sweeps + 5)
     np.testing.assert_array_equal(vv, out.result.posterior_var)
     assert np.diff(out.result.trace.cum_flops)[-1] <= 4 * K * M + 10 * (K + M)
