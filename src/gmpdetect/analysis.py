@@ -150,8 +150,7 @@ def gmpid_mean_convergence_report(
     if not beta < 1:
         raise ValueError("mean-convergence report requires load beta < 1")
     fp = variance_fixed_point(inst)
-    H = inst.channel
-    B = fp.gamma * (H.T @ H)
+    B = fp.gamma * inst._gram()
     np.fill_diagonal(B, 0.0)  # exact hollow form
     base = convergence_check(
         B, beta=beta, asymptotic_radius=beta + 2.0 * np.sqrt(beta)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import count
 
 import numpy as np
 
@@ -87,9 +87,11 @@ class MessagePassingOutput:
         """The four edge-message arrays at exit, built on first access.
 
         Runs that never read it allocate none of them. The sum-node
-        variances re-run the variance sweeps the engine ran (one per
-        iteration until settled), so the first read costs as much as those
-        sweeps did. The sum-to-user means carry the engine's sqrt(w) scaling.
+        variances replay the one step of the instance's variance schedule
+        that the run stopped at, so the first read costs about one
+        element-wise pass over the four arrays. The sum-to-user means are
+        those of the system scaled by sqrt(w) (the relaxed form of the
+        messages).
         """
         inst, y, w, ev_prev = self._exit
         if ev_prev is None:  # no iteration ran
@@ -98,9 +100,9 @@ class MessagePassingOutput:
         M, K = H.shape
         ev, post_var = self.result.estimate, self.result.posterior_var
         Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
-        W = np.empty((M, K))
-        for _ in islice(_variance_sweeps(inst, W), self.result.iterations):
-            pass
+        schedule = _schedule(inst)
+        t = min(self.result.iterations, len(schedule)) - 1
+        W = schedule.weights(t, np.empty((M, K)))
         with np.errstate(divide="ignore"):
             V_su = 1.0 / W  # zero weight -> exact +inf variance
         return MessageState(
@@ -215,38 +217,87 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
     )
 
 
-def _variance_sweeps(inst: SystemInstance, W: np.ndarray):
-    """The message-variance recursion from the uninformative state, one sweep a step.
+class _VarianceSchedule:
+    """The message-variance recursion of one instance, recorded as far as stepped.
 
-    Each step writes the sum-node weights ``W = 1/V`` into the caller's
-    (M, K) buffer and yields ``(u, vv, flops, settled)``: ``u = sum_m H^2
-    W``, the user variances ``1/(u + 1/prior)`` and the step's flops. The
-    first step is the all-infinite start, ``W == 0``, at no cost. A sweep
-    reads only the user weights, so once they repeat bitwise those of any
-    earlier sweep (a fixed point, a last-bit 2-cycle or, rarely, a longer
-    rounding cycle) they cycle forever: that step is ``settled``, the last.
+    The variances depend on neither ``y``, the means nor the relaxation
+    factor, so one schedule serves every consumer of the instance. Step
+    ``t`` holds the user weight sums ``u[t] = sum_m H^2 W``, the user
+    variances ``vv[t] = 1/(u[t] + 1/prior)`` and the sum-node totals
+    ``c[t] = H^2 vv[t-1] + noise_var`` (M,), which fix the step's sum-node
+    weights ``W = 1/(c[t] - H^2 o vv[t-1])``. Step 0 is the all-infinite
+    start, ``W == 0``. A sweep reads only the user weights, so once they
+    repeat bitwise those of any earlier step (a fixed point, a last-bit
+    2-cycle or, rarely, a longer rounding cycle) they cycle forever: that
+    step is ``settle``, the last one recorded.
+
+    Only :meth:`extend` runs the gemv, the reduction and the repeat test;
+    :meth:`weights` replays a recorded step with three element-wise passes.
+    Both compute ``W`` by the same statements, so a replayed step is the
+    swept one bit for bit.
     """
-    H = inst.channel
-    M, K = H.shape
-    H2 = H * H
-    s, px = inst.noise_var, inst.prior.precisions
-    W.fill(0.0)
-    u = np.zeros(K)
-    flops = 0
-    seen = set()  # the bytes of every user-weight vector so far
-    while True:
-        pw = u + px
-        settled = pw.tobytes() in seen
+
+    def __init__(self, inst: SystemInstance):
+        self.H2 = inst.channel * inst.channel
+        self.s, self.px = inst.noise_var, inst.prior.precisions
+        self.u, self.vv, self.c = [], [], [None]
+        self.settle: int | None = None  # index of the settled step, once reached
+        self._seen = set()  # the bytes of every user-weight vector so far
+        self._record(np.zeros(inst.dims.n_users))
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def _record(self, u: np.ndarray) -> None:
+        pw = u + self.px
+        if pw.tobytes() in self._seen:
+            self.settle = len(self.u)
+        self._seen.add(pw.tobytes())
         vv = 1.0 / pw
-        yield u, vv, flops, settled
+        u.flags.writeable = vv.flags.writeable = False
+        self.u.append(u)
+        self.vv.append(vv)
+
+    def weights(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Write the sum-node weights ``W`` of recorded step ``t`` into ``out``."""
+        if t == 0:
+            out.fill(0.0)
+            return out
+        np.multiply(self.H2, self.vv[t - 1], out=out)
+        np.subtract(self.c[t][:, None], out, out=out)
+        return np.divide(1.0, out, out=out)
+
+    def extend(self, out: np.ndarray) -> None:
+        """Sweep once past the last recorded step, leaving its ``W`` in ``out``."""
+        self.c.append(self.H2 @ self.vv[-1] + self.s)
+        self.weights(len(self.u), out)
+        self._record(np.einsum("mk,mk->k", self.H2, out))
+
+
+def _schedule(inst: SystemInstance) -> _VarianceSchedule:
+    return inst._cached("variance_schedule", _VarianceSchedule)
+
+
+def _variance_sweeps(inst: SystemInstance, A: np.ndarray):
+    """Step through the instance's variance schedule, extending it where needed.
+
+    Each step writes ``A = H o W`` (zero at the start step) into the
+    caller's (M, K) buffer and yields ``(u, vv, settled)``. A recorded step
+    is replayed with no gemv and no reduction; past the recorded end the
+    step is swept and recorded. ``settled`` marks the last step.
+    """
+    schedule = _schedule(inst)
+    for t in count():
+        if t == len(schedule):
+            schedule.extend(A)
+        else:
+            schedule.weights(t, A)
+        if t:
+            A *= inst.channel
+        settled = t == schedule.settle
+        yield schedule.u[t], schedule.vv[t], settled
         if settled:
             return
-        seen.add(pw.tobytes())
-        np.multiply(H2, vv, out=W)
-        np.subtract((H2 @ vv + s)[:, None], W, out=W)
-        np.divide(1.0, W, out=W)
-        u = np.einsum("mk,mk->k", H2, W)
-        flops = 7 * K * M + M + K
 
 
 def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
@@ -257,12 +308,18 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     repeat of any earlier sweep) or after ``VARIANCE_SWEEP_CAP``; the
     first sweep only installs the prior. Returns the user variances (K,),
     the sum-node weights ``W = 1/V`` (M, K) behind them, and the sweeps run.
+    The sweeps are recorded on the instance, so later calls and detector
+    runs on it replay them instead of sweeping again.
     """
+    schedule = _schedule(inst)
     W = np.empty(inst.channel.shape)
-    steps = islice(_variance_sweeps(inst, W), VARIANCE_SWEEP_CAP)
-    for sweeps, (_, vv, _, _) in enumerate(steps, 1):
-        pass
-    return vv, W, sweeps
+    recorded = len(schedule)
+    while len(schedule) < VARIANCE_SWEEP_CAP and schedule.settle is None:
+        schedule.extend(W)
+    sweeps = min(len(schedule), VARIANCE_SWEEP_CAP)
+    if len(schedule) == recorded:  # nothing swept here: replay the last step
+        schedule.weights(sweeps - 1, W)
+    return schedule.vv[sweeps - 1], W, sweeps
 
 
 def _run_message_passing(
@@ -281,19 +338,24 @@ def _run_message_passing(
     is one mean vector ``ev`` and one variance vector ``vv``. Relaxation
     scales the system by sqrt(w) in the mean updates and adds a
     (w-1)-weighted memory term; the variance recursion is identical for
-    every w. ``w == 1.0`` runs the exact same statements with the scaling
-    and memory term skipped, so a w=1 run is bit-identical to the plain
-    detector.
+    every w. The scaling is carried by vectors, not by the channel:
+    ``r = y - H ev`` and ``ev' = vv w (A^T r + u ev) - (w-1) ev`` with
+    ``A = H o W`` the same for every w, which never forms the sum-to-user
+    means. ``w == 1.0`` runs the exact same statements with the factor w
+    and the memory term skipped, so a w=1 run is bit-identical to the
+    plain detector.
 
     Each iteration takes one step of :func:`_variance_sweeps`, which
-    writes ``W`` into one reused (M, K) buffer ``A`` and returns ``u``,
-    scales ``A`` in place to ``sqrt(w) H o W``, then updates the means:
-    ``r = y' - H' ev`` and ``ev' = vv (A^T r + w u ev) - (w-1) ev``, which
-    never forms the sum-to-user means. Once the sweeps settle, ``A`` and
-    ``u`` are reused, and an iteration is two gemv calls plus O(K) work. On
-    a fixed point that is the same trajectory bit for bit; on a rounding
-    cycle it keeps one of the cycle's weight sets, a last-bit difference
-    from sweeping on.
+    replays (or extends) the instance's variance schedule into one reused
+    (M, K) buffer ``A = H o W`` and returns ``u`` and ``vv``. Once the
+    sweeps settle, ``A`` and ``u`` are reused, and an iteration is two gemv
+    calls plus O(K) work. On a fixed point that is the same trajectory bit
+    for bit; on a rounding cycle it keeps one of the cycle's weight sets, a
+    last-bit difference from sweeping on.
+
+    ``flops`` is the analytic cost of a standalone run, which sweeps the
+    variances itself and scales the system by sqrt(w): a replayed schedule
+    is charged in full.
     """
     if not w > 0:
         raise ValueError("relaxation factor must be positive")
@@ -304,8 +366,8 @@ def _run_message_passing(
     if not np.all(np.isfinite(inst.prior.variances)):
         raise ValueError("message passing requires finite prior variances")
 
-    Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
     flops = K * M if w == 1.0 else 2 * K * M + M + 1
+    sweep_flops = 8 * K * M + M + K  # a sweep, then A = W o sqrt(w) H
     if eps is None:
         eps = 1e-8 * (1.0 + float(np.max(np.abs(y))))
     thresh = 1e12 * (1.0 + float(np.max(np.abs(y))))
@@ -321,15 +383,12 @@ def _run_message_passing(
 
     for t in range(1, max_iter + 1):
         if not settled:
-            u, vv, sweep_flops, settled = next(sweeps)
-            uw = u if w == 1.0 else w * u
-            flops += sweep_flops + (2 * K if w == 1.0 else 3 * K)
-            if sweep_flops:  # a real sweep wrote W: A = W o H'
-                A *= Hp
-                flops += K * M
-        r = yp - Hp @ ev
-        g = A.T @ r + uw * ev
-        ev_new = vv * g if w == 1.0 else vv * g - (w - 1.0) * ev
+            u, vv, settled = next(sweeps)
+            vw = vv if w == 1.0 else w * vv
+            flops += (sweep_flops if t > 1 else 0) + (2 * K if w == 1.0 else 3 * K)
+        r = y - H @ ev
+        g = A.T @ r + u * ev
+        ev_new = vw * g if w == 1.0 else vw * g - (w - 1.0) * ev
         change = float(np.max(np.abs(ev_new - ev)))
         flops += 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)
         ev_prev, ev = ev, ev_new

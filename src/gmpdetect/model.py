@@ -8,9 +8,16 @@ in every supported operating regime (load factor beta = K/M < 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays writeable."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,7 @@ class SourcePrior:
 
     Entries must be positive; ``+inf`` marks an (improper) flat prior and is
     honoured only by detectors that can combine in precision form.
+    ``variances`` is a read-only view of the array passed in.
     """
 
     variances: np.ndarray
@@ -46,7 +54,7 @@ class SourcePrior:
             raise ValueError("variances must be a non-empty 1-D vector")
         if not np.all(v > 0):
             raise ValueError("all prior variances must be positive")
-        object.__setattr__(self, "variances", v)
+        object.__setattr__(self, "variances", _read_only(v))
 
     @classmethod
     def homogeneous(cls, n_users: int, variance: float) -> "SourcePrior":
@@ -70,12 +78,17 @@ class SystemInstance:
     ``noise_var`` is positive in every supported operating mode; a value of
     exactly 0 is tolerated at construction only for the noiseless
     decorrelator edge case, and detectors that require positive noise raise.
+
+    ``channel`` is a read-only view of the array passed in, so the set-up
+    the detectors keep per instance (the Gram matrix, the MMSE factor, the
+    message-variance schedule) cannot go stale through it.
     """
 
     dims: SystemDims
     channel: np.ndarray  # M x K
     prior: SourcePrior
     noise_var: float
+    _setup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         H = np.asarray(self.channel, dtype=float)
@@ -88,7 +101,19 @@ class SystemInstance:
             raise ValueError("prior length does not match number of users")
         if not self.noise_var >= 0:
             raise ValueError("noise_var must be non-negative")
-        object.__setattr__(self, "channel", H)
+        object.__setattr__(self, "channel", _read_only(H))
+
+    def _cached(self, key: str, build):
+        """``build(self)``, computed on first request and kept with the instance."""
+        try:
+            return self._setup[key]
+        except KeyError:
+            value = self._setup[key] = build(self)
+            return value
+
+    def _gram(self) -> np.ndarray:
+        """``H^T H``, formed once per instance (read-only)."""
+        return self._cached("gram", lambda inst: _read_only(inst.channel.T @ inst.channel))
 
     @property
     def snr(self) -> float:

@@ -3,8 +3,9 @@ and the block-message formulation that is algebraically equivalent to MMSE.
 
 All four return a :class:`~gmpdetect.results.DetectionResult` with
 ``iterations=0`` and ``terminated=Termination.EXACT``. Flop counts follow the
-actual dense-linear-algebra route taken, counting one multiply or add as one
-flop (a multiply-accumulate is two).
+dense-linear-algebra route of a standalone call, counting one multiply or add
+as one flop (a multiply-accumulate is two); set-up that an instance keeps
+(the Gram matrix, the MMSE factor) is charged to every call that uses it.
 """
 from __future__ import annotations
 
@@ -26,6 +27,36 @@ def _chol_inverse_factor(W: np.ndarray) -> tuple[np.ndarray, int]:
     Linv = np.linalg.inv(L)  # triangular factor inversion
     flops = K**3 // 3 + K**3
     return Linv, flops
+
+
+def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
+    """The part of the MMSE solve that does not depend on ``y``.
+
+    Returns the inverse Cholesky factor of the user-side matrix
+    ``H^T H / s + diag(1/prior)`` (K <= M) or of the antenna-side matrix
+    ``H diag(prior) H^T + s I`` (M < K), the posterior variances and the
+    factor's flop cost. Formed once per instance and kept there (read-only);
+    :func:`inverse_filter_detect` combines with the same user-side factor.
+    """
+
+    def build(inst: SystemInstance):
+        H = inst.channel
+        M, K = H.shape
+        s = inst.noise_var
+        if K <= M:
+            Linv, f = _chol_inverse_factor(inst._gram() / s + np.diag(inst.prior.precisions))
+            post_var = (Linv * Linv).sum(axis=0)
+        else:
+            vx = inst.prior.variances
+            S = (H * vx[None, :]) @ H.T
+            S[np.diag_indices_from(S)] += s
+            Linv, f = _chol_inverse_factor(S)
+            T = Linv @ H
+            post_var = vx - vx * vx * (T * T).sum(axis=0)
+        Linv.flags.writeable = post_var.flags.writeable = False
+        return Linv, post_var, f
+
+    return inst._cached("mmse", build)
 
 
 def _exact(x: np.ndarray, var: np.ndarray, flops: int) -> DetectionResult:
@@ -54,32 +85,19 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     if not np.all(np.isfinite(vx)):
         raise ValueError("mmse_detect requires finite prior variances")
 
+    Linv, post_var, f = _mmse_setup(inst)
     if K <= M:
-        W = H.T @ H / s + np.diag(inst.prior.precisions)
-        flops = 2 * M * K * K + K * K + K
-        Linv, f = _chol_inverse_factor(W)
-        flops += f
+        flops = 2 * M * K * K + K * K + K + f
         b = H.T @ y / s
         flops += 2 * M * K + K
         x_hat = Linv.T @ (Linv @ b)
-        flops += 4 * K * K
-        post_var = (Linv * Linv).sum(axis=0)
-        flops += 2 * K * K
+        flops += 4 * K * K + 2 * K * K
     else:
-        Hv = H * vx[None, :]
-        S = Hv @ H.T
-        S[np.diag_indices_from(S)] += s
-        flops = K * M + 2 * K * M * M + M
-        Lsinv, f = _chol_inverse_factor(S)
-        flops += f
-        z = Lsinv.T @ (Lsinv @ y)
+        flops = K * M + 2 * K * M * M + M + f
+        z = Linv.T @ (Linv @ y)
         flops += 4 * M * M
         x_hat = vx * (H.T @ z)
-        flops += 2 * K * M + K
-        T = Lsinv @ H
-        quad = (T * T).sum(axis=0)
-        post_var = vx - vx * vx * quad
-        flops += 2 * M * M * K + 2 * M * K + 3 * K
+        flops += 2 * K * M + K + 2 * M * M * K + 2 * M * K + 3 * K
 
     return _exact(x_hat, post_var, flops)
 
@@ -98,7 +116,7 @@ def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     s = inst.noise_var
     vx = inst.prior.variances
 
-    G = H.T @ H
+    G = inst._gram()
     d = np.diag(G)
     x_hat = (H.T @ y) / d
     interference = (G * G) @ vx - d * d * vx
@@ -123,7 +141,7 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
         raise ValueError("inverse_filter_detect requires K <= M")
     s = inst.noise_var
 
-    G = H.T @ H
+    G = inst._gram()
     flops = 2 * M * K * K
     Lginv, f = _chol_inverse_factor(G)  # raises if H is column-rank deficient
     flops += f
@@ -138,13 +156,11 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
 
     # Precision-form combine of the decorrelator output (covariance
     # s * G^{-1}) with the prior; flat-prior users contribute precision 0.
-    W = G / s + np.diag(inst.prior.precisions)
-    flops += K * K + K
-    Lwinv, f = _chol_inverse_factor(W)
-    flops += f
+    # The combined matrix G/s + diag(1/prior) is MMSE's: its factor is shared.
+    Lwinv, post_var, f = _mmse_setup(inst)
+    flops += K * K + K + f
     t = (G @ x_tilde) / s
     x_hat = Lwinv.T @ (Lwinv @ t)
-    post_var = (Lwinv * Lwinv).sum(axis=0)
     flops += 2 * K * K + K + 4 * K * K + 2 * K * K
 
     return _exact(x_hat, post_var, flops)

@@ -70,7 +70,7 @@ class DetectionResult:
 
     estimate: np.ndarray        # length-K posterior mean estimate of the sources
     iterations: int             # 0 for one-shot detectors
-    flops: int                  # floating-point operations actually spent
+    flops: int                  # analytic cost of a standalone run, reused set-up included
     terminated: Termination
     posterior_var: np.ndarray | None = None  # length-K; None for affine iterations
     trace: IterationTrace | None = None  # filled by iterative detectors

@@ -74,8 +74,7 @@ def relaxation_system_matrix(
         gamma = variance_fixed_point(inst).gamma
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    H = inst.channel
-    A = gamma * (H.T @ H)
+    A = gamma * inst._gram()
     np.fill_diagonal(A, 1.0)  # gamma*(G - D) has an exact zero diagonal
     return A
 

@@ -72,6 +72,30 @@ def test_instance_rejects_channel_shape_mismatch():
         SystemInstance(dims=dims, channel=np.zeros((2, 3)), prior=prior, noise_var=1.0)
 
 
+def test_instance_channel_and_prior_are_read_only_views():
+    # The detectors keep per-instance set-up (Gram matrix, MMSE factor,
+    # variance schedule), so a write through the instance must fail. The
+    # caller's own arrays are not frozen.
+    H = np.arange(6.0).reshape(3, 2) + 1.0
+    v = np.array([1.0, 2.0])
+    inst = SystemInstance(
+        dims=SystemDims(n_users=2, n_antennas=3),
+        channel=H,
+        prior=SourcePrior(variances=v),
+        noise_var=0.1,
+    )
+    with pytest.raises(ValueError):
+        inst.channel[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        inst.prior.variances[0] = 5.0
+    with pytest.raises(ValueError):
+        inst.channel *= 2.0
+    H[0, 0] = 7.0
+    v[1] = 3.0
+    assert H.flags.writeable and v.flags.writeable
+    assert inst.channel[0, 0] == 7.0 and inst.prior.variances[1] == 3.0  # views, not copies
+
+
 # ---------------------------------------------------------------------------
 # Channel generation
 # ---------------------------------------------------------------------------
