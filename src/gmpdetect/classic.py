@@ -107,7 +107,7 @@ def _normal_equations(
         raise ValueError("normal equations require positive noise variance")
     H = inst.channel
     s = inst.noise_var
-    A = H.T @ H / s
+    A = inst._gram() / s
     A[np.diag_indices_from(A)] += inst.prior.precisions
     b = H.T @ y / s
     return A, b

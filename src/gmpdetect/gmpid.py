@@ -357,8 +357,8 @@ def _run_message_passing(
     variances itself and scales the system by sqrt(w): a replayed schedule
     is charged in full.
     """
-    if not w > 0:
-        raise ValueError("relaxation factor must be positive")
+    if not 0 < w < np.inf:
+        raise ValueError("relaxation factor must be finite and positive")
     H = inst.channel
     M, K = H.shape
     if not inst.noise_var > 0:

@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be non-empty")
+        if any(np.isnan(snr) for snr in self.snr_grid_db):
+            raise ConfigError("snr points must be numbers, not NaN")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
         _check_detectors(self.detectors)
@@ -77,8 +79,8 @@ class ExperimentConfig:
             raise ConfigError("max_iter must be >= 1")
         if self.eps is not None and not self.eps > 0:
             raise ConfigError("eps must be positive when given")
-        if self.prior_var <= 0:
-            raise ConfigError("prior_var must be positive")
+        if not 0 < self.prior_var < np.inf:
+            raise ConfigError("prior_var must be finite and positive")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         _parse_w_mode(self.w_mode)  # raises ConfigError on bad syntax
@@ -90,6 +92,19 @@ class ExperimentConfig:
         return self.snr_grid_db[0]
 
 
+def _check_load(config: ExperimentConfig) -> None:
+    """Reject detectors that cannot run at the config's load.
+
+    For the runners that read ``config.dims.n_antennas``: the inverse filter
+    needs K <= M, and ``sagmpid`` under w-mode ``beta`` needs load beta < 1.
+    """
+    dims, detectors = config.dims, config.detectors
+    if "if" in detectors and dims.n_users > dims.n_antennas:
+        raise ConfigError("detector if requires users <= antennas")
+    if "sagmpid" in detectors and config.w_mode == "beta" and not dims.beta < 1:
+        raise ConfigError("w-mode beta requires load beta < 1")
+
+
 def _parse_w_mode(text: str) -> tuple[str, float | None]:
     """Split a w-mode string into (mode, manual value)."""
     if text in ("auto", "beta", "eigen", "bound"):
@@ -99,8 +114,8 @@ def _parse_w_mode(text: str) -> tuple[str, float | None]:
             value = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad manual w value in {text!r}") from exc
-        if not value > 0:
-            raise ConfigError("manual w must be positive")
+        if not 0 < value < np.inf:
+            raise ConfigError("manual w must be finite and positive")
         return "manual", value
     raise ConfigError(
         f"unknown w-mode {text!r}; expected auto|beta|eigen|bound|manual:<v>"
@@ -259,6 +274,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     :func:`aggregate_records`.
     """
     config.validate()
+    _check_load(config)
     records: list[TrialRecord] = []
     for snr_index, snr_db in enumerate(config.snr_grid_db):
         for trial in range(config.trials):
@@ -320,6 +336,7 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
     all trials.
     """
     config.validate()
+    _check_load(config)
     if len(config.detectors) != 1 or config.detectors[0] not in ("gmpid", "sagmpid"):
         raise ConfigError("mset trace requires exactly one of: gmpid, sagmpid")
     snr_db = config.single_snr("mset trace")
@@ -425,6 +442,7 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
     ``beta`` so that relaxation search cost stays out of the comparison.
     """
     config.validate()
+    _check_load(config)
     snr_db = config.single_snr("complexity")
     _check_detectors(
         config.detectors,

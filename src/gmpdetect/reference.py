@@ -169,11 +169,15 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
 def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     """Block message combination over the whole observation vector at once.
 
-    Treats the M observations as a single Gaussian message with materialized
-    M x M weight (1/sigma_n^2) I, pushes it through the channel, and combines
-    with the prior. Algebraically identical to MMSE; kept as an independent,
-    deliberately naive code path (dense M x M products, plain inversion) for
-    cross-validation and honest block-processing cost accounting.
+    Treats the M observations as a single Gaussian message with weight
+    (1/sigma_n^2) I, pushes it through the channel, and combines with the
+    prior in information form (plain inversion of the K x K posterior
+    precision). Algebraically identical to MMSE; kept as an independent
+    code path for cross-validation. The weight is applied as the scalar
+    ``1/s``, which gives the bits of the dense product ``(I/s) @ H`` (its
+    off-diagonal terms add exact zeros) without an M x M array. ``flops``
+    is the block formulation's analytic cost, dense M x M products
+    included.
     """
     H = inst.channel
     M, K = H.shape
@@ -181,10 +185,9 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     if not s > 0:
         raise ValueError("gmp_block_detect requires positive noise variance")
 
-    W_in = np.eye(M) / s
-    T1 = W_in @ H
-    W_msg = H.T @ T1
-    pre = H.T @ (W_in @ y)
+    w_in = 1.0 / s
+    W_msg = H.T @ (H * w_in)
+    pre = H.T @ (y * w_in)
     flops = M + 2 * M * M * K + 2 * M * K * K + 2 * M * M + 2 * M * K
 
     W_post = W_msg + np.diag(inst.prior.precisions)

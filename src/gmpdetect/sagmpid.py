@@ -57,8 +57,8 @@ class RelaxationChoice:
     lambda_max: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.w > 0:
-            raise ValueError("relaxation factor w must be positive")
+        if not 0 < self.w < np.inf:
+            raise ValueError("relaxation factor w must be finite and positive")
 
 
 def relaxation_system_matrix(
@@ -124,11 +124,11 @@ def choose_w(
       largest absolute row sum and largest absolute column sum — an upper
       bound on lambda_max, so the result is admissible by construction.
     - ``ASYMPTOTIC_BETA``: ``1/(1+beta)``, valid for load beta < 1.
-    - ``MANUAL``: pass ``manual_w`` through (must be positive).
+    - ``MANUAL``: pass ``manual_w`` through (must be finite and positive).
     """
     if mode is WMode.MANUAL:
-        if manual_w is None or not manual_w > 0:
-            raise ValueError("manual mode requires a positive manual_w")
+        if manual_w is None:
+            raise ValueError("manual mode requires manual_w")
         return RelaxationChoice(mode=WMode.MANUAL, w=float(manual_w))
     if mode is WMode.ASYMPTOTIC_BETA:
         beta = inst.dims.beta

@@ -52,6 +52,14 @@ def test_help_exits_zero():
         ["analyze", "--users", "50", "--antennas", "50"],  # beta = 1
         ["table", "--snr-db", "0,10"],  # the table needs a single SNR
         ["complexity", "--snr-db", "0,10"],
+        ["sweep", "--snr-db", "nan"],  # not a number
+        ["sweep", "--w-mode", "manual:inf"],  # w must be finite
+        ["sweep", "--prior-var", "inf"],
+        # Detectors that cannot run at the load M / K of sweep, mset and complexity.
+        ["sweep", "--users", "20", "--antennas", "10", "--detectors", "if"],
+        ["sweep", "--users", "20", "--antennas", "10", "--detectors", "sagmpid", "--w-mode", "beta"],
+        ["mset", "--users", "20", "--antennas", "20", "--detectors", "sagmpid", "--w-mode", "beta"],
+        ["complexity", "--users", "20", "--antennas", "10", "--detectors", "sagmpid"],  # w-mode beta by default
     ],
 )
 def test_configuration_errors_exit_one(argv, capsys):

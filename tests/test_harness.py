@@ -1,6 +1,8 @@
 """Tests for the Monte-Carlo experiment harness: seeded sweeps, record
 emission, variance traces, verdict tables, and complexity accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,11 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
         {"w_mode": "bogus"},
         {"w_mode": "manual:abc"},
         {"w_mode": "manual:-1"},
+        {"w_mode": "manual:inf"},
+        {"w_mode": "manual:nan"},
+        {"snr_grid_db": [10.0, float("nan")]},
+        {"prior_var": float("nan")},
+        {"prior_var": float("inf")},
     ],
 )
 def test_invalid_configurations_rejected(overrides):
@@ -371,3 +378,22 @@ def test_table_and_complexity_reject_what_the_cli_rejects(overrides):
         run_convergence_table(cfg, [0.5])
     with pytest.raises(ConfigError):
         run_complexity(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(dims=SystemDims(20, 10), detectors=("if",)),
+        dict(dims=SystemDims(20, 10), detectors=("sagmpid",), w_mode="beta"),
+        dict(dims=SystemDims(10, 10), detectors=("sagmpid",), w_mode="beta"),
+    ],
+)
+def test_runners_reject_detectors_that_cannot_run_at_the_load(overrides):
+    # The runners that read dims.n_antennas reject these before any draw;
+    # the table ignores dims.n_antennas and runs them at each row's load.
+    cfg = _config(**overrides)
+    for runner in (run_experiment, run_mset_trace, run_complexity):
+        with pytest.raises(ConfigError, match="antennas|load"):
+            runner(cfg)
+    rows = run_convergence_table(replace(cfg, snr_grid_db=[40.0]), [0.5])
+    assert rows[0].n_antennas == 2 * cfg.dims.n_users

@@ -17,8 +17,10 @@ from gmpdetect import (
     generate_channel,
     gmpid_detect,
     inverse_filter_detect,
+    jacobi_for_mmse,
     matched_filter_detect,
     mmse_detect,
+    richardson_for_mmse,
     sagmpid_detect,
     variance_recursion,
 )
@@ -33,6 +35,8 @@ CONSUMERS = (
     "mmse",
     "mf",
     "if",
+    "jacobi",
+    "richardson",
 )
 
 
@@ -76,6 +80,12 @@ def _consume(name, inst, y, w, max_iter, truth):
     if name == "variance_recursion":
         vv, W, sweeps = variance_recursion(inst)
         return [vv, W, sweeps]
+    if name == "jacobi":
+        it = jacobi_for_mmse(inst, y)
+        return [it.matrix, it.offset]
+    if name == "richardson":
+        it, omega = richardson_for_mmse(inst, y)
+        return [it.matrix, it.offset, omega]
     if name in ("mmse", "mf", "if"):
         detect = {"mmse": mmse_detect, "mf": matched_filter_detect, "if": inverse_filter_detect}
         return _result_fields(detect[name](inst, y))

@@ -1,6 +1,8 @@
 """Tests for the one-shot reference detectors: exact MMSE (both solve
 branches), matched filter, decorrelator, and the block-message detector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,45 @@ def test_gmp_block_scalar_wiener_filter():
     r = gmp_block_detect(inst, np.array([2.0]))
     assert r.estimate[0] == pytest.approx(1.0)
     assert r.posterior_var[0] == pytest.approx(0.5)
+
+
+def _dense_weight_block_detect(inst, y):
+    """The block formulation with its M x M weight (1/s) I materialized."""
+    H = inst.channel
+    M = H.shape[0]
+    W_in = np.eye(M) / inst.noise_var
+    W_post = H.T @ (W_in @ H) + np.diag(inst.prior.precisions)
+    V = np.linalg.inv(W_post)
+    return V @ (H.T @ (W_in @ y)), np.diag(V)
+
+
+@pytest.mark.parametrize(
+    "K, M, snr_db",
+    [(1, 1, 10.0), (1, 7, 0.0), (5, 5, 10.0), (6, 4, 20.0), (20, 60, 80.0), (30, 90, 10.0)],
+)
+def test_gmp_block_scalar_weight_matches_dense_weight_bitwise(K, M, snr_db):
+    # The off-diagonal terms of (I/s) @ H add exact zeros, so scaling by the
+    # scalar 1/s gives the dense product's bits.
+    for seed in range(3):
+        inst = build_instance(K, M, snr_db=snr_db, channel_seed=seed)
+        y = realize(inst, 10 + seed).received
+        x_ref, var_ref = _dense_weight_block_detect(inst, y)
+        r = gmp_block_detect(inst, y)
+        np.testing.assert_array_equal(r.estimate, x_ref)
+        np.testing.assert_array_equal(r.posterior_var, var_ref)
+
+
+def test_gmp_block_allocates_no_antenna_square_array():
+    K, M = 20, 2000
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    tracemalloc.start()
+    try:
+        gmp_block_detect(inst, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < M * M * 8 / 4
 
 
 def test_gmp_block_cost_dominated_by_dense_antenna_products():

@@ -24,6 +24,7 @@ from gmpdetect import (
     variance_recursion,
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
+from gmpdetect.gmpid import _run_message_passing
 
 
 def _orthogonal_instance(n_users=3, n_antennas=6, noise_var=0.1, seed=1):
@@ -120,6 +121,18 @@ def test_choose_w_error_paths():
         choose_w(square, mode=WMode.ASYMPTOTIC_BETA)  # load not below one
     with pytest.raises(ValueError):
         RelaxationChoice(mode=WMode.MANUAL, w=0.0)
+
+
+@pytest.mark.parametrize("w", [float("inf"), float("nan")])
+def test_relaxation_factor_must_be_finite(w):
+    inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    with pytest.raises(ValueError):
+        RelaxationChoice(WMode.MANUAL, w)
+    with pytest.raises(ValueError):
+        choose_w(inst, mode=WMode.MANUAL, manual_w=w)
+    with pytest.raises(ValueError):
+        _run_message_passing(inst, y, w, eps=None, max_iter=5)
 
 
 def test_auto_relaxation_returns_positive_manual_choice():
