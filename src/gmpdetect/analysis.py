@@ -19,15 +19,11 @@ import numpy as np
 
 from .gmpid import variance_fixed_point, variance_recursion
 from .model import SystemInstance
-# spectral_radius is defined next to auto_relaxation, its other user, and
-# convergence_check looks it up through this module.
 from .sagmpid import (
     RelaxationChoice,
-    WMode,
     auto_relaxation,
     relaxation_iteration_matrix,
     relaxation_system_matrix,
-    spectral_radius,
 )
 
 # Load factor below which beta + 2*sqrt(beta) < 1: the plain detector's
@@ -66,6 +62,19 @@ class RmtMse(NamedTuple):
     exact: float
     asymptote: float
     regime: str
+
+
+def spectral_radius(B: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a square matrix.
+
+    Dense at every order: the symmetric solver when ``B`` equals its
+    transpose exactly, the general one otherwise.
+    """
+    n = B.shape[0]
+    if B.shape != (n, n):
+        raise ValueError("spectral_radius requires a square matrix")
+    eig = np.linalg.eigvalsh if np.array_equal(B, B.T) else np.linalg.eigvals
+    return float(np.max(np.abs(eig(B))))
 
 
 def convergence_check(
@@ -180,11 +189,8 @@ def sagmpid_convergence_report(
     if relax is None:
         relax = auto_relaxation(inst)
     fp = variance_fixed_point(inst)
-    A = relaxation_system_matrix(inst, fp.gamma)
-    if relax.mode is WMode.EXACT_EIGEN and relax.lambda_max is not None:
-        lam_max = relax.lambda_max
-    else:
-        lam_max = spectral_radius(A)  # symmetric positive definite
+    # A is symmetric positive definite: its radius is lambda_max.
+    lam_max = spectral_radius(relaxation_system_matrix(inst, fp.gamma))
     B = relaxation_iteration_matrix(inst, relax.w, fp.gamma)
     base = convergence_check(
         B, beta=beta, asymptotic_radius=2.0 * np.sqrt(beta) / (1.0 + beta)

@@ -72,9 +72,14 @@ class ExperimentConfig:
             raise ConfigError("snr grid must be non-empty")
         if any(np.isnan(snr) for snr in self.snr_grid_db):
             raise ConfigError("snr points must be numbers, not NaN")
+        if -np.inf in self.snr_grid_db:
+            raise ConfigError("snr points must be above -inf dB")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
         _check_detectors(self.detectors)
+        # +inf dB is noise variance 0, where only the decorrelator runs.
+        if np.inf in self.snr_grid_db and set(self.detectors) != {"if"}:
+            raise ConfigError("snr point +inf dB (zero noise) runs only detector if")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.eps is not None and not self.eps > 0:
@@ -89,6 +94,8 @@ class ExperimentConfig:
         """The one SNR point of the grid; ConfigError naming ``what`` if not."""
         if len(self.snr_grid_db) != 1:
             raise ConfigError(f"{what} requires a single SNR point")
+        if not np.isfinite(self.snr_grid_db[0]):
+            raise ConfigError(f"{what} requires a finite SNR point")
         return self.snr_grid_db[0]
 
 

@@ -75,9 +75,10 @@ class SourcePrior:
 class SystemInstance:
     """One realized detection problem: channel, prior, and noise level.
 
-    ``noise_var`` is positive in every supported operating mode; a value of
-    exactly 0 is tolerated at construction only for the noiseless
-    decorrelator edge case, and detectors that require positive noise raise.
+    ``noise_var`` is positive and finite in every supported operating mode;
+    a value of exactly 0 is tolerated at construction only for the
+    noiseless decorrelator edge case, and detectors that require positive
+    noise raise.
 
     ``channel`` is a read-only view of the array passed in, so the set-up
     the detectors keep per instance (the Gram matrix, the MMSE factor, the
@@ -99,8 +100,8 @@ class SystemInstance:
             )
         if self.prior.variances.size != self.dims.n_users:
             raise ValueError("prior length does not match number of users")
-        if not self.noise_var >= 0:
-            raise ValueError("noise_var must be non-negative")
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError("noise_var must be finite and non-negative")
         object.__setattr__(self, "channel", _read_only(H))
 
     def _cached(self, key: str, build):

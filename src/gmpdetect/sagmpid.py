@@ -30,13 +30,6 @@ from .gmpid import (
 from .model import SystemInstance
 from .results import DEFAULT_MAX_ITER
 
-# Largest matrix order that gets a full eigendecomposition; above it the
-# spectral radius comes from a power iteration, which stops when the
-# estimate moves by less than POWER_TOL relative, or after POWER_MAX_ITER.
-DENSE_EIG_LIMIT = 2000
-POWER_TOL = 1e-6
-POWER_MAX_ITER = 10000
-
 
 class WMode(Enum):
     """How the relaxation factor was chosen."""
@@ -77,37 +70,6 @@ def relaxation_system_matrix(
     A = gamma * inst._gram()
     np.fill_diagonal(A, 1.0)  # gamma*(G - D) has an exact zero diagonal
     return A
-
-
-def spectral_radius(B: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
-
-    Eigenvalues up to ``dense_limit``, by the symmetric solver when ``B``
-    equals its transpose exactly; above that, a power iteration on the
-    matrix (converges to the dominant magnitude for the diagonalizable
-    real-spectrum matrices used here).
-    """
-    n = B.shape[0]
-    if B.shape != (n, n):
-        raise ValueError("spectral_radius requires a square matrix")
-    if n <= dense_limit:
-        eig = np.linalg.eigvalsh if np.array_equal(B, B.T) else np.linalg.eigvals
-        return float(np.max(np.abs(eig(B))))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    est = 0.0
-    for _ in range(POWER_MAX_ITER):
-        Bv = B @ v
-        est = float(np.linalg.norm(Bv))
-        if est == 0.0:
-            return 0.0
-        v = Bv / est
-        if abs(est - prev) < POWER_TOL * max(est, 1.0):
-            break
-        prev = est
-    return est
 
 
 def choose_w(
@@ -168,31 +130,21 @@ def _measured_system_matrix(inst: SystemInstance) -> np.ndarray:
     return Mt
 
 
-def auto_relaxation(
-    inst: SystemInstance, dense_limit: int = DENSE_EIG_LIMIT
-) -> RelaxationChoice:
+def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     """Radius-minimizing w from the measured mean-update spectrum.
 
-    For K <= dense_limit, a full eigendecomposition of the measured system
-    matrix gives ``w = 2/(mu_min + mu_max)`` (mu_min floored at a tiny
-    positive multiple of mu_max so a numerically zero edge cannot produce
-    w >= 2/mu_max). Above the dense limit, :func:`spectral_radius`
-    estimates mu_max by power iteration and w is set just inside the
-    admissible interval. Tagged MANUAL because the value comes from
-    measurement, not one of the closed-form rules.
+    A full eigendecomposition of the measured system matrix gives
+    ``w = 2/(mu_min + mu_max)`` over the real parts of its eigenvalues
+    (mu_min floored at a tiny positive multiple of mu_max so a numerically
+    zero edge cannot produce w >= 2/mu_max). Tagged MANUAL because the
+    value comes from measurement, not one of the closed-form rules.
     """
-    Mt = _measured_system_matrix(inst)
-    K = Mt.shape[0]
-    if K <= dense_limit:
-        mu_r = np.sort(np.linalg.eigvals(Mt).real)
-        mu_min, mu_max = float(mu_r[0]), float(mu_r[-1])
-        w = 2.0 / (max(mu_min, 1e-12 * mu_max) + mu_max)
-        return RelaxationChoice(
-            mode=WMode.MANUAL, w=w, lambda_min=mu_min, lambda_max=mu_max
-        )
-    mu_max = spectral_radius(Mt, dense_limit=dense_limit)
-    w = 1.98 / mu_max  # 1% inside the 2/mu_max admissibility limit
-    return RelaxationChoice(mode=WMode.MANUAL, w=w, lambda_max=mu_max)
+    mu_r = np.sort(np.linalg.eigvals(_measured_system_matrix(inst)).real)
+    mu_min, mu_max = float(mu_r[0]), float(mu_r[-1])
+    w = 2.0 / (max(mu_min, 1e-12 * mu_max) + mu_max)
+    return RelaxationChoice(
+        mode=WMode.MANUAL, w=w, lambda_min=mu_min, lambda_max=mu_max
+    )
 
 
 def relaxation_iteration_matrix(

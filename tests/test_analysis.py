@@ -92,17 +92,6 @@ def test_mse_prediction_matches_monte_carlo_trace_average():
 # ---------------------------------------------------------------------------
 
 
-def test_spectral_radius_power_fallback_agrees_on_symmetric_matrix():
-    rng = np.random.default_rng(7)
-    S = rng.standard_normal((100, 100))
-    S = (S + S.T) / 2.0
-    B = 0.9 * S / np.max(np.abs(np.linalg.eigvalsh(S)))
-    dense = spectral_radius(B)
-    power = spectral_radius(B, dense_limit=10)  # force the iterative path
-    assert dense == pytest.approx(0.9, abs=1e-10)
-    assert abs(dense - power) < 1e-3
-
-
 def test_spectral_radius_of_system_matrix_is_its_top_eigenvalue():
     # sagmpid_convergence_report takes lambda_max(A) from spectral_radius:
     # A is exactly symmetric and positive definite, so that is the top

@@ -60,6 +60,22 @@ def test_help_exits_zero():
         ["sweep", "--users", "20", "--antennas", "10", "--detectors", "sagmpid", "--w-mode", "beta"],
         ["mset", "--users", "20", "--antennas", "20", "--detectors", "sagmpid", "--w-mode", "beta"],
         ["complexity", "--users", "20", "--antennas", "10", "--detectors", "sagmpid"],  # w-mode beta by default
+        # -inf dB is infinite noise; +inf dB is noise 0, where only if runs.
+        ["sweep", "--snr-db=-inf"],
+        ["sweep", "--snr-db=0,-inf", "--detectors", "if"],
+        ["sweep", "--snr-db", "inf"],
+        ["sweep", "--snr-db", "inf", "--detectors", "if,gmpid"],
+        ["sweep", "--snr-db", "inf", "--detectors", "sagmpid"],
+        ["mset", "--snr-db", "inf", "--detectors", "gmpid"],
+        ["complexity", "--snr-db", "inf"],
+        ["table", "--snr-db", "inf"],
+        ["table", "--snr-db=-inf"],
+        ["analyze", "--snr-db", "inf"],
+        ["analyze", "--snr-db=-inf"],
+        # The single-point commands need a finite point even for if alone.
+        ["table", "--snr-db", "inf", "--detectors", "if"],
+        ["complexity", "--snr-db", "inf", "--detectors", "if"],
+        ["analyze", "--snr-db", "inf", "--detectors", "if"],
     ],
 )
 def test_configuration_errors_exit_one(argv, capsys):

@@ -173,11 +173,22 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
         {"snr_grid_db": [10.0, float("nan")]},
         {"prior_var": float("nan")},
         {"prior_var": float("inf")},
+        {"snr_grid_db": [float("-inf")]},
+        {"snr_grid_db": [float("-inf")], "detectors": ("if",)},
+        {"snr_grid_db": [float("inf")]},
+        {"snr_grid_db": [10.0, float("inf")], "detectors": ("if", "mmse")},
     ],
 )
 def test_invalid_configurations_rejected(overrides):
     with pytest.raises(ConfigError):
         _config(**overrides).validate()
+
+
+def test_infinite_snr_point_runs_the_inverse_filter_only():
+    cfg = _config(snr_grid_db=[10.0, float("inf")], detectors=("if",))
+    records = run_experiment(cfg)
+    assert [r.snr_db for r in records] == [10.0, float("inf")]
+    assert all(np.isfinite(r.mse) for r in records)
 
 
 def test_resolve_relaxation_modes():

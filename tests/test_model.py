@@ -211,3 +211,15 @@ def test_build_instance_requires_exactly_one_noise_setting():
     inst = build_instance(2, 4, snr_db=10.0)
     assert inst.noise_var == pytest.approx(0.1)
     assert inst.snr == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"snr_db": -np.inf}, {"noise_var": np.inf}, {"noise_var": np.nan}]
+)
+def test_build_instance_rejects_non_finite_noise(kwargs):
+    with pytest.raises(ValueError, match="noise_var"):
+        build_instance(2, 4, **kwargs)
+
+
+def test_build_instance_keeps_noiseless_edge_case():
+    assert build_instance(2, 4, snr_db=np.inf).noise_var == 0.0
