@@ -38,12 +38,10 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     MsetRow,
-    TableRow,
+    TableRecord,
     TrialRecord,
     aggregate_records,
     emit_csv,
-    emit_json,
-    records_from_json,
     run_complexity,
     run_convergence_table,
     run_detector,
@@ -100,7 +98,7 @@ __all__ = [
     "SourcePrior",
     "SystemDims",
     "SystemInstance",
-    "TableRow",
+    "TableRecord",
     "Termination",
     "TrialRecord",
     "VarianceFixedPoint",
@@ -113,7 +111,6 @@ __all__ = [
     "convergence_check",
     "derive_trial_seeds",
     "emit_csv",
-    "emit_json",
     "generate_channel",
     "gmp_block_detect",
     "gmpid_detect",
@@ -125,7 +122,6 @@ __all__ = [
     "mmse_detect",
     "mse",
     "realize",
-    "records_from_json",
     "relaxation_iteration_matrix",
     "relaxation_system_matrix",
     "richardson_for_mmse",

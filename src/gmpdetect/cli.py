@@ -10,7 +10,11 @@ Subcommands:
 
 A JSON config file (flat key/value, keys matching the long flag names
 with underscores) may supply any value; explicit command-line flags
-override it. Exit codes: 0 success, 1 configuration error, 2
+override it. A file value is read as the flag text it stands for: a
+string; a number for the numeric settings, ``snr_db`` and ``beta``; an
+array (read comma-joined) for ``snr_db``, ``beta`` and ``detectors``; a
+boolean for ``no_wall_time`` only. Any other form is a configuration
+error. Exit codes: 0 success, 1 configuration error, 2
 runtime/numerical error.
 """
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass
+from typing import Any, Callable
 
 from .analysis import (
     gmpid_mean_convergence_report,
@@ -30,9 +35,12 @@ from .harness import (
     ComplexityRecord,
     ConfigError,
     ExperimentConfig,
+    MsetRow,
+    TableRecord,
+    TrialRecord,
     aggregate_records,
     emit_csv,
-    emit_json,
+    render_rows,
     resolve_relaxation,
     run_complexity,
     run_convergence_table,
@@ -50,29 +58,62 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--users", type=int, help="number of users K")
-    p.add_argument("--antennas", type=int, help="number of antennas M")
-    p.add_argument("--snr-db", help="comma-separated SNR grid in dB")
-    p.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--detectors", help="comma-separated detector names")
-    p.add_argument("--max-iter", type=int, help="iteration budget")
-    p.add_argument("--eps", type=float, help="step-change stop threshold")
-    p.add_argument(
-        "--w-mode",
-        help="relaxation selection: auto|beta|eigen|bound|manual:<v>",
+def _parse_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One setting: flag ``--key`` (dashes for underscores), config key ``key``.
+
+    ``parse`` turns flag text into the value, a ValueError meaning a config
+    error; it is None for the presence flag ``no_wall_time``. ``default`` is
+    the value when neither flag nor file gives one (None: the command
+    decides).
+    """
+
+    key: str
+    parse: Callable[[str], Any] | None
+    default: Any
+    help: str
+    choices: tuple[str, ...] | None = None
+    command: str | None = None  # the one command with this flag; None: all
+
+
+_SETTINGS = {
+    s.key: s
+    for s in (
+        _Setting("users", int, 100, "number of users K"),
+        _Setting("antennas", int, 600, "number of antennas M"),
+        _Setting("snr_db", _parse_list, [10.0], "comma-separated SNR grid in dB"),
+        _Setting("trials", int, 10, "Monte-Carlo trials per point"),
+        _Setting("seed", int, 0, "master seed"),
+        _Setting("detectors", _parse_names, None, "comma-separated detector names"),
+        _Setting("max_iter", int, 200, "iteration budget"),
+        _Setting("eps", float, None, "step-change stop threshold"),
+        _Setting("w_mode", str, None, "relaxation: auto|beta|eigen|bound|manual:<v>"),
+        _Setting("prior_var", float, 1.0, "prior symbol variance"),
+        _Setting("out", str, "-", "output path ('-' = stdout)"),
+        _Setting("format", str, "csv", "output format", choices=("csv", "json")),
+        _Setting(
+            "beta",
+            _parse_list,
+            [0.05, 0.2, 0.9],
+            "comma-separated load factors",
+            command="table",
+        ),
+        _Setting("no_wall_time", None, False, "record 0 wall time (byte-reproducible)"),
     )
-    p.add_argument("--prior-var", type=float, help="prior symbol variance")
-    p.add_argument("--out", help="output path ('-' = stdout)")
-    p.add_argument("--format", choices=["csv", "json"], help="output format")
-    p.add_argument(
-        "--no-wall-time",
-        action="store_true",
-        default=None,
-        help="record 0 wall time for byte-reproducible output",
-    )
+}
+# Besides a string, a config file may give a JSON number for a setting parsed
+# by one of _NUMERIC, and an array for one parsed by one of _LISTS; both are
+# read as the flag text they print as.
+_NUMERIC = (int, float, _parse_list)
+_LISTS = (_parse_list, _parse_names)
 
 
 def _build_parser() -> _Parser:
@@ -86,17 +127,45 @@ def _build_parser() -> _Parser:
         ("analyze", "closed-form convergence and MSE report"),
     ]:
         p = sub.add_parser(name, help=helptext)
-        _add_common_flags(p)
-        if name == "table":
-            p.add_argument("--beta", help="comma-separated load factors")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for s in _SETTINGS.values():
+            if s.command not in (None, name):
+                continue
+            flag = "--" + s.key.replace("_", "-")
+            if s.parse is None:
+                p.add_argument(flag, action="store_true", default=None, help=s.help)
+            else:
+                p.add_argument(flag, choices=s.choices, help=s.help)
     return parser
 
 
-def _parse_list(text: str) -> list[float]:
+def _value(s: _Setting, text: str) -> Any:
+    """Setting ``s`` parsed from its flag text."""
+    if s.choices is not None and text not in s.choices:
+        raise ConfigError(f"{s.key} must be one of {list(s.choices)}, not {text!r}")
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return s.parse(text)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+        raise ConfigError(f"bad {s.key} value {text!r}") from exc
+
+
+def _file_value(s: _Setting, value: Any) -> Any:
+    """Setting ``s`` from a config-file value, read as the flag text it stands for.
+
+    A JSON boolean prints as ``True``/``False``, which no parser takes.
+    """
+    number_types = (int, float) if s.parse in _NUMERIC else ()
+    if s.parse is None:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, str):
+        return _value(s, value)
+    elif isinstance(value, number_types):
+        return _value(s, str(value))
+    elif s.parse in _LISTS and isinstance(value, list):
+        if all(isinstance(v, (str, *number_types)) for v in value):
+            return _value(s, ",".join(str(v) for v in value))
+    raise ConfigError(f"config key {s.key!r} cannot take {json.dumps(value)}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -112,22 +181,22 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_DEFAULTS = {
-    "users": 100,
-    "antennas": 600,
-    "snr_db": "10",
-    "trials": 10,
-    "seed": 0,
-    "detectors": None,  # per-command default, see _COMMAND_DETECTORS
-    "max_iter": 200,
-    "eps": None,
-    "w_mode": None,  # per-command default: "beta" for complexity, else "auto"
-    "prior_var": 1.0,
-    "out": "-",
-    "format": "csv",
-    "beta": "0.05,0.2,0.9",
-    "no_wall_time": False,
-}
+def _settings(args: argparse.Namespace) -> dict:
+    """Layer precedence: built-in defaults < config file < explicit flags."""
+    settings = {key: s.default for key, s in _SETTINGS.items()}
+    if args.config:
+        file_values = _load_config_file(args.config)
+        unknown = [k for k in file_values if k not in _SETTINGS]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        for key, value in file_values.items():
+            settings[key] = _file_value(_SETTINGS[key], value)
+    for key, s in _SETTINGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            settings[key] = True if s.parse is None else _value(s, text)
+    return settings
+
 
 _COMMAND_DETECTORS = {
     "sweep": ("mmse", "gmpid"),
@@ -138,121 +207,55 @@ _COMMAND_DETECTORS = {
 }
 
 
-def _merged_settings(args: argparse.Namespace) -> dict:
-    """Layer precedence: built-in defaults < config file < explicit flags."""
-    settings = dict(_DEFAULTS)
-    if args.config:
-        file_values = _load_config_file(args.config)
-        unknown = [k for k in file_values if k not in _DEFAULTS]
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
-        settings.update(file_values)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
-
-
 def _experiment_config(settings: dict, command: str) -> ExperimentConfig:
-    snr = settings["snr_db"]
-    snr_grid = _parse_list(snr) if isinstance(snr, str) else [float(v) for v in snr]
-    detectors = settings["detectors"]
+    detectors, w_mode = settings["detectors"], settings["w_mode"]
     if detectors is None:
         detectors = _COMMAND_DETECTORS[command]
-    if isinstance(detectors, str):
-        detectors = tuple(tok for tok in detectors.replace(",", " ").split())
-    else:
-        detectors = tuple(detectors)
-    w_mode = settings["w_mode"]
     if w_mode is None:
         w_mode = "beta" if command == "complexity" else "auto"
     try:
-        dims = SystemDims(int(settings["users"]), int(settings["antennas"]))
+        dims = SystemDims(settings["users"], settings["antennas"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    eps = settings["eps"]
     cfg = ExperimentConfig(
         dims=dims,
-        snr_grid_db=snr_grid,
-        trials=int(settings["trials"]),
-        master_seed=int(settings["seed"]),
+        snr_grid_db=settings["snr_db"],
+        trials=settings["trials"],
+        master_seed=settings["seed"],
         detectors=detectors,
-        max_iter=int(settings["max_iter"]),
-        eps=None if eps is None else float(eps),
-        prior_var=float(settings["prior_var"]),
-        w_mode=str(w_mode),
-        output_path=str(settings["out"]),
-        output_format=str(settings["format"]),
-        record_wall_time=not bool(settings["no_wall_time"]),
+        max_iter=settings["max_iter"],
+        eps=settings["eps"],
+        prior_var=settings["prior_var"],
+        w_mode=w_mode,
+        record_wall_time=not settings["no_wall_time"],
     )
     cfg.validate()
     return cfg
 
 
-def _emit_rows(rows: list[dict], header: list[str], cfg: ExperimentConfig) -> None:
-    if cfg.output_format == "json":
-        write_text(cfg.output_path, json.dumps(rows, indent=1) + "\n")
-        return
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
-    write_text(cfg.output_path, "\n".join(lines) + "\n")
+# Row command -> (runner of (config, settings), record type it returns).
+_ROW_COMMANDS = {
+    "sweep": (lambda cfg, settings: run_experiment(cfg), TrialRecord),
+    "mset": (lambda cfg, settings: run_mset_trace(cfg), MsetRow),
+    "table": (
+        lambda cfg, settings: run_convergence_table(cfg, settings["beta"]),
+        TableRecord,
+    ),
+    "complexity": (lambda cfg, settings: run_complexity(cfg), ComplexityRecord),
+}
 
 
-def _cmd_sweep(settings: dict) -> int:
-    cfg = _experiment_config(settings, "sweep")
-    records = run_experiment(cfg)
-    if cfg.output_format == "json":
-        emit_json(records, cfg.output_path)
+def _emit_records(command: str, settings: dict) -> None:
+    run, kind = _ROW_COMMANDS[command]
+    records = run(_experiment_config(settings, command), settings)
+    out, fmt = settings["out"], settings["format"]
+    if kind is TrialRecord and fmt == "csv":
+        emit_csv(records, out, aggregate_records(records))  # ends in '# aggregate'
     else:
-        emit_csv(records, cfg.output_path, aggregate_records(records))
-    return 0
+        write_text(out, render_rows(records, kind, fmt))
 
 
-def _cmd_mset(settings: dict) -> int:
-    cfg = _experiment_config(settings, "mset")
-    rows = run_mset_trace(cfg)
-    _emit_rows([asdict(r) for r in rows], ["iteration", "mean_variance", "mse"], cfg)
-    return 0
-
-
-def _cmd_table(settings: dict) -> int:
-    cfg = _experiment_config(settings, "table")
-    beta = settings["beta"]
-    beta_list = _parse_list(beta) if isinstance(beta, str) else [float(b) for b in beta]
-    rows = run_convergence_table(cfg, beta_list)
-    flat = []
-    for row in rows:
-        for det in row.fraction:
-            flat.append(
-                {
-                    "beta": row.beta,
-                    "n_users": row.n_users,
-                    "n_antennas": row.n_antennas,
-                    "detector": det,
-                    "fraction_converged": row.fraction[det],
-                    "verdict": row.verdict[det],
-                }
-            )
-    _emit_rows(
-        flat,
-        ["beta", "n_users", "n_antennas", "detector", "fraction_converged", "verdict"],
-        cfg,
-    )
-    return 0
-
-
-def _cmd_complexity(settings: dict) -> int:
-    cfg = _experiment_config(settings, "complexity")
-    records = run_complexity(cfg)
-    _emit_rows(
-        [asdict(r) for r in records], [f.name for f in fields(ComplexityRecord)], cfg
-    )
-    return 0
-
-
-def _cmd_analyze(settings: dict) -> int:
+def _analyze(settings: dict) -> None:
     cfg = _experiment_config(settings, "analyze")
     snr_db = cfg.single_snr("analyze")
     if not cfg.dims.beta < 1:
@@ -284,25 +287,19 @@ def _cmd_analyze(settings: dict) -> int:
         "gmpid": gmpid_mean_convergence_report(inst).to_dict(),
         "sagmpid": sagmpid_convergence_report(inst, relax).to_dict(),
     }
-    write_text(cfg.output_path, json.dumps(report, indent=1) + "\n")
-    return 0
-
-
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "mset": _cmd_mset,
-    "table": _cmd_table,
-    "complexity": _cmd_complexity,
-    "analyze": _cmd_analyze,
-}
+    write_text(settings["out"], json.dumps(report, indent=1) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point. Returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        settings = _merged_settings(args)
-        return _COMMANDS[args.command](settings)
+        settings = _settings(args)
+        if args.command == "analyze":
+            _analyze(settings)
+        else:
+            _emit_records(args.command, settings)
+        return 0
     except ConfigError as exc:
         print(f"gmpdetect: config error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .reference import (
 from .results import DetectionResult
 from .sagmpid import WMode, choose_w, sagmpid_detect
 
-CSV_HEADER = "detector,snr_db,trial,seed,mse,iterations,flops,terminated,wall_time_ns"
 # A table trial converges when its estimate is within TABLE_TARGET_REL
 # relative 2-norm error of exact MMSE; a row is C when TABLE_PASS_FRACTION
 # of its trials converge.
@@ -61,13 +60,13 @@ class ExperimentConfig:
     eps: float | None = None
     prior_var: float = 1.0
     w_mode: str = "auto"
-    output_path: str | None = None
-    output_format: str = "csv"
     record_wall_time: bool = True
 
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be non-empty")
         if any(np.isnan(snr) for snr in self.snr_grid_db):
@@ -77,6 +76,8 @@ class ExperimentConfig:
         if not self.detectors:
             raise ConfigError("at least one detector is required")
         _check_detectors(self.detectors)
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ConfigError(f"duplicate detectors in {list(self.detectors)}")
         # +inf dB is noise variance 0, where only the decorrelator runs.
         if np.inf in self.snr_grid_db and set(self.detectors) != {"if"}:
             raise ConfigError("snr point +inf dB (zero noise) runs only detector if")
@@ -86,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError("eps must be positive when given")
         if not 0 < self.prior_var < np.inf:
             raise ConfigError("prior_var must be finite and positive")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
         _parse_w_mode(self.w_mode)  # raises ConfigError on bad syntax
 
     def single_snr(self, what: str) -> float:
@@ -152,6 +151,9 @@ class TrialRecord:
     flops: int
     terminated: str
     wall_time_ns: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -367,23 +369,26 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
 
 
 @dataclass(frozen=True)
-class TableRow:
-    """Convergence verdicts for all detectors at one load factor."""
+class TableRecord:
+    """Convergence verdict of one detector at one load factor."""
 
     beta: float
     n_users: int
     n_antennas: int
-    fraction: dict[str, float] = field(default_factory=dict)
-    verdict: dict[str, str] = field(default_factory=dict)
+    detector: str
+    fraction_converged: float
+    verdict: str
 
 
 def run_convergence_table(
     config: ExperimentConfig, beta_list: list[float]
-) -> list[TableRow]:
+) -> list[TableRecord]:
     """Converged/Diverged verdict table across load factors.
 
-    The row for load beta has K = ``config.dims.n_users`` users and
-    M = round(K / beta) antennas; ``config.dims.n_antennas`` is ignored.
+    Returns one record per (load, detector), loads in ``beta_list`` order
+    and detectors in config order. The records for load beta have
+    K = ``config.dims.n_users`` users and M = round(K / beta) antennas;
+    ``config.dims.n_antennas`` is ignored.
     A trial counts as converged when the detector's final estimate is
     within ``TABLE_TARGET_REL`` relative 2-norm error of the exact MMSE
     solution on the same realization (within the iteration budget); the
@@ -396,7 +401,7 @@ def run_convergence_table(
         if not 0.0 < beta < 1.0:
             raise ConfigError("table loads must satisfy 0 < beta < 1")
     n_users, detectors = config.dims.n_users, config.detectors
-    rows: list[TableRow] = []
+    rows: list[TableRecord] = []
     for row_index, beta in enumerate(beta_list):
         M = int(round(n_users / beta))
         successes = {d: 0 for d in detectors}
@@ -409,19 +414,18 @@ def run_convergence_table(
                 rel = float(np.linalg.norm(run.estimate - x_ref)) / denom
                 if np.isfinite(rel) and rel < TABLE_TARGET_REL:
                     successes[name] += 1
-        fraction = {d: successes[d] / config.trials for d in detectors}
-        verdict = {
-            d: "C" if fraction[d] >= TABLE_PASS_FRACTION else "D" for d in detectors
-        }
-        rows.append(
-            TableRow(
-                beta=float(beta),
-                n_users=n_users,
-                n_antennas=M,
-                fraction=fraction,
-                verdict=verdict,
+        for name in detectors:
+            fraction = successes[name] / config.trials
+            rows.append(
+                TableRecord(
+                    beta=float(beta),
+                    n_users=n_users,
+                    n_antennas=M,
+                    detector=name,
+                    fraction_converged=fraction,
+                    verdict="C" if fraction >= TABLE_PASS_FRACTION else "D",
+                )
             )
-        )
     return rows
 
 
@@ -499,6 +503,24 @@ def write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def render_rows(records: list, kind: type, fmt: str = "csv") -> str:
+    """Render flat ``kind`` records as CSV or JSON, the one row format of
+    every command.
+
+    CSV is a header line of ``kind``'s field names, then one line per record
+    with each cell as ``str(value)`` (None as an empty cell). JSON is an
+    array of flat objects.
+    """
+    if fmt == "json":
+        return json.dumps([asdict(r) for r in records], indent=1) + "\n"
+    names = [f.name for f in fields(kind)]
+    lines = [",".join(names)]
+    for r in records:
+        cells = (getattr(r, name) for name in names)
+        lines.append(",".join("" if v is None else str(v) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
 def render_csv(
     records: list[TrialRecord],
     aggregates: list[AggregateRecord] | None = None,
@@ -508,20 +530,12 @@ def render_csv(
     An empty record list renders as the header line only (no aggregate
     section).
     """
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.detector},{r.snr_db},{r.trial},{r.seed},{r.mse},"
-            f"{r.iterations},{r.flops},{r.terminated},{r.wall_time_ns}"
-        )
-    if records:
-        if aggregates is None:
-            aggregates = aggregate_records(records)
-        lines.append("# aggregate")
-        lines.append("detector,snr_db,mean_mse,trials")
-        for a in aggregates:
-            lines.append(f"{a.detector},{a.snr_db},{a.mean_mse},{a.trials}")
-    return "\n".join(lines) + "\n"
+    text = render_rows(records, TrialRecord)
+    if not records:
+        return text
+    if aggregates is None:
+        aggregates = aggregate_records(records)
+    return text + "# aggregate\n" + render_rows(aggregates, AggregateRecord)
 
 
 def emit_csv(
@@ -531,14 +545,3 @@ def emit_csv(
 ) -> None:
     """Write trial records as CSV (see :func:`render_csv`)."""
     write_text(path, render_csv(records, aggregates))
-
-
-def emit_json(records: list[TrialRecord], path: str) -> None:
-    """Write trial records as a JSON array of flat objects."""
-    write_text(path, json.dumps([asdict(r) for r in records], indent=1) + "\n")
-
-
-def records_from_json(path: str) -> list[TrialRecord]:
-    """Parse a file written by :func:`emit_json` back into records."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [TrialRecord(**obj) for obj in json.load(fh)]

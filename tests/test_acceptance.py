@@ -192,7 +192,9 @@ def test_criterion_08_convergence_verdict_table():
         max_iter=8000,
     )
     rows = run_convergence_table(cfg, [0.05, 0.20, 0.9])
-    verdicts = {round(r.beta, 2): r.verdict for r in rows}
+    verdicts: dict[float, dict[str, str]] = {}
+    for r in rows:
+        verdicts.setdefault(round(r.beta, 2), {})[r.detector] = r.verdict
     expected = {
         0.05: {"jacobi": "C", "gmpid": "C", "richardson": "C", "sagmpid": "C"},
         0.20: {"jacobi": "D", "gmpid": "C", "richardson": "C", "sagmpid": "C"},

@@ -37,7 +37,7 @@ def test_help_exits_zero():
     [
         [],  # missing subcommand
         ["bogus"],  # unknown subcommand
-        ["sweep", "--users", "abc"],  # argparse type error
+        ["sweep", "--users", "abc"],  # not an integer
         ["sweep", "--users", "0"],  # invalid dimension
         ["sweep", "--detectors", "zf"],  # unknown detector
         ["sweep", "--trials", "0"],
@@ -76,6 +76,11 @@ def test_help_exits_zero():
         ["table", "--snr-db", "inf", "--detectors", "if"],
         ["complexity", "--snr-db", "inf", "--detectors", "if"],
         ["analyze", "--snr-db", "inf", "--detectors", "if"],
+        ["sweep", "--format", "xml"],
+        ["sweep", "--seed", "-1"],  # seeds are non-negative
+        ["analyze", "--seed", "-1"],
+        ["sweep", "--detectors", "mmse,mmse"],  # each detector once
+        ["table", "--users", "8", "--beta", "0.1", "--trials", "2", "--detectors", "jacobi,jacobi"],
     ],
 )
 def test_configuration_errors_exit_one(argv, capsys):
@@ -190,6 +195,46 @@ def test_config_file_must_be_json_object(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("[1, 2, 3]")
     assert main(["sweep", "--config", str(cfg_path)]) == 1
+
+
+_PARITY_BASE = {"users": "8", "antennas": "32", "trials": "1", "detectors": "mmse"}
+
+
+@pytest.mark.parametrize(
+    "key, value, flag",
+    [
+        ("trials", "ten", ["--trials", "ten"]),
+        ("trials", None, ["--trials", "null"]),
+        ("eps", "abc", ["--eps", "abc"]),
+        ("detectors", 5, ["--detectors", "5"]),
+        ("snr_db", [1, "a"], ["--snr-db", "1,a"]),
+        ("snr_db", 10, ["--snr-db", "10"]),
+        ("users", 4.7, ["--users", "4.7"]),
+        ("max_iter", 2.5, ["--max-iter", "2.5"]),
+        ("users", True, ["--users", "true"]),
+        ("format", "xml", ["--format", "xml"]),
+        ("no_wall_time", "false", ["--no-wall-time=false"]),
+        ("snr_db", [0, 10], ["--snr-db", "0,10"]),
+        ("no_wall_time", True, ["--no-wall-time"]),
+    ],
+)
+def test_config_file_value_runs_like_its_flag(tmp_path, key, value, flag):
+    # A file value exits 1 exactly when its flag does, else writes the same bytes.
+    argv = ["sweep"]
+    for k, text in _PARITY_BASE.items():
+        if k != key:
+            argv += ["--" + k, text]
+    if key != "no_wall_time":
+        argv.append("--no-wall-time")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    results = []
+    for i, extra in enumerate([["--config", str(cfg_path)], flag]):
+        out = tmp_path / f"{i}.csv"
+        code = main(argv + extra + ["--out", str(out)])
+        results.append((code, out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo experiment harness: seeded sweeps, record
 emission, variance traces, verdict tables, and complexity accounting."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +24,8 @@ from gmpdetect.harness import (
     TrialRecord,
     aggregate_records,
     emit_csv,
-    emit_json,
-    records_from_json,
     render_csv,
+    render_rows,
     resolve_relaxation,
     run_complexity,
     run_convergence_table,
@@ -164,7 +164,6 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
         {"max_iter": 0},
         {"eps": 0.0},
         {"prior_var": 0.0},
-        {"output_format": "xml"},
         {"w_mode": "bogus"},
         {"w_mode": "manual:abc"},
         {"w_mode": "manual:-1"},
@@ -177,6 +176,9 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
         {"snr_grid_db": [float("-inf")], "detectors": ("if",)},
         {"snr_grid_db": [float("inf")]},
         {"snr_grid_db": [10.0, float("inf")], "detectors": ("if", "mmse")},
+        {"master_seed": -1},
+        {"detectors": ("mmse", "mmse")},
+        {"detectors": ("mmse", "gmpid", "mmse")},
     ],
 )
 def test_invalid_configurations_rejected(overrides):
@@ -241,8 +243,9 @@ def test_json_round_trip_reproduces_records_exactly(tmp_path):
     cfg = _config(trials=2, detectors=("mmse", "gmpid"), record_wall_time=True)
     records = run_experiment(cfg)
     path = tmp_path / "records.json"
-    emit_json(records, str(path))
-    parsed = records_from_json(str(path))
+    path.write_text(render_rows(records, TrialRecord, "json"))
+    with open(path, encoding="utf-8") as fh:
+        parsed = [TrialRecord(**obj) for obj in json.load(fh)]
     assert parsed == records
     assert all(isinstance(r, TrialRecord) for r in parsed)
 
@@ -320,12 +323,11 @@ def test_table_low_load_all_converge():
         max_iter=2000,
     )
     rows = run_convergence_table(cfg, [0.05])
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.n_antennas == 400
-    assert set(row.verdict) == {"jacobi", "gmpid", "richardson", "sagmpid"}
-    assert all(v == "C" for v in row.verdict.values())
-    assert all(f == 1.0 for f in row.fraction.values())
+    assert len(rows) == 4  # one record per detector at the one load
+    assert {(r.beta, r.n_users, r.n_antennas) for r in rows} == {(0.05, 20, 400)}
+    assert [r.detector for r in rows] == list(_TABLE_DETECTORS)
+    assert all(r.verdict == "C" for r in rows)
+    assert all(r.fraction_converged == 1.0 for r in rows)
 
 
 def test_table_rejects_invalid_loads_and_detectors():
