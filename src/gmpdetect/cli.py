@@ -80,33 +80,28 @@ class _Setting:
     parse: Callable[[str], Any] | None
     default: Any
     help: str
+    command: tuple[str, ...] | None = None  # the commands with this flag; None: all
     choices: tuple[str, ...] | None = None
-    command: str | None = None  # the one command with this flag; None: all
 
 
+_ROWS = ("sweep", "mset", "table", "complexity")  # the commands that write rows
 _SETTINGS = {
     s.key: s
     for s in (
         _Setting("users", int, 100, "number of users K"),
         _Setting("antennas", int, 600, "number of antennas M"),
         _Setting("snr_db", _parse_list, [10.0], "comma-separated SNR grid in dB"),
-        _Setting("trials", int, 10, "Monte-Carlo trials per point"),
+        _Setting("trials", int, 10, "Monte-Carlo trials per point", _ROWS),
         _Setting("seed", int, 0, "master seed"),
-        _Setting("detectors", _parse_names, None, "comma-separated detector names"),
-        _Setting("max_iter", int, 200, "iteration budget"),
-        _Setting("eps", float, None, "step-change stop threshold"),
+        _Setting("detectors", _parse_names, None, "comma-separated detectors", _ROWS),
+        _Setting("max_iter", int, 200, "iteration budget", _ROWS),
+        _Setting("eps", float, None, "step-change stop threshold", _ROWS),
         _Setting("w_mode", str, None, "relaxation: auto|beta|eigen|bound|manual:<v>"),
         _Setting("prior_var", float, 1.0, "prior symbol variance"),
         _Setting("out", str, "-", "output path ('-' = stdout)"),
-        _Setting("format", str, "csv", "output format", choices=("csv", "json")),
-        _Setting(
-            "beta",
-            _parse_list,
-            [0.05, 0.2, 0.9],
-            "comma-separated load factors",
-            command="table",
-        ),
-        _Setting("no_wall_time", None, False, "record 0 wall time (byte-reproducible)"),
+        _Setting("format", str, "csv", "output format", _ROWS, ("csv", "json")),
+        _Setting("beta", _parse_list, [0.05, 0.2, 0.9], "load factors K/M", ("table",)),
+        _Setting("no_wall_time", None, False, "zero the wall-time column", _ROWS),
     )
 }
 # Besides a string, a config file may give a JSON number for a setting parsed
@@ -129,7 +124,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file; flags override it")
         for s in _SETTINGS.values():
-            if s.command not in (None, name):
+            if s.command is not None and name not in s.command:
                 continue
             flag = "--" + s.key.replace("_", "-")
             if s.parse is None:

@@ -370,6 +370,8 @@ def _run_message_passing(
     sweep_flops = 8 * K * M + M + K  # a sweep, then A = W o sqrt(w) H
     if eps is None:
         eps = 1e-8 * (1.0 + float(np.max(np.abs(y))))
+    if not eps >= 0:  # eps = 0 turns the stop off
+        raise ValueError("eps must be non-negative")
     thresh = 1e12 * (1.0 + float(np.max(np.abs(y))))
 
     ev = np.zeros(K)
@@ -394,16 +396,7 @@ def _run_message_passing(
         ev_prev, ev = ev, ev_new
 
         trace.append(
-            t,
-            change,
-            flops,
-            oracle_gap=(
-                float(np.linalg.norm(ev - oracle)) if oracle is not None else None
-            ),
-            mean_variance=float(np.mean(vv)),
-            mse_to_truth=(
-                float(np.mean((ev - truth) ** 2)) if truth is not None else None
-            ),
+            t, change, flops, ev, oracle=oracle, truth=truth, mean_variance=np.mean(vv)
         )
 
         if not np.all(np.isfinite(ev)) or np.max(np.abs(ev)) > thresh:
@@ -438,7 +431,8 @@ def gmpid_detect(
     """Iterative Gaussian message-passing detection (plain, unrelaxed).
 
     Stops when the max-norm mean change falls below ``eps`` (default
-    ``1e-8 * (1 + ||y||_inf)``), the iteration budget runs out, or the
+    ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
+    NaN ``eps`` raises ValueError), the iteration budget runs out, or the
     estimate grows past the divergence threshold. ``truth`` / ``oracle``
     optionally enable per-iteration MSE / oracle-gap trace columns.
     """

@@ -166,65 +166,25 @@ class AggregateRecord:
     trials: int
 
 
-def _normal_equation_setup_flops(K: int, M: int) -> int:
-    # Build A = H^T H / s + diag(p) and b = H^T y / s.
-    return 2 * M * K * K + K * K + K + 2 * M * K + K
-
-
-def _eigendecomposition_flops(K: int) -> int:
-    # Symmetric eigenvalues-only estimate: ~(8/3) K^3 total operations.
-    return (8 * K * K * K) // 3
-
-
-def _mmse_splitting(inst, it, eig_flops, max_iter, eps, truth) -> DetectionResult:
-    """Drive a splitting of the MMSE normal equations and charge its set-up.
-
-    Set-up is the normal equations, the eigenvalue solve if the splitting
-    needs one (``eig_flops``) and the K x K iteration matrix and offset.
-    """
-    K, M = inst.dims.n_users, inst.dims.n_antennas
-    setup = _normal_equation_setup_flops(K, M) + eig_flops + K * K + K
-    r = iterate(it, eps=eps, max_iter=max_iter, oracle=truth)
-    r.flops += setup
-    r.setup_flops = setup
-    return r
-
-
-def _jacobi(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
-    it = jacobi_for_mmse(inst, y)
-    return _mmse_splitting(inst, it, 0, max_iter, eps, truth)
-
-
-def _richardson(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
-    it, _ = richardson_for_mmse(inst, y)
-    eig_flops = _eigendecomposition_flops(inst.dims.n_users)
-    return _mmse_splitting(inst, it, eig_flops, max_iter, eps, truth)
-
-
-def _gmpid(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
-    return gmpid_detect(inst, y, eps=eps, max_iter=max_iter, truth=truth).result
-
-
-def _sagmpid(inst, y, max_iter, eps, w_mode, truth) -> DetectionResult:
-    relax = resolve_relaxation(inst, w_mode)
-    out = sagmpid_detect(inst, y, relax, eps=eps, max_iter=max_iter, truth=truth)
-    return out.result
-
-
-# Detector name -> callable(inst, y, max_iter, eps, w_mode, truth). Entries
-# look the detector functions up in this module's namespace at call time.
+# Detector name -> callable(inst, y, w_mode, *, max_iter, eps, truth). Each
+# entry is one library call, which it looks up in this module's namespace at
+# call time.
 _ONE_SHOT = {
-    "mmse": lambda inst, y, *_: mmse_detect(inst, y),
-    "mf": lambda inst, y, *_: matched_filter_detect(inst, y),
-    "if": lambda inst, y, *_: inverse_filter_detect(inst, y),
-    "gmp": lambda inst, y, *_: gmp_block_detect(inst, y),
+    "mmse": lambda inst, y, w_mode, **_: mmse_detect(inst, y),
+    "mf": lambda inst, y, w_mode, **_: matched_filter_detect(inst, y),
+    "if": lambda inst, y, w_mode, **_: inverse_filter_detect(inst, y),
+    "gmp": lambda inst, y, w_mode, **_: gmp_block_detect(inst, y),
 }
 _REGISTRY = {
     **_ONE_SHOT,
-    "gmpid": _gmpid,
-    "sagmpid": _sagmpid,
-    "jacobi": _jacobi,
-    "richardson": _richardson,
+    "gmpid": lambda inst, y, w_mode, **run: gmpid_detect(inst, y, **run).result,
+    "sagmpid": lambda inst, y, w_mode, **run: sagmpid_detect(
+        inst, y, resolve_relaxation(inst, w_mode), **run
+    ).result,
+    "jacobi": lambda inst, y, w_mode, **run: iterate(jacobi_for_mmse(inst, y), **run),
+    "richardson": lambda inst, y, w_mode, **run: iterate(
+        richardson_for_mmse(inst, y)[0], **run
+    ),
 }
 DETECTORS = frozenset(_REGISTRY)
 ONE_SHOT_DETECTORS = frozenset(_ONE_SHOT)
@@ -251,7 +211,7 @@ def run_detector(
 ) -> DetectionResult:
     """Run one registered detector on one realization."""
     _check_detectors((name,))
-    return _REGISTRY[name](inst, y, max_iter, eps, w_mode, truth)
+    return _REGISTRY[name](inst, y, w_mode, max_iter=max_iter, eps=eps, truth=truth)
 
 
 def _seeded_draw(config, index, trial, snr_db, n_antennas):
@@ -397,6 +357,8 @@ def run_convergence_table(
     """
     config.validate()
     snr_db = config.single_snr("table")
+    if not beta_list:
+        raise ConfigError("load list must be non-empty")
     for beta in beta_list:
         if not 0.0 < beta < 1.0:
             raise ConfigError("table loads must satisfy 0 < beta < 1")
@@ -469,15 +431,10 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
             run = _run(config, name, inst, real.received, truth=real.symbols)
             reach = None
             flops_to_target = None
-            series: list[float] = []
-            if run.trace.mse_to_truth:
-                series = list(run.trace.mse_to_truth)
-            elif run.trace.oracle_gap:
-                series = [g * g / config.dims.n_users for g in run.trace.oracle_gap]
-            for idx, m in enumerate(series):
+            for idx, m in enumerate(run.trace.mse_to_truth):
                 if abs(m / mmse_err - 1.0) < COMPLEXITY_REL_TARGET:
                     reach = idx + 1
-                    flops_to_target = run.setup_flops + run.trace.cum_flops[idx]
+                    flops_to_target = run.trace.cum_flops[idx]
                     break
             out.append(
                 ComplexityRecord(

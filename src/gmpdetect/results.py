@@ -28,7 +28,7 @@ class IterationTrace:
 
     iteration: list[int] = field(default_factory=list)
     step_change: list[float] = field(default_factory=list)   # ||x(t)-x(t-1)||_inf
-    cum_flops: list[int] = field(default_factory=list)
+    cum_flops: list[int] = field(default_factory=list)  # cost to t, set-up included
     oracle_gap: list[float] | None = None        # ||x(t) - x*||_2 vs a supplied oracle
     mean_variance: list[float] | None = None     # message-passing only: avg posterior variance
     mse_to_truth: list[float] | None = None      # mean((x(t) - truth)^2) when truth supplied
@@ -38,17 +38,21 @@ class IterationTrace:
         t: int,
         step_change: float,
         cum_flops: int,
-        oracle_gap: float | None = None,
+        x: np.ndarray,
+        *,
+        oracle: np.ndarray | None = None,
+        truth: np.ndarray | None = None,
         mean_variance: float | None = None,
-        mse_to_truth: float | None = None,
     ) -> None:
+        """Record iteration ``t`` with iterate ``x``; ``oracle`` / ``truth``
+        fill the gap and MSE columns from it."""
         self.iteration.append(t)
         self.step_change.append(float(step_change))
         self.cum_flops.append(int(cum_flops))
         for name, value in (
-            ("oracle_gap", oracle_gap),
+            ("oracle_gap", None if oracle is None else np.linalg.norm(x - oracle)),
             ("mean_variance", mean_variance),
-            ("mse_to_truth", mse_to_truth),
+            ("mse_to_truth", None if truth is None else np.mean((x - truth) ** 2)),
         ):
             if value is not None:
                 if getattr(self, name) is None:
@@ -74,4 +78,3 @@ class DetectionResult:
     terminated: Termination
     posterior_var: np.ndarray | None = None  # length-K; None for affine iterations
     trace: IterationTrace | None = None  # filled by iterative detectors
-    setup_flops: int = 0  # one-time cost included in flops, outside the trace

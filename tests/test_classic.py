@@ -25,14 +25,14 @@ from gmpdetect import SourcePrior, SystemDims, SystemInstance
 
 def test_zero_matrix_jumps_to_offset():
     c = np.array([3.0, -1.0, 0.5])
-    out = iterate(AffineIteration(matrix=np.zeros((3, 3)), offset=c, label="t"))
+    out = iterate(AffineIteration(matrix=np.zeros((3, 3)), offset=c))
     np.testing.assert_array_equal(out.estimate, c)
     assert out.terminated is Termination.CONVERGED
     assert out.iterations <= 2
 
 
 def test_geometric_contraction_halves_error_each_step():
-    it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.array([1.0, 1.0]), label="t")
+    it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.array([1.0, 1.0]))
     out = iterate(it, eps=1e-10, max_iter=100)
     np.testing.assert_allclose(out.estimate, [2.0, 2.0], rtol=1e-9)
     steps = out.trace.step_change
@@ -45,7 +45,7 @@ def test_contractive_iteration_matches_dense_solve():
     B = 0.9 * R / np.max(np.abs(np.linalg.eigvals(R)))
     c = rng.standard_normal(20)
     out = iterate(
-        AffineIteration(matrix=B, offset=c, label="t"), eps=1e-13, max_iter=5000
+        AffineIteration(matrix=B, offset=c), eps=1e-13, max_iter=5000
     )
     x_ref = np.linalg.solve(np.eye(20) - B, c)
     assert out.terminated is Termination.CONVERGED
@@ -56,7 +56,7 @@ def test_fixed_point_independent_of_start():
     rng = np.random.default_rng(6)
     R = rng.standard_normal((15, 15))
     B = 0.85 * R / np.max(np.abs(np.linalg.eigvals(R)))
-    it = AffineIteration(matrix=B, offset=rng.standard_normal(15), label="t")
+    it = AffineIteration(matrix=B, offset=rng.standard_normal(15))
     eps = 1e-12
     finals = [
         iterate(it, x0=rng.standard_normal(15), eps=eps, max_iter=5000).estimate
@@ -72,7 +72,7 @@ def test_expanding_iteration_reports_divergence():
     R = rng.standard_normal((12, 12))
     B = 1.3 * R / np.max(np.abs(np.linalg.eigvals(R)))
     out = iterate(
-        AffineIteration(matrix=B, offset=np.ones(12), label="t"),
+        AffineIteration(matrix=B, offset=np.ones(12)),
         x0=rng.standard_normal(12),
         max_iter=500,
     )
@@ -82,30 +82,30 @@ def test_expanding_iteration_reports_divergence():
 
 def test_nonfinite_values_report_divergence():
     B = np.array([[np.nan]])
-    out = iterate(AffineIteration(matrix=B, offset=np.array([1.0]), label="t"))
+    out = iterate(AffineIteration(matrix=B, offset=np.array([1.0])))
     assert out.terminated is Termination.DIVERGED
 
 
 @pytest.mark.parametrize("K", [13, 37])
 def test_per_step_cost_is_quadratic_in_users(K):
-    it = AffineIteration(matrix=np.zeros((K, K)), offset=np.ones(K), label="t")
+    it = AffineIteration(matrix=np.zeros((K, K)), offset=np.ones(K))
     out = iterate(it, eps=1e-30, max_iter=3)
     cum = out.trace.cum_flops
     assert cum[-1] - cum[-2] == 2 * K * K + 3 * K
 
 
 def test_iterate_validates_inputs():
-    it = AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(2), label="t")
+    it = AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(2))
     with pytest.raises(ValueError):
         iterate(it, x0=np.zeros(3))
     with pytest.raises(ValueError):
         iterate(it, eps=0.0)
     with pytest.raises(ValueError):
-        AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(3), label="t")
+        AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(3))
 
 
 def test_trace_iterations_strictly_increasing_from_one():
-    it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.ones(2), label="t")
+    it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.ones(2))
     out = iterate(it, eps=1e-10, max_iter=50)
     assert out.trace.iteration[0] == 1
     assert all(np.diff(out.trace.iteration) == 1)
@@ -200,6 +200,25 @@ def test_richardson_rejects_nonpositive_step():
     inst = build_instance(2, 4, snr_db=10.0, channel_seed=0)
     with pytest.raises(ValueError):
         richardson_for_mmse(inst, np.zeros(4), omega=-0.5)
+
+
+def test_splitting_setup_is_charged_before_the_first_step():
+    K, M = 6, 24
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    jacobi = jacobi_for_mmse(inst, y)
+    auto, omega = richardson_for_mmse(inst, y)
+    given, _ = richardson_for_mmse(inst, y, omega=omega)
+    # Normal equations, then the K x K matrix and offset; the eigenvalue
+    # solve only when Richardson picks omega itself.
+    assert jacobi.setup_flops == 2 * M * K * K + 2 * K * K + 2 * M * K + 3 * K
+    assert given.setup_flops == jacobi.setup_flops
+    assert auto.setup_flops == given.setup_flops + (8 * K**3) // 3
+    step = 2 * K * K + 3 * K
+    for it in (jacobi, auto, given):
+        out = iterate(it, eps=1e-30, max_iter=3)
+        assert out.trace.cum_flops == [it.setup_flops + t * step for t in (1, 2, 3)]
+        assert out.flops == out.trace.cum_flops[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -75,16 +75,32 @@ def test_help_exits_zero():
         # The single-point commands need a finite point even for if alone.
         ["table", "--snr-db", "inf", "--detectors", "if"],
         ["complexity", "--snr-db", "inf", "--detectors", "if"],
-        ["analyze", "--snr-db", "inf", "--detectors", "if"],
+        ["analyze", "--snr-db", "inf", "--config", {"detectors": "if"}],
         ["sweep", "--format", "xml"],
         ["sweep", "--seed", "-1"],  # seeds are non-negative
         ["analyze", "--seed", "-1"],
         ["sweep", "--detectors", "mmse,mmse"],  # each detector once
         ["table", "--users", "8", "--beta", "0.1", "--trials", "2", "--detectors", "jacobi,jacobi"],
+        # An empty load list, as an empty SNR grid.
+        ["table", "--beta", "", "--users", "10", "--snr-db", "80"],
+        ["table", "--users", "10", "--snr-db", "80", "--config", {"beta": []}],
+        # analyze offers only the flags it reads.
+        ["analyze", "--format", "csv"],
+        ["analyze", "--trials", "2"],
+        ["analyze", "--max-iter", "5"],
+        ["analyze", "--eps", "1e-3"],
+        ["analyze", "--detectors", "gmpid"],
+        ["analyze", "--no-wall-time"],
+        ["analyze", "--beta", "0.1"],
     ],
 )
-def test_configuration_errors_exit_one(argv, capsys):
-    assert main(argv) == 1
+def test_configuration_errors_exit_one(argv, tmp_path, capsys):
+    # A dict in argv stands for the path of a config file holding it.
+    cfg_path = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg_path.write_text(json.dumps(arg))
+    assert main([str(cfg_path) if isinstance(a, dict) else a for a in argv]) == 1
     assert "config error" in capsys.readouterr().err
 
 

@@ -15,6 +15,7 @@ from gmpdetect import (
     matched_filter_detect,
     mmse_detect,
     realize,
+    sagmpid_detect,
     sum_node_update,
     variable_node_update,
     variance_fixed_point,
@@ -462,3 +463,15 @@ def test_detect_rejects_invalid_configuration():
     )
     with pytest.raises(ValueError):
         gmpid_detect(noiseless, np.zeros(4))
+
+
+@pytest.mark.parametrize("eps", [-1.0, np.nan])
+def test_detect_rejects_bad_eps_like_iterate(eps):
+    inst = build_instance(4, 16, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    with pytest.raises(ValueError, match="eps"):
+        gmpid_detect(inst, y, eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        sagmpid_detect(inst, y, eps=eps)
+    # eps = 0 turns the stop off: the run takes its whole budget.
+    assert gmpid_detect(inst, y, eps=0.0, max_iter=9).result.iterations == 9

@@ -19,6 +19,7 @@ from gmpdetect import (
 from gmpdetect.harness import (
     CSV_HEADER,
     DETECTORS,
+    ONE_SHOT_DETECTORS,
     ConfigError,
     ExperimentConfig,
     TrialRecord,
@@ -95,13 +96,29 @@ def test_registry_entry_returns_detection_result(name):
     if name in ("mmse", "mf", "if", "gmp"):
         assert r.iterations == 0
         assert r.terminated is Termination.EXACT
-        assert r.setup_flops == 0
+        assert r.trace is None
     else:
         assert r.iterations >= 1
         assert len(r.trace) == r.iterations
     if name in ("jacobi", "richardson"):
-        assert 0 < r.setup_flops < r.flops
+        # The first trace entry carries the set-up on top of one K x K step.
+        assert 2 * 6 * 6 + 3 * 6 < r.trace.cum_flops[0] < r.flops
         assert r.posterior_var is None
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS - ONE_SHOT_DETECTORS))
+def test_iterative_entries_share_one_run_contract(name):
+    # Every iterative detector charges its set-up inside the trace, so the
+    # last cum_flops entry is the run's flops, and records MSE to the truth.
+    inst = build_instance(6, 24, snr_db=10.0, channel_seed=0)
+    real = realize(inst, 1)
+    run = run_detector(name, inst, real.received, max_iter=50, truth=real.symbols)
+    assert run.flops == run.trace.cum_flops[-1]
+    assert len(run.trace.mse_to_truth) == run.iterations
+    assert run.trace.mse_to_truth[-1] == np.mean((run.estimate - real.symbols) ** 2)
+    untraced = run_detector(name, inst, real.received, max_iter=50)
+    assert untraced.trace.mse_to_truth is None
+    assert untraced.trace.cum_flops == run.trace.cum_flops
 
 
 def test_rerun_with_identical_config_is_byte_identical():
@@ -338,6 +355,8 @@ def test_table_rejects_invalid_loads_and_detectors():
         run_convergence_table(cfg, [1.0])
     with pytest.raises(ConfigError):
         run_convergence_table(cfg, [0.0])
+    with pytest.raises(ConfigError):
+        run_convergence_table(cfg, [])  # as an empty SNR grid
     with pytest.raises(ConfigError):
         run_convergence_table(_config(snr_grid_db=[40.0], detectors=("zf",)), [0.5])
 
