@@ -4,9 +4,10 @@ Three layers:
 
 - random-matrix MSE prediction for the exact MMSE detector (a finite-size
   F-function expression plus its three-branch large-system limit),
-- spectral diagnostics for the mean iterations: measured spectral radius,
-  a row-sum dominance check, and the large-system radius asymptotes
-  ``beta + 2*sqrt(beta)`` (plain) and ``2*sqrt(beta)/(1+beta)`` (relaxed),
+- spectral diagnostics for the mean iterations: the radius of the matrix
+  the engine iterates, its closed-form approximation, a row-sum dominance
+  check, and the large-system radius asymptotes ``beta + 2*sqrt(beta)``
+  (plain) and ``2*sqrt(beta)/(1+beta)`` (relaxed),
 - the load threshold ``(sqrt(2)-1)^2`` below which the plain detector's
   asymptotic radius is below 1.
 """
@@ -21,8 +22,10 @@ from .gmpid import variance_fixed_point, variance_recursion
 from .model import SystemInstance
 from .sagmpid import (
     RelaxationChoice,
+    WMode,
+    _measured_spectrum,
     auto_relaxation,
-    relaxation_iteration_matrix,
+    relaxation_iteration_matrix,  # noqa: F401 - a site the benchmark tracer wraps
     relaxation_system_matrix,
 )
 
@@ -35,11 +38,11 @@ THRESHOLD_BETA = float((np.sqrt(2.0) - 1.0) ** 2)
 class ConvergenceReport:
     """Convergence diagnostics for one mean-update iteration matrix.
 
-    ``diag_dominant`` is the row-sum sufficient condition (max absolute row
-    sum of the iteration matrix below 1, i.e. the underlying system matrix
-    is strictly diagonally dominant). ``predicted_converges`` is that
-    condition OR a measured spectral radius below 1, except where a
-    stronger admissibility characterization exists (relaxed reports).
+    In the mean-iteration reports the matrix is ``I - w Mt``, the map the
+    engine iterates once its weights freeze, and ``predicted_converges`` is
+    its radius below 1; ``closed_form_radius`` is the radius of the paper's
+    approximation ``I - w (gamma*(H^T H - D) + I)``. ``diag_dominant`` is
+    the max absolute row sum of the iteration matrix below 1.
     ``beta``/``asymptotic_radius`` are NaN when not applicable.
     """
 
@@ -51,6 +54,8 @@ class ConvergenceReport:
     threshold_beta: float = THRESHOLD_BETA
     gamma: float | None = None            # closed-form variance ratio used
     gamma_measured: float | None = None   # converged-recursion ratio, on request
+    closed_form_radius: float | None = None
+    w: float | None = None                # relaxation factor reported on
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -144,31 +149,52 @@ def _measured_gamma(inst: SystemInstance) -> float:
     return mean_var / (inst.dims.n_users * mean_var + inst.noise_var)
 
 
+def _mean_iteration_report(
+    inst: SystemInstance, relax: RelaxationChoice | None, asymptotic_radius: float
+) -> ConvergenceReport:
+    """Report on ``I - w Mt`` from the instance's one measured spectrum.
+
+    ``relax=None`` reports on :func:`auto_relaxation`'s w.
+    """
+    if not inst.dims.beta < 1:
+        raise ValueError("mean-convergence report requires load beta < 1")
+    w = float((relax or auto_relaxation(inst)).w)
+    gamma = variance_fixed_point(inst).gamma
+    Mt, mu = _measured_spectrum(inst)
+    lam = np.linalg.eigvalsh(relaxation_system_matrix(inst, gamma))
+    rho = float(np.max(np.abs(1.0 - w * mu)))
+    # Max absolute row sum of I - w Mt, whose diagonal is exactly 1 - w.
+    row_sum = abs(1.0 - w) + w * (float(np.max(np.abs(Mt).sum(axis=1))) - 1.0)
+    return ConvergenceReport(
+        diag_dominant=bool(row_sum < 1.0),
+        spectral_radius=rho,
+        asymptotic_radius=float(asymptotic_radius),
+        predicted_converges=rho < 1.0,
+        beta=inst.dims.beta,
+        gamma=gamma,
+        closed_form_radius=float(np.max(np.abs(1.0 - w * lam))),
+        w=w,
+    )
+
+
 def gmpid_mean_convergence_report(
     inst: SystemInstance, *, measured_gamma: bool = False
 ) -> ConvergenceReport:
     """Convergence diagnostics for the plain detector's mean iteration.
 
-    Builds ``B = gamma * (H^T H - D)`` with the closed-form gamma, measures
-    its radius and dominance, and reports the large-system radius
-    ``beta + 2*sqrt(beta)``. ``measured_gamma=True`` additionally runs the
-    variance recursion and reports the empirically converged ratio so the
-    closed-form-vs-measured gap is visible.
+    The radius and verdict are those of ``I - Mt``, the map the engine
+    iterates (w = 1); ``closed_form_radius`` is that of
+    ``gamma * (H^T H - D)`` with the closed-form gamma, and
+    ``asymptotic_radius`` the large-system ``beta + 2*sqrt(beta)``.
+    ``measured_gamma=True`` also reports the ratio of the converged variance
+    recursion, so the closed-form-vs-measured gap is visible.
     """
     beta = inst.dims.beta
-    if not beta < 1:
-        raise ValueError("mean-convergence report requires load beta < 1")
-    fp = variance_fixed_point(inst)
-    B = fp.gamma * inst._gram()
-    np.fill_diagonal(B, 0.0)  # exact hollow form
-    base = convergence_check(
-        B, beta=beta, asymptotic_radius=beta + 2.0 * np.sqrt(beta)
-    )
-    return replace(
-        base,
-        gamma=fp.gamma,
-        gamma_measured=_measured_gamma(inst) if measured_gamma else None,
-    )
+    plain = RelaxationChoice(mode=WMode.MANUAL, w=1.0)
+    report = _mean_iteration_report(inst, plain, beta + 2.0 * np.sqrt(beta))
+    if measured_gamma:
+        report = replace(report, gamma_measured=_measured_gamma(inst))
+    return report
 
 
 def sagmpid_convergence_report(
@@ -176,25 +202,12 @@ def sagmpid_convergence_report(
 ) -> ConvergenceReport:
     """Convergence diagnostics for the relaxed detector's mean iteration.
 
-    Measures the radius of ``I - w A`` and reports the large-system radius
-    ``2*sqrt(beta)/(1+beta)``. The verdict uses the admissibility
-    characterization ``0 < w < 2/lambda_max(A)``, which for this symmetric
-    positive-definite system matrix is equivalent to radius < 1.
-    ``relax=None`` reports on :func:`auto_relaxation`'s w, the one
-    :func:`sagmpid_detect` runs by default.
+    The radius and verdict are those of ``I - w Mt`` at the run's w, which
+    the report carries; ``closed_form_radius`` is that of ``I - w A`` with
+    the closed-form ``A = gamma*(H^T H - D) + I``, and ``asymptotic_radius``
+    the large-system ``2*sqrt(beta)/(1+beta)``. ``relax=None`` reports on
+    :func:`auto_relaxation`'s w, the one :func:`sagmpid_detect` runs by
+    default.
     """
     beta = inst.dims.beta
-    if not beta < 1:
-        raise ValueError("mean-convergence report requires load beta < 1")
-    if relax is None:
-        relax = auto_relaxation(inst)
-    fp = variance_fixed_point(inst)
-    # A is symmetric positive definite: its radius is lambda_max.
-    lam_max = spectral_radius(relaxation_system_matrix(inst, fp.gamma))
-    B = relaxation_iteration_matrix(inst, relax.w, fp.gamma)
-    base = convergence_check(
-        B, beta=beta, asymptotic_radius=2.0 * np.sqrt(beta) / (1.0 + beta)
-    )
-    return replace(
-        base, predicted_converges=bool(0.0 < relax.w < 2.0 / lam_max), gamma=fp.gamma
-    )
+    return _mean_iteration_report(inst, relax, 2.0 * np.sqrt(beta) / (1.0 + beta))

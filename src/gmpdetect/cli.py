@@ -6,16 +6,16 @@ Subcommands:
 - ``mset``        per-iteration variance/MSE trace of gmpid or sagmpid
 - ``table``       Converged/Diverged verdict table across load factors
 - ``complexity``  flops-to-MSE-target comparison against exact MMSE
-- ``analyze``     closed-form convergence/MSE report for one instance
+- ``analyze``     convergence/MSE report for one instance
 
 A JSON config file (flat key/value, keys matching the long flag names
-with underscores) may supply any value; explicit command-line flags
-override it. A file value is read as the flag text it stands for: a
-string; a number for the numeric settings, ``snr_db`` and ``beta``; an
-array (read comma-joined) for ``snr_db``, ``beta`` and ``detectors``; a
-boolean for ``no_wall_time`` only. Any other form is a configuration
-error. Exit codes: 0 success, 1 configuration error, 2
-runtime/numerical error.
+with underscores) may supply any setting the command has a flag for;
+explicit command-line flags override it. A file value is read as the flag
+text it stands for: a string; a number for the numeric settings,
+``snr_db`` and ``beta``; an array (read comma-joined) for ``snr_db``,
+``beta`` and ``detectors``; a boolean for ``no_wall_time`` only. Any other
+form is a configuration error. Exit codes: 0 success, 1 configuration
+error, 2 runtime/numerical error.
 """
 from __future__ import annotations
 
@@ -95,13 +95,15 @@ _SETTINGS = {
         _Setting("seed", int, 0, "master seed"),
         _Setting("detectors", _parse_names, None, "comma-separated detectors", _ROWS),
         _Setting("max_iter", int, 200, "iteration budget", _ROWS),
-        _Setting("eps", float, None, "step-change stop threshold", _ROWS),
-        _Setting("w_mode", str, None, "relaxation: auto|beta|eigen|bound|manual:<v>"),
+        _Setting(
+            "eps", float, None, "step-change stop threshold", ("sweep", "table", "complexity")
+        ),
+        _Setting("w_mode", str, None, "relaxation: auto|beta|manual:<v>"),
         _Setting("prior_var", float, 1.0, "prior symbol variance"),
         _Setting("out", str, "-", "output path ('-' = stdout)"),
         _Setting("format", str, "csv", "output format", _ROWS, ("csv", "json")),
         _Setting("beta", _parse_list, [0.05, 0.2, 0.9], "load factors K/M", ("table",)),
-        _Setting("no_wall_time", None, False, "zero the wall-time column", _ROWS),
+        _Setting("no_wall_time", None, False, "zero the wall-time column", ("sweep",)),
     )
 }
 # Besides a string, a config file may give a JSON number for a setting parsed
@@ -119,7 +121,7 @@ def _build_parser() -> _Parser:
         ("mset", "per-iteration variance/MSE trace"),
         ("table", "convergence verdict table over load factors"),
         ("complexity", "flops to reach the MMSE-relative MSE target"),
-        ("analyze", "closed-form convergence and MSE report"),
+        ("analyze", "convergence and MSE report"),
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -185,7 +187,10 @@ def _settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
         for key, value in file_values.items():
-            settings[key] = _file_value(_SETTINGS[key], value)
+            s = _SETTINGS[key]
+            if s.command is not None and args.command not in s.command:
+                raise ConfigError(f"config key {key!r} does not apply to {args.command}")
+            settings[key] = _file_value(s, value)
     for key, s in _SETTINGS.items():
         text = getattr(args, key, None)
         if text is not None:

@@ -113,7 +113,7 @@ def _check_load(config: ExperimentConfig) -> None:
 
 def _parse_w_mode(text: str) -> tuple[str, float | None]:
     """Split a w-mode string into (mode, manual value)."""
-    if text in ("auto", "beta", "eigen", "bound"):
+    if text in ("auto", "beta"):
         return text, None
     if text.startswith("manual:"):
         try:
@@ -123,9 +123,7 @@ def _parse_w_mode(text: str) -> tuple[str, float | None]:
         if not 0 < value < np.inf:
             raise ConfigError("manual w must be finite and positive")
         return "manual", value
-    raise ConfigError(
-        f"unknown w-mode {text!r}; expected auto|beta|eigen|bound|manual:<v>"
-    )
+    raise ConfigError(f"unknown w-mode {text!r}; expected auto|beta|manual:<v>")
 
 
 def resolve_relaxation(inst, w_mode: str):
@@ -133,9 +131,7 @@ def resolve_relaxation(inst, w_mode: str):
     mode, value = _parse_w_mode(w_mode)
     if mode == "auto":
         return None
-    if mode == "manual":
-        return choose_w(inst, mode=WMode.MANUAL, manual_w=value)
-    return choose_w(inst, mode=WMode(mode))
+    return choose_w(inst, WMode(mode), manual_w=value)
 
 
 @dataclass(frozen=True)

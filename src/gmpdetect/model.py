@@ -82,7 +82,8 @@ class SystemInstance:
 
     ``channel`` is a read-only view of the array passed in, so the set-up
     the detectors keep per instance (the Gram matrix, the MMSE factor, the
-    message-variance schedule) cannot go stale through it.
+    message-variance schedule, the measured spectrum) cannot go stale
+    through it.
     """
 
     dims: SystemDims

@@ -6,13 +6,13 @@ a (w-1)-weighted memory term to each user-side mean. Variance updates are
 untouched, so both detectors share one engine (`gmpid._run_message_passing`)
 and w=1 reduces to the plain detector bit-for-bit.
 
-Mean-update convergence is governed by the K x K system matrix
-``A = gamma * (H^T H - D) + I`` (D the exact diagonal of H^T H, gamma the
-converged variance ratio): the relaxed iteration matrix is ``I - w A``, so
-any ``0 < w < 2/lambda_max(A)`` contracts, and ``w = 2/(lambda_min +
-lambda_max)`` minimizes the contraction factor. This module provides that
-matrix, the standard w selection rules, and a measured-spectrum automatic
-selection that optimizes w for the instance's actual converged weights.
+Once the weights freeze, the mean update is ``x <- (I - w Mt) x + b``, with
+``Mt`` the K x K system matrix at the instance's settled per-edge weights.
+It contracts iff ``max |1 - w mu| < 1`` over the eigenvalues ``mu`` of Mt.
+:func:`auto_relaxation` minimizes that radius from one dense eigenvalue
+solve the instance keeps, and the convergence reports in
+:mod:`gmpdetect.analysis` read the same spectrum. The closed-form
+``gamma * (H^T H - D) + I`` is the paper's large-system approximation of Mt.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .gmpid import (
     variance_fixed_point,
     variance_recursion,
 )
-from .model import SystemInstance
+from .model import SystemInstance, _read_only
 from .results import DEFAULT_MAX_ITER
 
 
@@ -35,8 +35,6 @@ class WMode(Enum):
     """How the relaxation factor was chosen."""
 
     ASYMPTOTIC_BETA = "beta"      # w = 1/(1+beta), large-system rule of thumb
-    EXACT_EIGEN = "eigen"         # w = 2/(lmin+lmax) of the system matrix
-    GERSHGORIN_BOUND = "bound"    # w = 2/lam*, lam* a cheap eigenvalue bound
     MANUAL = "manual"             # user-supplied or measured-spectrum w
 
 
@@ -57,7 +55,7 @@ class RelaxationChoice:
 def relaxation_system_matrix(
     inst: SystemInstance, gamma: float | None = None
 ) -> np.ndarray:
-    """The K x K mean-update system matrix ``gamma*(H^T H - D) + I``.
+    """The closed-form K x K system matrix ``gamma*(H^T H - D) + I``.
 
     Uses the exact per-user diagonal of H^T H (not its expectation), so the
     diagonal of the result is exactly 1. ``gamma`` defaults to the converged
@@ -73,20 +71,15 @@ def relaxation_system_matrix(
 
 
 def choose_w(
-    inst: SystemInstance,
-    gamma: float | None = None,
-    mode: WMode = WMode.EXACT_EIGEN,
-    manual_w: float | None = None,
+    inst: SystemInstance, mode: WMode, manual_w: float | None = None
 ) -> RelaxationChoice:
-    """Select a relaxation factor by one of the standard rules.
+    """Select a relaxation factor by a rule that needs no spectrum.
 
-    - ``EXACT_EIGEN``: radius-minimizing ``2/(lmin+lmax)`` from a full
-      eigendecomposition of the system matrix.
-    - ``GERSHGORIN_BOUND``: ``2/lam*`` with ``lam*`` the smaller of the
-      largest absolute row sum and largest absolute column sum — an upper
-      bound on lambda_max, so the result is admissible by construction.
     - ``ASYMPTOTIC_BETA``: ``1/(1+beta)``, valid for load beta < 1.
     - ``MANUAL``: pass ``manual_w`` through (must be finite and positive).
+
+    The radius-minimizing w comes from the measured spectrum instead: see
+    :func:`auto_relaxation`.
     """
     if mode is WMode.MANUAL:
         if manual_w is None:
@@ -97,49 +90,41 @@ def choose_w(
         if not beta < 1:
             raise ValueError("asymptotic-beta mode requires load beta < 1")
         return RelaxationChoice(mode=mode, w=1.0 / (1.0 + beta))
-    A = relaxation_system_matrix(inst, gamma)
-    if mode is WMode.EXACT_EIGEN:
-        evals = np.linalg.eigvalsh(A)
-        lmin, lmax = float(evals[0]), float(evals[-1])
-        return RelaxationChoice(
-            mode=mode, w=2.0 / (lmin + lmax), lambda_min=lmin, lambda_max=lmax
-        )
-    if mode is WMode.GERSHGORIN_BOUND:
-        abs_a = np.abs(A)
-        lam_star = float(min(abs_a.sum(axis=1).max(), abs_a.sum(axis=0).max()))
-        return RelaxationChoice(mode=mode, w=2.0 / lam_star, lambda_max=lam_star)
     raise ValueError(f"unknown relaxation mode: {mode!r}")
 
 
-def _measured_system_matrix(inst: SystemInstance) -> np.ndarray:
-    """The mean-update system matrix at the *converged per-edge weights*.
+def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """``(Mt, eigvals(Mt))``, formed once per instance (both read-only).
 
-    The closed-form matrix ``gamma*(H^T H - D) + I`` replaces every edge
-    weight by the single asymptotic ratio gamma. At finite size the
-    converged weights vary slightly per edge; this builds the exact map the
-    mean iteration actually applies, so the optimal w derived from it is
-    the true radius minimizer for the instance.
+    ``Mt`` is the mean-update system matrix at the converged per-edge
+    weights: the exact map the mean iteration applies once they freeze.
+    Every convergence decision reads it, not the closed-form matrix, whose
+    single ratio gamma can flip a verdict near load 1.
     """
-    H = inst.channel
-    vv, W, _ = variance_recursion(inst)
-    W *= H  # H o W, in place
-    Mt = vv[:, None] * (W.T @ H)
-    # With G = (H o W)^T H the diagonal is vv * (diag G - u) + 1, and
-    # diag G = sum_m H^2 W = u in exact arithmetic: it is exactly 1.
-    np.fill_diagonal(Mt, 1.0)
-    return Mt
+
+    def build(inst: SystemInstance):
+        H = inst.channel
+        vv, W, _ = variance_recursion(inst)
+        W *= H  # H o W, in place
+        Mt = vv[:, None] * (W.T @ H)
+        # With G = (H o W)^T H the diagonal is vv * (diag G - u) + 1, and
+        # diag G = sum_m H^2 W = u in exact arithmetic: it is exactly 1.
+        np.fill_diagonal(Mt, 1.0)
+        return _read_only(Mt), _read_only(np.linalg.eigvals(Mt))
+
+    return inst._cached("measured_spectrum", build)
 
 
 def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     """Radius-minimizing w from the measured mean-update spectrum.
 
-    A full eigendecomposition of the measured system matrix gives
-    ``w = 2/(mu_min + mu_max)`` over the real parts of its eigenvalues
-    (mu_min floored at a tiny positive multiple of mu_max so a numerically
-    zero edge cannot produce w >= 2/mu_max). Tagged MANUAL because the
-    value comes from measurement, not one of the closed-form rules.
+    ``w = 2/(mu_min + mu_max)`` over the real parts of the eigenvalues of
+    the measured system matrix (mu_min floored at a tiny positive multiple
+    of mu_max so a numerically zero edge cannot produce w >= 2/mu_max).
+    Tagged MANUAL because the value comes from measurement, not one of the
+    closed-form rules.
     """
-    mu_r = np.sort(np.linalg.eigvals(_measured_system_matrix(inst)).real)
+    mu_r = np.sort(_measured_spectrum(inst)[1].real)
     mu_min, mu_max = float(mu_r[0]), float(mu_r[-1])
     w = 2.0 / (max(mu_min, 1e-12 * mu_max) + mu_max)
     return RelaxationChoice(
@@ -147,16 +132,13 @@ def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     )
 
 
-def relaxation_iteration_matrix(
-    inst: SystemInstance, w: float, gamma: float | None = None
-) -> np.ndarray:
-    """The mean-update iteration matrix ``I - w A``.
+def relaxation_iteration_matrix(inst: SystemInstance, w: float) -> np.ndarray:
+    """The closed-form mean-update iteration matrix ``I - w A``.
 
-    Its spectral radius predicts convergence of the relaxed detector before
-    running it: radius < 1 iff the mean iteration contracts.
+    Its spectral radius is the paper's large-system approximation of the
+    radius of ``I - w Mt``, the matrix the engine iterates.
     """
-    A = relaxation_system_matrix(inst, gamma)
-    B = -w * A
+    B = -w * relaxation_system_matrix(inst)
     np.fill_diagonal(B, 1.0 - w)  # exact: diag(A) is exactly 1
     return B
 

@@ -7,14 +7,20 @@ import pytest
 from gmpdetect import (
     THRESHOLD_BETA,
     RelaxationChoice,
+    Termination,
     WMode,
+    auto_relaxation,
     build_instance,
     convergence_check,
+    gmpid_detect,
     gmpid_mean_convergence_report,
+    realize,
     relaxation_system_matrix,
     rmt_mmse_mse,
     sagmpid_convergence_report,
+    sagmpid_detect,
     spectral_radius,
+    variance_recursion,
 )
 
 
@@ -93,9 +99,9 @@ def test_mse_prediction_matches_monte_carlo_trace_average():
 
 
 def test_spectral_radius_of_system_matrix_is_its_top_eigenvalue():
-    # sagmpid_convergence_report takes lambda_max(A) from spectral_radius:
-    # A is exactly symmetric and positive definite, so that is the top
-    # eigenvalue of the symmetric solver, bit for bit.
+    # At this load the closed-form A is exactly symmetric and positive
+    # definite, so its radius is the top eigenvalue of the symmetric
+    # solver, bit for bit.
     for channel_seed in range(3):
         A = relaxation_system_matrix(
             build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
@@ -153,6 +159,39 @@ def test_plain_report_measured_gamma_diagnostic_close_to_closed_form():
     assert abs(report.gamma_measured - report.gamma) / report.gamma < 0.05
 
 
+def test_plain_radius_matches_contraction_after_weights_freeze():
+    # Once the weights freeze, the mean error of gmpid shrinks by the radius
+    # of I - Mt per step. Over a 40-step window the observed factor was
+    # within 1.2e-3 (relative) of it on these channels; the closed-form
+    # radius is 0.9-1.2% off on three of them.
+    for channel_seed in range(4):
+        inst = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
+        rho = gmpid_mean_convergence_report(inst).spectral_radius
+        start = variance_recursion(inst)[2] + 10
+        y = realize(inst, 1).received
+        trace = gmpid_detect(inst, y, eps=0.0, max_iter=start + 41).result.trace
+        rate = (trace.step_change[start + 40] / trace.step_change[start]) ** (1 / 40)
+        assert abs(rate - rho) / rho < 5e-3
+
+
+def test_plain_radius_crosses_one_above_threshold_load_at_finite_size():
+    # (sqrt(2)-1)^2 is where the large-system radius reaches 1; at finite K
+    # the radius of the iterated matrix sits below 1 there and rises toward
+    # it with K, and just above the threshold channels cross 1 as K grows.
+    def radii(K, beta):
+        return [
+            gmpid_mean_convergence_report(
+                build_instance(K, round(K / beta), snr_db=80.0, channel_seed=s)
+            ).spectral_radius
+            for s in range(6)
+        ]
+
+    at_threshold = [np.mean(radii(K, THRESHOLD_BETA)) for K in (100, 200)]
+    assert at_threshold[0] < at_threshold[1] < 1.0
+    below_one = [sum(r < 1.0 for r in radii(K, 0.19)) for K in (100, 200)]
+    assert below_one[0] > below_one[1]
+
+
 def test_measured_radius_approaches_asymptote_with_size():
     asym = 0.25 + 2.0 * np.sqrt(0.25)
     mean_gaps = []
@@ -182,6 +221,43 @@ def test_relaxed_report_two_thirds_load():
     assert report.spectral_radius < 1.0
 
 
+def test_relaxed_report_converges_near_unit_load_where_closed_form_says_not():
+    # At 100x111, 80 dB, the closed-form radius is 1.07-1.10 but the matrix
+    # the engine iterates contracts, and the auto-w run converges.
+    for channel_seed in range(3):
+        inst = build_instance(100, 111, snr_db=80.0, channel_seed=channel_seed)
+        report = sagmpid_convergence_report(inst)
+        assert report.predicted_converges
+        assert report.spectral_radius < 1.0 < report.closed_form_radius
+        y = realize(inst, 1).received
+        out = sagmpid_detect(inst, y, max_iter=5000)
+        assert out.result.terminated is Termination.CONVERGED
+        assert out.relax.w == report.w
+
+
+def test_reports_and_auto_relaxation_share_one_eigenvalue_solve(monkeypatch):
+    inst = build_instance(60, 240, snr_db=15.0, channel_seed=8)
+    # The relaxation rule on a separately built measured matrix, before the
+    # count starts: sharing the spectrum must not change a bit of it.
+    twin = build_instance(60, 240, snr_db=15.0, channel_seed=8)
+    vv, W, _ = variance_recursion(twin)
+    Mt = vv[:, None] * ((W * twin.channel).T @ twin.channel)
+    np.fill_diagonal(Mt, 1.0)
+    mu = np.sort(np.linalg.eigvals(Mt).real)
+    expected_w = 2.0 / (max(mu[0], 1e-12 * mu[-1]) + mu[-1])
+
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    relax = auto_relaxation(inst)
+    gmpid_mean_convergence_report(inst)
+    report = sagmpid_convergence_report(inst, relax)
+    sagmpid_convergence_report(inst)
+    assert len(calls) == 1
+    assert (relax.w, relax.lambda_min, relax.lambda_max) == (expected_w, mu[0], mu[-1])
+    assert report.w == relax.w
+
+
 def test_relaxed_report_vanishing_load_radius_goes_to_zero():
     inst = build_instance(2, 2000, snr_db=20.0, channel_seed=0)
     report = sagmpid_convergence_report(inst)
@@ -207,6 +283,8 @@ def test_report_serializes_to_plain_dict():
         "predicted_converges",
         "beta",
         "threshold_beta",
+        "closed_form_radius",
+        "w",
     ):
         assert key in d
     assert isinstance(d["spectral_radius"], float)

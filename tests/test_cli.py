@@ -92,6 +92,20 @@ def test_help_exits_zero():
         ["analyze", "--detectors", "gmpid"],
         ["analyze", "--no-wall-time"],
         ["analyze", "--beta", "0.1"],
+        # So do the row commands: mset always runs with eps 0, and only
+        # sweep has a wall-time column. A config file cannot set them either.
+        ["mset", *_SMALL, "--eps", "0.5"],
+        ["mset", *_SMALL, "--no-wall-time"],
+        ["table", *_SMALL, "--beta", "0.1", "--no-wall-time"],
+        ["complexity", *_SMALL, "--no-wall-time"],
+        ["mset", *_SMALL, "--config", {"eps": 0.5}],
+        ["mset", *_SMALL, "--config", {"no_wall_time": True}],
+        ["table", *_SMALL, "--beta", "0.1", "--config", {"no_wall_time": True}],
+        ["complexity", *_SMALL, "--config", {"no_wall_time": True}],
+        ["analyze", "--config", {"trials": 2}],
+        # Relaxation modes that were removed: auto is the measured optimum.
+        ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "eigen"],
+        ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "bound"],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):
@@ -101,7 +115,10 @@ def test_configuration_errors_exit_one(argv, tmp_path, capsys):
         if isinstance(arg, dict):
             cfg_path.write_text(json.dumps(arg))
     assert main([str(cfg_path) if isinstance(a, dict) else a for a in argv]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "eigen" in argv or "bound" in argv:
+        assert "auto" in err  # the message names the mode to use instead
 
 
 def test_runtime_failure_exits_two(monkeypatch, capsys):
@@ -374,10 +391,15 @@ def test_analyze_report_keys(tmp_path):
     assert 0 < report["variance_fixed_point"]["sigma_hat_sq"] < 1
     assert report["mmse_mse_prediction"]["regime"] == "underloaded"
     # With the default w-mode (auto) the report describes the w that
-    # sagmpid_detect runs, not the closed-form eigen w.
+    # sagmpid_detect runs.
     inst = build_instance(100, 600, snr_db=20.0, channel_seed=3)
     expected = sagmpid_convergence_report(inst, auto_relaxation(inst))
     assert report["sagmpid"]["spectral_radius"] == expected.spectral_radius
+    assert report["sagmpid"]["w"] == auto_relaxation(inst).w
+    # Both radii: the iterated matrix's and its closed-form approximation.
+    for detector in ("gmpid", "sagmpid"):
+        assert 0 < report[detector]["closed_form_radius"] < 1
+    assert report["gmpid"]["w"] == 1.0
 
 
 def _run_module_sweep(out, args, **env):

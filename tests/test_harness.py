@@ -217,8 +217,9 @@ def test_resolve_relaxation_modes():
     assert manual.mode is WMode.MANUAL and manual.w == pytest.approx(0.5)
     beta_choice = resolve_relaxation(inst, "beta")
     assert beta_choice.w == pytest.approx(1.0 / 1.25)
-    assert resolve_relaxation(inst, "eigen").mode is WMode.EXACT_EIGEN
-    assert resolve_relaxation(inst, "bound").mode is WMode.GERSHGORIN_BOUND
+    for removed in ("eigen", "bound"):
+        with pytest.raises(ConfigError, match="auto"):
+            resolve_relaxation(inst, removed)
 
 
 def test_run_detector_rejects_unknown_name():

@@ -106,20 +106,6 @@ def test_choose_w_asymptotic_beta_value():
     assert choice.w == pytest.approx(0.75)
 
 
-def test_choose_w_exact_eigen_on_identity_system_matrix():
-    inst = _orthogonal_instance()
-    choice = choose_w(inst, mode=WMode.EXACT_EIGEN)
-    assert choice.w == pytest.approx(1.0, rel=1e-12)
-    assert spectral_radius(relaxation_iteration_matrix(inst, choice.w)) < 1e-12
-
-
-def test_choose_w_gershgorin_bound_is_admissible():
-    inst = build_instance(100, 600, snr_db=20.0, channel_seed=4)
-    bound = choose_w(inst, mode=WMode.GERSHGORIN_BOUND)
-    exact = choose_w(inst, mode=WMode.EXACT_EIGEN)
-    assert 0.0 < bound.w <= 2.0 / exact.lambda_max
-
-
 def test_choose_w_error_paths():
     inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
     with pytest.raises(ValueError):
@@ -157,13 +143,18 @@ def test_auto_relaxation_returns_positive_manual_choice():
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_optimal_w(inst):
+    """``2/(lmin + lmax)`` of the closed-form system matrix, and its extremes."""
+    evals = np.linalg.eigvalsh(relaxation_system_matrix(inst))
+    lmin, lmax = float(evals[0]), float(evals[-1])
+    return 2.0 / (lmin + lmax), lmin, lmax
+
+
 def test_iteration_matrix_optimal_w_radius_identity():
     inst = build_instance(60, 240, snr_db=15.0, channel_seed=8)
-    choice = choose_w(inst, mode=WMode.EXACT_EIGEN)
-    rho = spectral_radius(relaxation_iteration_matrix(inst, choice.w))
-    expected = (choice.lambda_max - choice.lambda_min) / (
-        choice.lambda_max + choice.lambda_min
-    )
+    w, lmin, lmax = _closed_form_optimal_w(inst)
+    rho = spectral_radius(relaxation_iteration_matrix(inst, w))
+    expected = (lmax - lmin) / (lmax + lmin)
     assert rho == pytest.approx(expected, abs=1e-8)
 
 
@@ -397,10 +388,15 @@ def test_error_decay_rate_tracks_iteration_matrix_radius():
         inst = build_instance(100, 200, noise_var=1e-8, channel_seed=50 + sidx)
         real = realize(inst, 60 + sidx)
         ref = mmse_detect(inst, real.received).estimate
-        choice = choose_w(inst, mode=WMode.EXACT_EIGEN)
-        rho = spectral_radius(relaxation_iteration_matrix(inst, choice.w))
+        w = _closed_form_optimal_w(inst)[0]
+        rho = spectral_radius(relaxation_iteration_matrix(inst, w))
         out = sagmpid_detect(
-            inst, real.received, choice, eps=0.0, max_iter=60, oracle=ref
+            inst,
+            real.received,
+            RelaxationChoice(mode=WMode.MANUAL, w=w),
+            eps=0.0,
+            max_iter=60,
+            oracle=ref,
         )
         log_gap = np.log(np.asarray(out.result.trace.oracle_gap[9:60]))
         slope = np.polyfit(np.arange(len(log_gap)), log_gap, 1)[0]
