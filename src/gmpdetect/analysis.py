@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gmpid import variance_fixed_point, variance_recursion
-from .model import SystemInstance
+from .model import SystemInstance, _read_only
 from .sagmpid import (
     RelaxationChoice,
     WMode,
@@ -154,14 +154,21 @@ def _mean_iteration_report(
 ) -> ConvergenceReport:
     """Report on ``I - w Mt`` from the instance's one measured spectrum.
 
-    ``relax=None`` reports on :func:`auto_relaxation`'s w.
+    The closed-form spectrum at the closed-form gamma is kept on the
+    instance too, so every report on it shares one symmetric eigenvalue
+    solve. ``relax=None`` reports on :func:`auto_relaxation`'s w.
     """
     if not inst.dims.beta < 1:
         raise ValueError("mean-convergence report requires load beta < 1")
     w = float((relax or auto_relaxation(inst)).w)
     gamma = variance_fixed_point(inst).gamma
     Mt, mu = _measured_spectrum(inst)
-    lam = np.linalg.eigvalsh(relaxation_system_matrix(inst, gamma))
+    lam = inst._cached(
+        "closed_form_spectrum",
+        lambda inst: _read_only(
+            np.linalg.eigvalsh(relaxation_system_matrix(inst, gamma))
+        ),
+    )
     rho = float(np.max(np.abs(1.0 - w * mu)))
     # Max absolute row sum of I - w Mt, whose diagonal is exactly 1 - w.
     row_sum = abs(1.0 - w) + w * (float(np.max(np.abs(Mt).sum(axis=1))) - 1.0)

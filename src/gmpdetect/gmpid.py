@@ -9,8 +9,9 @@ prior, which makes the user-to-sum messages identical across edges and
 lets the engine keep a rank-1 state in O(KM) per iteration.
 
 Initialization is the uninformative state (zero means, infinite
-variances). Internally the sum-node variances are represented by their
-reciprocals (weights), so "infinite" is an exact 0 weight.
+variances). The engine never forms the sum-node weights ``1/V``: each step
+divides the channel by the sum-node variances, ``A = H / V``, and the
+uninformative start is an exact ``A = 0``.
 """
 from __future__ import annotations
 
@@ -87,11 +88,11 @@ class MessagePassingOutput:
         """The four edge-message arrays at exit, built on first access.
 
         Runs that never read it allocate none of them. The sum-node
-        variances replay the one step of the instance's variance schedule
-        that the run stopped at, so the first read costs about one
-        element-wise pass over the four arrays. The sum-to-user means are
-        those of the system scaled by sqrt(w) (the relaxed form of the
-        messages).
+        variances are the ``V`` of the instance's variance schedule at the
+        step the run stopped at, by the statements the engine ran before
+        dividing the channel by them, so ``H / V`` is the run's ``A`` bit
+        for bit. The sum-to-user means are those of the system scaled by
+        sqrt(w) (the relaxed form of the messages).
         """
         inst, y, w, ev_prev = self._exit
         if ev_prev is None:  # no iteration ran
@@ -102,14 +103,11 @@ class MessagePassingOutput:
         Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
         schedule = _schedule(inst)
         t = min(self.result.iterations, len(schedule)) - 1
-        W = schedule.weights(t, np.empty((M, K)))
-        with np.errstate(divide="ignore"):
-            V_su = 1.0 / W  # zero weight -> exact +inf variance
         return MessageState(
             user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
             user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
             sum_to_user_mean=(yp - Hp @ ev_prev)[:, None] + Hp * ev_prev,
-            sum_to_user_var=V_su,
+            sum_to_user_var=schedule.variances(t, np.empty((M, K))),
         )
 
 
@@ -222,22 +220,25 @@ class _VarianceSchedule:
 
     The variances depend on neither ``y``, the means nor the relaxation
     factor, so one schedule serves every consumer of the instance. Step
-    ``t`` holds the user weight sums ``u[t] = sum_m H^2 W``, the user
+    ``t`` holds the user weight sums ``u[t] = sum_m H o A``, the user
     variances ``vv[t] = 1/(u[t] + 1/prior)`` and the sum-node totals
     ``c[t] = H^2 vv[t-1] + noise_var`` (M,), which fix the step's sum-node
-    weights ``W = 1/(c[t] - H^2 o vv[t-1])``. Step 0 is the all-infinite
-    start, ``W == 0``. A sweep reads only the user weights, so once they
-    repeat bitwise those of any earlier step (a fixed point, a last-bit
-    2-cycle or, rarely, a longer rounding cycle) they cycle forever: that
-    step is ``settle``, the last one recorded.
+    variances ``V = c[t] - H^2 o vv[t-1]`` and the engine's matrix
+    ``A = H / V``. Step 0 is the all-infinite start, ``A == 0``. A sweep
+    reads only the user weights, so once they repeat bitwise those of any
+    earlier step (a fixed point, a last-bit 2-cycle or, rarely, a longer
+    rounding cycle) they cycle forever: that step is ``settle``, the last
+    one recorded.
 
     Only :meth:`extend` runs the gemv, the reduction and the repeat test;
-    :meth:`weights` replays a recorded step with three element-wise passes.
-    Both compute ``W`` by the same statements, so a replayed step is the
-    swept one bit for bit.
+    :meth:`messages` replays a recorded step with two element-wise passes
+    and one division. Both compute ``A`` by the same statements, so a
+    replayed step is the swept one bit for bit. The schedule keeps ``H^2``
+    and a reference to the channel, not a copy of it.
     """
 
     def __init__(self, inst: SystemInstance):
+        self.H = inst.channel
         self.H2 = inst.channel * inst.channel
         self.s, self.px = inst.noise_var, inst.prior.precisions
         self.u, self.vv, self.c = [], [], [None]
@@ -258,20 +259,26 @@ class _VarianceSchedule:
         self.u.append(u)
         self.vv.append(vv)
 
-    def weights(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Write the sum-node weights ``W`` of recorded step ``t`` into ``out``."""
+    def variances(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Write the sum-node variances ``V`` of recorded step ``t`` into ``out``."""
+        if t == 0:
+            out.fill(np.inf)
+            return out
+        np.multiply(self.H2, self.vv[t - 1], out=out)
+        return np.subtract(self.c[t][:, None], out, out=out)
+
+    def messages(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Write ``A = H / V`` of recorded step ``t`` into ``out``, dividing in place."""
         if t == 0:
             out.fill(0.0)
             return out
-        np.multiply(self.H2, self.vv[t - 1], out=out)
-        np.subtract(self.c[t][:, None], out, out=out)
-        return np.divide(1.0, out, out=out)
+        return np.divide(self.H, self.variances(t, out), out=out)
 
     def extend(self, out: np.ndarray) -> None:
-        """Sweep once past the last recorded step, leaving its ``W`` in ``out``."""
+        """Sweep once past the last recorded step, leaving its ``A`` in ``out``."""
         self.c.append(self.H2 @ self.vv[-1] + self.s)
-        self.weights(len(self.u), out)
-        self._record(np.einsum("mk,mk->k", self.H2, out))
+        self.messages(len(self.u), out)
+        self._record(np.einsum("mk,mk->k", self.H, out))
 
 
 def _schedule(inst: SystemInstance) -> _VarianceSchedule:
@@ -281,7 +288,7 @@ def _schedule(inst: SystemInstance) -> _VarianceSchedule:
 def _variance_sweeps(inst: SystemInstance, A: np.ndarray):
     """Step through the instance's variance schedule, extending it where needed.
 
-    Each step writes ``A = H o W`` (zero at the start step) into the
+    Each step writes ``A = H / V`` (zero at the start step) into the
     caller's (M, K) buffer and yields ``(u, vv, settled)``. A recorded step
     is replayed with no gemv and no reduction; past the recorded end the
     step is swept and recorded. ``settled`` marks the last step.
@@ -291,13 +298,27 @@ def _variance_sweeps(inst: SystemInstance, A: np.ndarray):
         if t == len(schedule):
             schedule.extend(A)
         else:
-            schedule.weights(t, A)
-        if t:
-            A *= inst.channel
+            schedule.messages(t, A)
         settled = t == schedule.settle
         yield schedule.u[t], schedule.vv[t], settled
         if settled:
             return
+
+
+def _settled_messages(inst: SystemInstance, A: np.ndarray) -> tuple[np.ndarray, int]:
+    """Step the variance schedule until it settles or ``VARIANCE_SWEEP_CAP`` steps.
+
+    Leaves the last step's ``A = H / V`` in the caller's (M, K) buffer and
+    returns that step's user variances and the number of steps.
+    """
+    schedule = _schedule(inst)
+    recorded = len(schedule)
+    while len(schedule) < VARIANCE_SWEEP_CAP and schedule.settle is None:
+        schedule.extend(A)
+    sweeps = min(len(schedule), VARIANCE_SWEEP_CAP)
+    if len(schedule) == recorded:  # nothing swept here: replay the last step
+        schedule.messages(sweeps - 1, A)
+    return schedule.vv[sweeps - 1], sweeps
 
 
 def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
@@ -311,15 +332,10 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     The sweeps are recorded on the instance, so later calls and detector
     runs on it replay them instead of sweeping again.
     """
-    schedule = _schedule(inst)
     W = np.empty(inst.channel.shape)
-    recorded = len(schedule)
-    while len(schedule) < VARIANCE_SWEEP_CAP and schedule.settle is None:
-        schedule.extend(W)
-    sweeps = min(len(schedule), VARIANCE_SWEEP_CAP)
-    if len(schedule) == recorded:  # nothing swept here: replay the last step
-        schedule.weights(sweeps - 1, W)
-    return schedule.vv[sweeps - 1], W, sweeps
+    vv, sweeps = _settled_messages(inst, W)
+    _schedule(inst).variances(sweeps - 1, W)
+    return vv, np.divide(1.0, W, out=W), sweeps
 
 
 def _run_message_passing(
@@ -340,14 +356,14 @@ def _run_message_passing(
     (w-1)-weighted memory term; the variance recursion is identical for
     every w. The scaling is carried by vectors, not by the channel:
     ``r = y - H ev`` and ``ev' = vv w (A^T r + u ev) - (w-1) ev`` with
-    ``A = H o W`` the same for every w, which never forms the sum-to-user
+    ``A = H / V`` the same for every w, which never forms the sum-to-user
     means. ``w == 1.0`` runs the exact same statements with the factor w
     and the memory term skipped, so a w=1 run is bit-identical to the
     plain detector.
 
     Each iteration takes one step of :func:`_variance_sweeps`, which
     replays (or extends) the instance's variance schedule into one reused
-    (M, K) buffer ``A = H o W`` and returns ``u`` and ``vv``. Once the
+    (M, K) buffer ``A = H / V`` and returns ``u`` and ``vv``. Once the
     sweeps settle, ``A`` and ``u`` are reused, and an iteration is two gemv
     calls plus O(K) work. On a fixed point that is the same trajectory bit
     for bit; on a rounding cycle it keeps one of the cycle's weight sets, a

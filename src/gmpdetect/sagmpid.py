@@ -24,8 +24,8 @@ import numpy as np
 from .gmpid import (
     MessagePassingOutput,
     _run_message_passing,
+    _settled_messages,
     variance_fixed_point,
-    variance_recursion,
 )
 from .model import SystemInstance, _read_only
 from .results import DEFAULT_MAX_ITER
@@ -96,19 +96,20 @@ def choose_w(
 def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
     """``(Mt, eigvals(Mt))``, formed once per instance (both read-only).
 
-    ``Mt`` is the mean-update system matrix at the converged per-edge
-    weights: the exact map the mean iteration applies once they freeze.
+    ``Mt = vv A^T H`` (unit diagonal) is the mean-update system matrix at
+    the settled step's ``A = H / V``, the buffer the engine iterates with:
+    the exact map the mean iteration applies once the weights freeze.
     Every convergence decision reads it, not the closed-form matrix, whose
     single ratio gamma can flip a verdict near load 1.
     """
 
     def build(inst: SystemInstance):
         H = inst.channel
-        vv, W, _ = variance_recursion(inst)
-        W *= H  # H o W, in place
-        Mt = vv[:, None] * (W.T @ H)
-        # With G = (H o W)^T H the diagonal is vv * (diag G - u) + 1, and
-        # diag G = sum_m H^2 W = u in exact arithmetic: it is exactly 1.
+        A = np.empty(H.shape)
+        vv, _ = _settled_messages(inst, A)
+        Mt = vv[:, None] * (A.T @ H)
+        # With G = A^T H the diagonal is vv * (diag G - u) + 1, and
+        # diag G = sum_m H o A = u in exact arithmetic: it is exactly 1.
         np.fill_diagonal(Mt, 1.0)
         return _read_only(Mt), _read_only(np.linalg.eigvals(Mt))
 

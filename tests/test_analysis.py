@@ -239,9 +239,13 @@ def test_reports_and_auto_relaxation_share_one_eigenvalue_solve(monkeypatch):
     inst = build_instance(60, 240, snr_db=15.0, channel_seed=8)
     # The relaxation rule on a separately built measured matrix, before the
     # count starts: sharing the spectrum must not change a bit of it.
+    # Its A = H / V is the run's: V from .state of a run that reaches the
+    # settled step.
     twin = build_instance(60, 240, snr_db=15.0, channel_seed=8)
-    vv, W, _ = variance_recursion(twin)
-    Mt = vv[:, None] * ((W * twin.channel).T @ twin.channel)
+    _, _, sweeps = variance_recursion(twin)
+    run = gmpid_detect(twin, realize(twin, 1).received, eps=0.0, max_iter=sweeps)
+    A = twin.channel / run.state.sum_to_user_var
+    Mt = run.result.posterior_var[:, None] * (A.T @ twin.channel)
     np.fill_diagonal(Mt, 1.0)
     mu = np.sort(np.linalg.eigvals(Mt).real)
     expected_w = 2.0 / (max(mu[0], 1e-12 * mu[-1]) + mu[-1])
@@ -256,6 +260,27 @@ def test_reports_and_auto_relaxation_share_one_eigenvalue_solve(monkeypatch):
     assert len(calls) == 1
     assert (relax.w, relax.lambda_min, relax.lambda_max) == (expected_w, mu[0], mu[-1])
     assert report.w == relax.w
+
+
+def test_reports_share_one_closed_form_eigenvalue_solve(monkeypatch):
+    inst = build_instance(60, 240, snr_db=15.0, channel_seed=8)
+    relax = auto_relaxation(inst)
+    # Each report's closed-form radius by its own solve, before the count.
+    lam = np.linalg.eigvalsh(relaxation_system_matrix(inst))
+    expected = {w: float(np.max(np.abs(1.0 - w * lam))) for w in (1.0, relax.w, 0.5)}
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    reports = (
+        gmpid_mean_convergence_report(inst),
+        sagmpid_convergence_report(inst),
+        sagmpid_convergence_report(inst, RelaxationChoice(mode=WMode.MANUAL, w=0.5)),
+    )
+    assert len(calls) == 1
+    assert [r.w for r in reports] == [1.0, relax.w, 0.5]
+    for r in reports:
+        assert r.closed_form_radius == expected[r.w]
 
 
 def test_relaxed_report_vanishing_load_radius_goes_to_zero():

@@ -1,6 +1,8 @@
 """Tests for the iterative Gaussian message-passing detector: the two edge
 update operations, the closed-form variance limit, and the detection loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -371,6 +373,23 @@ def test_detect_iteration_after_weight_freeze_costs_two_gemv():
         steps = np.diff(out.result.trace.cum_flops)
         assert steps[1] > 8 * K * M  # iteration 3 still sweeps the variances
         assert steps[-1] <= 4 * K * M + 10 * (K + M)
+
+
+def test_replayed_run_allocates_one_buffer():
+    # A replayed step writes A = H / V into the engine's one (M, K) buffer
+    # in place; a temporary of that size would double the peak. The slack
+    # covers numpy's 64 KiB iterator buffer for the broadcast passes.
+    inst = build_instance(100, 600, snr_db=10.0, channel_seed=2)
+    y = realize(inst, 3).received
+    gmpid_detect(inst, y, eps=0.0, max_iter=60)  # records the schedule
+    tracemalloc.start()
+    try:
+        out = gmpid_detect(inst, y, eps=0.0, max_iter=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.result.iterations == 60
+    assert peak < inst.channel.nbytes + 128 * 1024
 
 
 def test_variance_recursion_is_the_engine_recursion():

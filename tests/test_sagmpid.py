@@ -35,6 +35,7 @@ from gmpdetect import (
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 from gmpdetect.gmpid import _run_message_passing
+from gmpdetect.sagmpid import _measured_spectrum
 
 
 def _orthogonal_instance(n_users=3, n_antennas=6, noise_var=0.1, seed=1):
@@ -365,6 +366,31 @@ def test_weights_freeze_on_a_rounding_cycle_longer_than_two(
     out = sagmpid_detect(inst, realize(inst, 3).received, eps=0.0, max_iter=sweeps + 5)
     np.testing.assert_array_equal(vv, out.result.posterior_var)
     assert np.diff(out.result.trace.cum_flops)[-1] <= 4 * K * M + 10 * (K + M)
+
+
+@pytest.mark.parametrize(
+    "K, M, snr_db, channel_seed",
+    [(100, 600, 10.0, 0), (100, 600, 10.0, 2), (1, 12, 80.0, 0)],
+    ids=["fixed-point", "2-cycle", "K=1"],
+)
+@pytest.mark.parametrize("spectrum_first", [False, True], ids=["replayed", "swept"])
+def test_measured_matrix_is_the_run_matrix_bitwise(
+    K, M, snr_db, channel_seed, spectrum_first
+):
+    # Mt is vv A^T H with A = H / V, V the sum-node variances .state returns:
+    # both when the spectrum replays a step the run recorded and when it
+    # sweeps the schedule itself.
+    inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
+    if spectrum_first:
+        _measured_spectrum(inst)
+    run = gmpid_detect(inst, realize(inst, 5).received, eps=0.0, max_iter=120)
+    assert run.result.iterations > variance_recursion(inst)[2]  # past the settle step
+    H = inst.channel
+    expected = run.result.posterior_var[:, None] * (
+        (H / run.state.sum_to_user_var).T @ H
+    )
+    np.fill_diagonal(expected, 1.0)
+    np.testing.assert_array_equal(_measured_spectrum(inst)[0], expected)
 
 
 def test_measured_relaxation_and_gamma_do_not_depend_on_units():
