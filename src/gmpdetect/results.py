@@ -49,15 +49,18 @@ class IterationTrace:
         self.iteration.append(t)
         self.step_change.append(float(step_change))
         self.cum_flops.append(int(cum_flops))
-        for name, value in (
-            ("oracle_gap", None if oracle is None else np.linalg.norm(x - oracle)),
-            ("mean_variance", mean_variance),
-            ("mse_to_truth", None if truth is None else np.mean((x - truth) ** 2)),
-        ):
-            if value is not None:
-                if getattr(self, name) is None:
-                    setattr(self, name, [])
-                getattr(self, name).append(float(value))
+        if oracle is not None:
+            self._column("oracle_gap").append(float(np.linalg.norm(x - oracle)))
+        if mean_variance is not None:
+            self._column("mean_variance").append(float(mean_variance))
+        if truth is not None:
+            self._column("mse_to_truth").append(float(np.mean((x - truth) ** 2)))
+
+    def _column(self, name: str) -> list[float]:
+        """The optional column ``name``, started empty on first use."""
+        if getattr(self, name) is None:
+            setattr(self, name, [])
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return len(self.iteration)
