@@ -105,8 +105,7 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
 
     def build(inst: SystemInstance):
         H = inst.channel
-        A = np.empty(H.shape)
-        vv, _ = _settled_messages(inst, A)
+        vv, A, _ = _settled_messages(inst)
         Mt = vv[:, None] * (A.T @ H)
         # With G = A^T H the diagonal is vv * (diag G - u) + 1, and
         # diag G = sum_m H o A = u in exact arithmetic: it is exactly 1.
