@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gmpid import variance_fixed_point, variance_recursion
+from .gmpid import VARIANCE_SWEEP_CAP, _schedule, variance_fixed_point
 from .model import SystemInstance, _read_only
 from .sagmpid import (
     RelaxationChoice,
@@ -142,13 +142,6 @@ def rmt_mmse_mse(
     return RmtMse(exact=float(exact), asymptote=float(asymptote), regime=regime)
 
 
-def _measured_gamma(inst: SystemInstance) -> float:
-    """Variance ratio from actually running the variance recursion."""
-    vv, _, _ = variance_recursion(inst)
-    mean_var = float(np.mean(vv))
-    return mean_var / (inst.dims.n_users * mean_var + inst.noise_var)
-
-
 def _mean_iteration_report(
     inst: SystemInstance, relax: RelaxationChoice | None, asymptotic_radius: float
 ) -> ConvergenceReport:
@@ -200,7 +193,11 @@ def gmpid_mean_convergence_report(
     plain = RelaxationChoice(mode=WMode.MANUAL, w=1.0)
     report = _mean_iteration_report(inst, plain, beta + 2.0 * np.sqrt(beta))
     if measured_gamma:
-        report = replace(report, gamma_measured=_measured_gamma(inst))
+        # The measured spectrum stepped the variance schedule to where it settles.
+        schedule = _schedule(inst)
+        v = float(np.mean(schedule.vv[min(len(schedule.u), VARIANCE_SWEEP_CAP) - 1]))
+        gamma_measured = v / (inst.dims.n_users * v + inst.noise_var)
+        report = replace(report, gamma_measured=gamma_measured)
     return report
 
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemInstance
-from .results import DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination
+from .model import SystemInstance, _require_finite
+from .results import (
+    DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination, _stop_rule,
+)
 
 __all__ = [
     "AffineIteration",
@@ -59,34 +61,29 @@ def iterate(
     ``t`` steps, as for message passing. ``truth`` adds the per-iteration
     ``mse_to_truth`` column (diagnostic only, not counted as detector
     work). The final iterate is the result's ``estimate``;
-    ``posterior_var`` stays None.
+    ``posterior_var`` stays None. A non-finite offset raises ValueError.
     """
     B, c = iteration.matrix, iteration.offset
+    _require_finite(c, "offset")
     K = c.shape[0]
     x = np.zeros(K) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (K,):
         raise ValueError("x0 has the wrong length")
-    scale = 1.0 + float(np.max(np.abs(c))) if K else 1.0
-    if eps is None:
-        eps = 1e-8 * scale
-    if not eps > 0:
+    if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    thresh = 1e12 * scale
+    stop = _stop_rule(c, eps, first=1)
 
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
     flops = iteration.setup_flops
     for t in range(1, max_iter + 1):
         x_new = B @ x + c
-        change = float(np.max(np.abs(x_new - x)))
+        change, verdict = stop(t, x_new - x, x_new)
         x = x_new
         flops += 2 * K * K + 3 * K
         trace.append(t, change, flops, x, truth=truth)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > thresh:
-            terminated = Termination.DIVERGED
-            break
-        if change < eps:
-            terminated = Termination.CONVERGED
+        if verdict is not None:
+            terminated = verdict
             break
     return DetectionResult(
         estimate=x,
@@ -104,6 +101,7 @@ def _normal_equations(
     and the set-up flops of a splitting: the two plus a K x K matrix and offset."""
     if not inst.noise_var > 0:
         raise ValueError("normal equations require positive noise variance")
+    _require_finite(y)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var

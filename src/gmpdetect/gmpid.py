@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 
-from .model import SystemDims, SystemInstance
-from .results import DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination
+from .model import SystemDims, SystemInstance, _require_finite
+from .results import (
+    DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination, _stop_rule,
+)
 
 VARIANCE_SWEEP_CAP = 5000  # variance_recursion stops here if never settled
 
@@ -102,7 +103,7 @@ class MessagePassingOutput:
         ev, post_var = self.result.estimate, self.result.posterior_var
         Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
         schedule = _schedule(inst)
-        t = min(self.result.iterations, len(schedule)) - 1
+        t = min(self.result.iterations, len(schedule.u)) - 1
         return MessageState(
             user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
             user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
@@ -230,11 +231,11 @@ class _VarianceSchedule:
     rounding cycle) they cycle forever: that step is ``settle``, the last
     one recorded.
 
-    Only :meth:`extend` runs the gemv, the reduction and the repeat test;
-    :meth:`messages` replays a recorded step with two element-wise passes
-    and one division. Both compute ``A`` by the same statements, so a
-    replayed step is the swept one bit for bit. The schedule keeps ``H^2``
-    and a reference to the channel, not a copy of it.
+    Only :meth:`step` past the recorded end runs the gemv, the reduction
+    and the repeat test; a recorded step is replayed with two element-wise
+    passes and one division by the same statements, so it is the swept
+    step bit for bit. The schedule keeps ``H^2`` and a reference to the
+    channel, not a copy of it.
     """
 
     def __init__(self, inst: SystemInstance):
@@ -245,9 +246,6 @@ class _VarianceSchedule:
         self.settle: int | None = None  # index of the settled step, once reached
         self._seen = set()  # the bytes of every user-weight vector so far
         self._record(np.zeros(inst.dims.n_users))
-
-    def __len__(self) -> int:
-        return len(self.u)
 
     def _record(self, u: np.ndarray) -> None:
         pw = u + self.px
@@ -267,62 +265,41 @@ class _VarianceSchedule:
         np.multiply(self.H2, self.vv[t - 1], out=out)
         return np.subtract(self.c[t][:, None], out, out=out)
 
-    def messages(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Write ``A = H / V`` of recorded step ``t`` into ``out``, dividing in place."""
+    def step(self, t: int, out: np.ndarray) -> bool:
+        """Write ``A = H / V`` of step ``t`` into ``out``, replaying a recorded step or
+        sweeping and recording step ``len(self.u)``; True at the settled step."""
+        sweep = t == len(self.u)
+        if sweep:
+            self.c.append(self.H2 @ self.vv[-1] + self.s)
         if t == 0:
             out.fill(0.0)
-            return out
-        return np.divide(self.H, self.variances(t, out), out=out)
-
-    def extend(self, out: np.ndarray) -> None:
-        """Sweep once past the last recorded step, leaving its ``A`` in ``out``."""
-        self.c.append(self.H2 @ self.vv[-1] + self.s)
-        self.messages(len(self.u), out)
-        self._record(np.einsum("mk,mk->k", self.H, out))
+        else:
+            np.divide(self.H, self.variances(t, out), out=out)
+        if sweep:
+            self._record(np.einsum("mk,mk->k", self.H, out))
+        return t == self.settle
 
 
 def _schedule(inst: SystemInstance) -> _VarianceSchedule:
     return inst._cached("variance_schedule", _VarianceSchedule)
 
 
-def _variance_sweeps(inst: SystemInstance, A: np.ndarray):
-    """Step through the instance's variance schedule, extending it where needed.
-
-    Each step writes ``A = H / V`` (zero at the start step) into the
-    caller's (M, K) buffer and yields ``(u, vv, settled)``. A recorded step
-    is replayed with no gemv and no reduction; past the recorded end the
-    step is swept and recorded. ``settled`` marks the last step.
-    """
-    schedule = _schedule(inst)
-    for t in count():
-        if t == len(schedule):
-            schedule.extend(A)
-        else:
-            schedule.messages(t, A)
-        settled = t == schedule.settle
-        yield schedule.u[t], schedule.vv[t], settled
-        if settled:
-            return
-
-
 def _settled_messages(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """Step the variance schedule until it settles or ``VARIANCE_SWEEP_CAP`` steps.
 
     Returns the last step's user variances, its ``A = H / V`` in a new
-    (M, K) buffer, and the number of steps. The buffer is allocated after
-    the schedule's ``H^2``, which outlives it: the other way round, its
-    freed block is a hole that later allocations fragment, and peak RSS
-    over a run of 500x3500 channels grew by 8 MB.
+    (M, K) buffer, and the number of steps; earlier recorded steps are not
+    replayed. The buffer is allocated after the schedule's ``H^2``, which
+    outlives it: the other way round, its freed block is a hole that later
+    allocations fragment, and peak RSS over 500x3500 channels grew by 8 MB.
     """
     schedule = _schedule(inst)
     A = np.empty(inst.channel.shape)
-    recorded = len(schedule)
-    while len(schedule) < VARIANCE_SWEEP_CAP and schedule.settle is None:
-        schedule.extend(A)
-    sweeps = min(len(schedule), VARIANCE_SWEEP_CAP)
-    if len(schedule) == recorded:  # nothing swept here: replay the last step
-        schedule.messages(sweeps - 1, A)
-    return schedule.vv[sweeps - 1], A, sweeps
+    t = schedule.settle if schedule.settle is not None else len(schedule.u)
+    t = min(t, VARIANCE_SWEEP_CAP - 1)
+    while not schedule.step(t, A) and t < VARIANCE_SWEEP_CAP - 1:
+        t += 1
+    return schedule.vv[t], A, t + 1
 
 
 def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
@@ -364,13 +341,12 @@ def _run_message_passing(
     and the memory term skipped, so a w=1 run is bit-identical to the
     plain detector.
 
-    Each iteration takes one step of :func:`_variance_sweeps`, which
-    replays (or extends) the instance's variance schedule into one reused
-    (M, K) buffer ``A = H / V`` and returns ``u`` and ``vv``. Once the
-    sweeps settle, ``A`` and ``u`` are reused, and an iteration is two gemv
-    calls plus O(K) work. On a fixed point that is the same trajectory bit
-    for bit; on a rounding cycle it keeps one of the cycle's weight sets, a
-    last-bit difference from sweeping on.
+    Iteration ``t`` replays (or sweeps and records) step ``t - 1`` of the
+    instance's variance schedule into one reused (M, K) buffer
+    ``A = H / V``. Once the sweeps settle, ``A`` and ``u`` are reused, and
+    an iteration is two gemv calls plus O(K) work. On a fixed point that
+    is the same trajectory bit for bit; on a rounding cycle it keeps one
+    of the cycle's weight sets, a last-bit difference from sweeping on.
 
     ``flops`` is the analytic cost of a standalone run, which sweeps the
     variances itself and scales the system by sqrt(w): a replayed schedule
@@ -382,53 +358,45 @@ def _run_message_passing(
     M, K = H.shape
     if not inst.noise_var > 0:
         raise ValueError("message passing requires positive noise variance")
-    if not np.all(np.isfinite(inst.prior.variances)):
-        raise ValueError("message passing requires finite prior variances")
+    _require_finite(inst.prior.variances, "message passing: prior variances")
+    _require_finite(y)
+    if eps is not None and not eps >= 0:  # eps = 0 turns the stop off
+        raise ValueError("eps must be non-negative")
 
+    # The first sweep only installs the prior (means stay zero), so the
+    # step-change test is armed from the second sweep onward.
+    stop = _stop_rule(y, eps, first=2)
     flops = K * M if w == 1.0 else 2 * K * M + M + 1
     sweep_flops = 8 * K * M + M + K  # a sweep, then A = W o sqrt(w) H
-    if eps is None:
-        eps = 1e-8 * (1.0 + float(np.max(np.abs(y))))
-    if not eps >= 0:  # eps = 0 turns the stop off
-        raise ValueError("eps must be non-negative")
-    thresh = 1e12 * (1.0 + float(np.max(np.abs(y))))
 
     ev = np.zeros(K)
     ev_prev = None
     vv = np.full(K, np.inf)  # the uninformative state, returned if no iteration runs
     A = np.empty((M, K))
-    sweeps = _variance_sweeps(inst, A)
+    schedule = _schedule(inst)
     settled = False
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
 
     for t in range(1, max_iter + 1):
         if not settled:
-            u, vv, settled = next(sweeps)
+            settled = schedule.step(t - 1, A)
+            u, vv = schedule.u[t - 1], schedule.vv[t - 1]
             vw = vv if w == 1.0 else w * vv
             mean_var = float(np.mean(vv))
             flops += (sweep_flops if t > 1 else 0) + (2 * K if w == 1.0 else 3 * K)
         r = y - H @ ev
         g = A.T @ r + u * ev
         ev_new = vw * g if w == 1.0 else vw * g - (w - 1.0) * ev
-        d = ev_new - ev
-        # max |d| from two reductions; abs() gives an all-zero d a +0 change.
-        change = abs(float(max(d.max(), -d.min())))
+        change, verdict = stop(t, ev_new - ev, ev_new)
         flops += 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)
         ev_prev, ev = ev, ev_new
 
         trace.append(
             t, change, flops, ev, oracle=oracle, truth=truth, mean_variance=mean_var
         )
-
-        # NaN fails the comparison too, so one test covers non-finite values.
-        if not max(ev.max(), -ev.min()) <= thresh:
-            terminated = Termination.DIVERGED
-            break
-        # The first sweep only installs the prior (means stay zero), so the
-        # step-change test is armed from the second sweep onward.
-        if t > 1 and change < eps:
-            terminated = Termination.CONVERGED
+        if verdict is not None:
+            terminated = verdict
             break
 
     result = DetectionResult(
@@ -456,8 +424,9 @@ def gmpid_detect(
     Stops when the max-norm mean change falls below ``eps`` (default
     ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
     NaN ``eps`` raises ValueError), the iteration budget runs out, or the
-    estimate grows past the divergence threshold. ``truth`` / ``oracle``
-    optionally enable per-iteration MSE / oracle-gap trace columns.
+    estimate grows past the divergence threshold. A non-finite ``y`` raises
+    ValueError. ``truth`` / ``oracle`` optionally enable per-iteration MSE /
+    oracle-gap trace columns.
     """
     return _run_message_passing(
         inst,

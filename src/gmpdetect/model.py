@@ -20,6 +20,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
+def _require_finite(v: np.ndarray, name: str = "y") -> None:
+    """Raise ValueError naming ``v`` when an entry is NaN or infinite."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite, with no NaN or infinite entry")
+
+
 @dataclass(frozen=True)
 class SystemDims:
     """Problem dimensions: K transmitting users, M receive antennas."""

@@ -2,16 +2,17 @@
 and the block-message formulation that is algebraically equivalent to MMSE.
 
 All four return a :class:`~gmpdetect.results.DetectionResult` with
-``iterations=0`` and ``terminated=Termination.EXACT``. Flop counts follow the
-dense-linear-algebra route of a standalone call, counting one multiply or add
-as one flop (a multiply-accumulate is two); set-up that an instance keeps
-(the Gram matrix, the MMSE factor) is charged to every call that uses it.
+``iterations=0`` and ``terminated=Termination.EXACT``, and raise ValueError
+on a non-finite ``y``. Flop counts follow the dense-linear-algebra route of
+a standalone call, counting one multiply or add as one flop (a
+multiply-accumulate is two); set-up that an instance keeps (the Gram
+matrix, the MMSE factor) is charged to every call that uses it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import SystemInstance
+from .model import SystemInstance, _require_finite
 from .results import DetectionResult, Termination
 
 
@@ -76,14 +77,14 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     antenna-side (matrix-inversion-lemma) form when M < K, so the cubic cost
     always scales with min(K, M).
     """
+    _require_finite(y)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var
     if not s > 0:
         raise ValueError("mmse_detect requires positive noise variance")
     vx = inst.prior.variances
-    if not np.all(np.isfinite(vx)):
-        raise ValueError("mmse_detect requires finite prior variances")
+    _require_finite(vx, "mmse_detect: prior variances")
 
     Linv, post_var, f = _mmse_setup(inst)
     if K <= M:
@@ -111,6 +112,7 @@ def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     This normalization (unit gain on the desired user) is a documented
     choice; other conventions rescale the same statistic.
     """
+    _require_finite(y)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var
@@ -135,6 +137,7 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     for positive noise; with an infinite-variance (flat) prior the output is
     the plain decorrelator. Requires K <= M and a full-column-rank channel.
     """
+    _require_finite(y)
     H = inst.channel
     M, K = H.shape
     if K > M:
@@ -179,6 +182,7 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     is the block formulation's analytic cost, dense M x M products
     included.
     """
+    _require_finite(y)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var

@@ -18,6 +18,31 @@ class Termination(Enum):
     EXACT = "Exact"                  # one-shot (non-iterative) solution
 
 
+def _stop_rule(ref: np.ndarray, eps: float | None, first: int):
+    """The stop policy of every iterative detector, with ``scale = 1 + ||ref||_inf``.
+
+    ``stop(t, d, x)``, for step ``t`` moving the iterate by ``d`` to ``x``,
+    returns ``||d||_inf`` and Diverged once ``||x||_inf`` passes ``1e12 *
+    scale`` or is NaN, Converged once that change is below ``eps`` (default
+    ``1e-8 * scale``; 0 never stops) at ``t >= first``, else None.
+    """
+    scale = 1.0 + float(np.max(np.abs(ref), initial=0.0))
+    eps = 1e-8 * scale if eps is None else eps
+    thresh = 1e12 * scale
+
+    def stop(t: int, d: np.ndarray, x: np.ndarray) -> tuple[float, Termination | None]:
+        # max |d| from two reductions; abs() gives an all-zero d a +0 change.
+        change = abs(float(max(d.max(), -d.min())))
+        # NaN fails the comparison too, so one test covers non-finite values.
+        if not max(x.max(), -x.min()) <= thresh:
+            return change, Termination.DIVERGED
+        if t >= first and change < eps:
+            return change, Termination.CONVERGED
+        return change, None
+
+    return stop
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration progress of an iterative detector.

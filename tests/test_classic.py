@@ -1,19 +1,25 @@
 """Tests for the classical affine iteration x(t) = Bx(t-1) + c and its
 Jacobi/Richardson instantiations on the MMSE normal equations."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gmpdetect import (
     AffineIteration,
+    RelaxationChoice,
     Termination,
+    WMode,
     build_instance,
     convergence_check,
+    gmpid_detect,
     iterate,
     jacobi_for_mmse,
     mmse_detect,
     realize,
     richardson_for_mmse,
+    sagmpid_detect,
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 
@@ -102,6 +108,13 @@ def test_iterate_validates_inputs():
         iterate(it, eps=0.0)
     with pytest.raises(ValueError):
         AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_iterate_rejects_a_non_finite_offset(bad):
+    it = AffineIteration(matrix=np.zeros((2, 2)), offset=np.array([1.0, bad]))
+    with pytest.raises(ValueError, match=r"^offset must be finite"):
+        iterate(it)
 
 
 def test_trace_iterations_strictly_increasing_from_one():
@@ -251,3 +264,52 @@ def test_convergence_check_gram_radius_near_asymptote():
     beta = 200 / 1200
     asym = beta + 2 * np.sqrt(beta)
     assert abs(report.spectral_radius - asym) / asym < 0.10
+
+
+# ---------------------------------------------------------------------------
+# The stop rule shared with message passing
+# ---------------------------------------------------------------------------
+
+
+_EDGE_INST = build_instance(4, 12, snr_db=10.0, channel_seed=0)
+_NAN_ENTRY = np.diag([0.5, 0.5, 0.5])
+_NAN_ENTRY[1, 2] = np.nan
+# case -> (run, termination, iterations)
+STOP_EDGES = {
+    # Message passing arms the convergence test at t = 2: its first sweep
+    # only installs the prior.
+    "gmpid, y = 0": (
+        lambda: gmpid_detect(_EDGE_INST, np.zeros(12)).result, Termination.CONVERGED, 2
+    ),
+    "sagmpid, y = 0": (
+        lambda: sagmpid_detect(
+            _EDGE_INST, np.zeros(12), RelaxationChoice(mode=WMode.MANUAL, w=0.8)
+        ).result,
+        Termination.CONVERGED,
+        2,
+    ),
+    # An affine iteration tests from t = 1.
+    "zero offset": (
+        lambda: iterate(AffineIteration(0.5 * np.eye(3), np.zeros(3))), Termination.CONVERGED, 1
+    ),
+    "jacobi, y = 0": (
+        lambda: iterate(jacobi_for_mmse(_EDGE_INST, np.zeros(12))), Termination.CONVERGED, 1
+    ),
+    "NaN matrix entry": (
+        lambda: iterate(AffineIteration(_NAN_ENTRY, np.ones(3))), Termination.DIVERGED, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_EDGES))
+def test_shared_stop_rule_edges(case):
+    run, terminated, iterations = STOP_EDGES[case]
+    out = run()
+    assert out.terminated is terminated
+    assert out.iterations == iterations
+    if terminated is Termination.CONVERGED:
+        # Every step is exactly zero, and a zero step reads +0.0.
+        assert [math.copysign(1.0, c) for c in out.trace.step_change] == [1.0] * iterations
+        assert out.trace.step_change == [0.0] * iterations
+    else:
+        assert math.isnan(out.trace.step_change[-1])

@@ -121,6 +121,19 @@ def test_iterative_entries_share_one_run_contract(name):
     assert untraced.trace.cum_flops == run.trace.cum_flops
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_every_detector_rejects_a_non_finite_observation(name, bad):
+    # One ValueError that names y, with or without eps: a NaN in y used to
+    # reach the eps check, end Diverged or come back as an Exact NaN estimate.
+    inst = build_instance(4, 12, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received.copy()
+    y[5] = bad
+    for eps in (None, 1e-6):
+        with pytest.raises(ValueError, match=r"^y must be finite"):
+            run_detector(name, inst, y, eps=eps)
+
+
 def test_rerun_with_identical_config_is_byte_identical():
     cfg = _config(dims=SystemDims(8, 32), trials=3, detectors=("mmse", "gmpid"))
     first = render_csv(run_experiment(cfg))

@@ -4,6 +4,7 @@ already served other consumers returns, bit for bit, what the same run on a
 fresh instance built from the same arrays returns."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +15,16 @@ from gmpdetect import (
     SystemInstance,
     Termination,
     WMode,
+    auto_relaxation,
     generate_channel,
     gmpid_detect,
+    gmpid_mean_convergence_report,
     inverse_filter_detect,
     jacobi_for_mmse,
     matched_filter_detect,
     mmse_detect,
     richardson_for_mmse,
+    sagmpid_convergence_report,
     sagmpid_detect,
     variance_recursion,
 )
@@ -29,7 +33,11 @@ CONSUMERS = (
     "gmpid",
     "sagmpid-w1",
     "sagmpid-w",
+    "sagmpid-auto",
     "variance_recursion",
+    "auto_relaxation",
+    "gmpid-report",
+    "sagmpid-report",
     "gmpid-state",
     "sagmpid-w-state",
     "mmse",
@@ -63,7 +71,7 @@ def _instance(H, variances, noise_var):
 def _message_passing(inst, y, w, max_iter, truth):
     if w is None:
         return gmpid_detect(inst, y, max_iter=max_iter, truth=truth)
-    relax = RelaxationChoice(mode=WMode.MANUAL, w=w)
+    relax = None if w == "auto" else RelaxationChoice(mode=WMode.MANUAL, w=w)
     return sagmpid_detect(inst, y, relax, max_iter=max_iter, truth=truth)
 
 
@@ -80,6 +88,19 @@ def _consume(name, inst, y, w, max_iter, truth):
     if name == "variance_recursion":
         vv, W, sweeps = variance_recursion(inst)
         return [vv, W, sweeps]
+    if name == "auto_relaxation":
+        relax = auto_relaxation(inst)
+        return [relax.w, relax.lambda_min, relax.lambda_max]
+    if name.endswith("-report"):
+        # Both reports need load beta < 1: at K = M the error must match too.
+        try:
+            if name == "gmpid-report":
+                report = gmpid_mean_convergence_report(inst, measured_gamma=True)
+            else:
+                report = sagmpid_convergence_report(inst)
+        except ValueError as exc:
+            return ["raised", str(exc)]
+        return [repr(report)]
     if name == "jacobi":
         it = jacobi_for_mmse(inst, y)
         return [it.matrix, it.offset]
@@ -89,8 +110,10 @@ def _consume(name, inst, y, w, max_iter, truth):
     if name in ("mmse", "mf", "if"):
         detect = {"mmse": mmse_detect, "mf": matched_filter_detect, "if": inverse_filter_detect}
         return _result_fields(detect[name](inst, y))
-    run_w = {"gmpid": None, "sagmpid-w1": 1.0, "sagmpid-w": w}[name.removesuffix("-state")]
-    out = _message_passing(inst, y, run_w, max_iter, truth)
+    run_w = {"gmpid": None, "sagmpid-w1": 1.0, "sagmpid-w": w, "sagmpid-auto": "auto"}
+    out = _message_passing(inst, y, run_w[name.removesuffix("-state")], max_iter, truth)
+    if name == "sagmpid-auto":
+        return [out.relax.w, *_result_fields(out.result)]
     if name.endswith("-state"):
         st_ = out.state
         return [st_.user_to_sum_mean, st_.user_to_sum_var, st_.sum_to_user_mean, st_.sum_to_user_var]
@@ -144,6 +167,8 @@ def test_reuse_examples_reach_their_edge_runs():
     H, variances, noise_var, x, y = _arrays(5, 5, 30.0, 6, False)
     inst = _instance(H, variances, noise_var)
     assert gmpid_detect(inst, y, max_iter=80).result.terminated is Termination.DIVERGED
+    with pytest.raises(ValueError, match="beta < 1"):
+        sagmpid_convergence_report(inst)
 
     H, variances, noise_var, x, y = _arrays(4, 12, 30.0, 5, True)
     inst = _instance(H, variances, noise_var)
