@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gmpid import VARIANCE_SWEEP_CAP, _schedule, variance_fixed_point
+from .gmpid import variance_fixed_point
 from .model import SystemInstance, _read_only
 from .sagmpid import (
     RelaxationChoice,
@@ -155,7 +155,7 @@ def _mean_iteration_report(
         raise ValueError("mean-convergence report requires load beta < 1")
     w = float((relax or auto_relaxation(inst)).w)
     gamma = variance_fixed_point(inst).gamma
-    Mt, mu = _measured_spectrum(inst)
+    Mt, mu, _ = _measured_spectrum(inst)
     lam = inst._cached(
         "closed_form_spectrum",
         lambda inst: _read_only(
@@ -193,9 +193,7 @@ def gmpid_mean_convergence_report(
     plain = RelaxationChoice(mode=WMode.MANUAL, w=1.0)
     report = _mean_iteration_report(inst, plain, beta + 2.0 * np.sqrt(beta))
     if measured_gamma:
-        # The measured spectrum stepped the variance schedule to where it settles.
-        schedule = _schedule(inst)
-        v = float(np.mean(schedule.vv[min(len(schedule.u), VARIANCE_SWEEP_CAP) - 1]))
+        v = float(np.mean(_measured_spectrum(inst)[2]))  # the settled user variances
         gamma_measured = v / (inst.dims.n_users * v + inst.noise_var)
         report = replace(report, gamma_measured=gamma_measured)
     return report

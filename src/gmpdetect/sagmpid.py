@@ -93,12 +93,13 @@ def choose_w(
     raise ValueError(f"unknown relaxation mode: {mode!r}")
 
 
-def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """``(Mt, eigvals(Mt))``, formed once per instance (both read-only).
+def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Mt, eigvals(Mt), vv)``, formed once per instance (all read-only).
 
     ``Mt = vv A^T H`` (unit diagonal) is the mean-update system matrix at
-    the settled step's ``A = H / V``, the buffer the engine iterates with:
-    the exact map the mean iteration applies once the weights freeze.
+    the settled step's user variances ``vv`` and ``A = H / V``, the buffer
+    the engine iterates with: the exact map the mean iteration applies
+    once the weights freeze.
     Every convergence decision reads it, not the closed-form matrix, whose
     single ratio gamma can flip a verdict near load 1.
     """
@@ -110,7 +111,7 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
         # With G = A^T H the diagonal is vv * (diag G - u) + 1, and
         # diag G = sum_m H o A = u in exact arithmetic: it is exactly 1.
         np.fill_diagonal(Mt, 1.0)
-        return _read_only(Mt), _read_only(np.linalg.eigvals(Mt))
+        return _read_only(Mt), _read_only(np.linalg.eigvals(Mt)), vv
 
     return inst._cached("measured_spectrum", build)
 
