@@ -40,6 +40,8 @@ class AffineIteration:
 
     def __post_init__(self) -> None:
         K = self.offset.shape[0]
+        if K == 0:
+            raise ValueError("AffineIteration is empty: it needs at least one unknown")
         if self.matrix.shape != (K, K):
             raise ValueError("iteration matrix and offset sizes disagree")
 

@@ -117,6 +117,11 @@ def test_iterate_rejects_a_non_finite_offset(bad):
         iterate(it)
 
 
+def test_empty_iteration_is_rejected():
+    with pytest.raises(ValueError, match=r"^AffineIteration is empty"):
+        AffineIteration(matrix=np.zeros((0, 0)), offset=np.zeros(0))
+
+
 def test_trace_iterations_strictly_increasing_from_one():
     it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.ones(2))
     out = iterate(it, eps=1e-10, max_iter=50)

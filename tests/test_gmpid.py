@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmpdetect import (
     MessageState,
@@ -12,6 +14,7 @@ from gmpdetect import (
     SystemDims,
     SystemInstance,
     Termination,
+    auto_relaxation,
     build_instance,
     gmpid_detect,
     matched_filter_detect,
@@ -23,6 +26,7 @@ from gmpdetect import (
     variance_fixed_point,
     variance_recursion,
 )
+from gmpdetect.gmpid import VARIANCE_SWEEP_CAP
 
 
 def _instance(H, noise_var, prior_var=1.0):
@@ -353,16 +357,17 @@ def test_detect_engine_matches_composition_past_weight_freeze():
         np.testing.assert_allclose(
             getattr(out.state, field), getattr(state, field), rtol=0, atol=1e-12
         )
-    # A freeze taken at a tolerance instead of at bitwise equality leaves
-    # the variances off by much more than rounding.
+    # The freeze comes once every weight moved by at most the rounding
+    # bound of its sum, M 2^-53 = 2.2e-14 here; a freeze at a looser
+    # tolerance (1e-10, say) leaves the variances off by more than 1e-13.
     np.testing.assert_allclose(
         out.result.posterior_var, state.user_to_sum_var[:, 0], rtol=1e-13, atol=0
     )
 
 
 def test_detect_iteration_after_weight_freeze_costs_two_gemv():
-    # The second channel's weights settle into a last-bit 2-cycle, not a
-    # bitwise fixed point; the freeze must catch that too.
+    # Swept on, the second channel's weights end in a last-bit 2-cycle, not
+    # a bitwise fixed point; the freeze comes on both, at the rounding bound.
     for K, M, snr_db, channel_seed, realization in (
         (50, 300, 12.0, 1, 2),
         (100, 600, 10.0, 2, 102),
@@ -393,16 +398,108 @@ def test_replayed_run_allocates_one_buffer():
 
 
 def test_variance_recursion_is_the_engine_recursion():
-    # Channels 0 and 1 settle on a bitwise fixed point, 2 and 3 on a
-    # last-bit 2-cycle; both stop where the engine freezes its weights.
+    # Swept on, channels 0 and 1 reach a bitwise fixed point after 30-31
+    # sweeps and 2 and 3 a last-bit 2-cycle after 30-33; the rounding
+    # bound settles all four earlier, where the engine freezes its weights.
     for channel_seed in range(4):
         inst = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
         y = realize(inst, 100 + channel_seed).received
         vv, W, sweeps = variance_recursion(inst)
-        assert sweeps <= 40
+        assert sweeps <= 24
         assert W.shape == (600, 100)
         out = gmpid_detect(inst, y, eps=0.0, max_iter=sweeps + 5)
         np.testing.assert_array_equal(vv, out.result.posterior_var)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6)]),
+    snr_db=st.sampled_from([0.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0]),
+    channel_seed=st.integers(0, 2**16),
+)
+# User weights that end in a last-bit cycle wider than the rounding bound:
+# only the bitwise-repeat test settles them. Period 2, except the last
+# (period 6).
+@example(shape=(1, 1), snr_db=20.0, channel_seed=3)
+@example(shape=(1, 2), snr_db=20.0, channel_seed=7)
+@example(shape=(2, 2), snr_db=80.0, channel_seed=1)
+@example(shape=(3, 3), snr_db=20.0, channel_seed=6)
+@example(shape=(2, 2), snr_db=20.0, channel_seed=34)
+def test_variance_schedule_settles_on_tiny_shapes(shape, snr_db, channel_seed):
+    K, M = shape
+    inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
+    budget = VARIANCE_SWEEP_CAP // 10
+    # y = 0 keeps the means at zero, so eps = 0 runs the whole budget.
+    out = gmpid_detect(inst, np.zeros(M), eps=0.0, max_iter=budget + 1)
+    vv, _, sweeps = variance_recursion(inst)
+    assert sweeps <= budget
+    assert np.all(vv > 0) and np.all(vv <= 1.0 / inst.prior.precisions)
+    np.testing.assert_array_equal(out.result.posterior_var, vv)
+    assert not out.result.estimate.any()
+    # Iteration t takes schedule step t - 1: the last sweep is iteration
+    # ``sweeps``, and every later iteration costs the same.
+    steps = np.diff(out.result.trace.cum_flops)
+    assert steps[sweeps - 2] > steps[-1]
+    assert (steps[sweeps - 1:] == steps[-1]).all()
+
+
+def _swept_to_a_repeat(inst, y, w, iterations):
+    """The node-level pair, relaxed by ``w``, with the bitwise-repeat freeze.
+
+    The variances are swept until the user variances repeat those of an
+    earlier sweep bit for bit; that sweep's sum-node variances are held
+    from then on. Returns the means, the user variances and the sweeps run.
+    """
+    state = MessageState.initial(inst.dims)
+    seen, held, sweeps = set(), None, 0
+    for _ in range(iterations):
+        nxt = sum_node_update(state, inst, y)
+        if held is not None:
+            nxt.sum_to_user_var = held
+        nxt = variable_node_update(nxt, inst)
+        vv = nxt.user_to_sum_var[:, 0]
+        if held is None:
+            sweeps += 1
+            if vv.tobytes() in seen:
+                held = nxt.sum_to_user_var
+            seen.add(vv.tobytes())
+        nxt.user_to_sum_mean = w * nxt.user_to_sum_mean + (1.0 - w) * state.user_to_sum_mean
+        state = nxt
+    return state.user_to_sum_mean[:, 0], vv, sweeps
+
+
+# The engine settles once every user weight moved by at most M 2^-53 of
+# itself in one sweep (1.2e-14 at M = 105). The recursion contracts slowly
+# near load 1 (about 700 sweeps to a repeat at 100x105, 80 dB), so the
+# distance left to the repeat is that step over one minus the contraction,
+# about 2e-13 there. Measured drift from the bitwise-repeat freeze: 1.3e-13
+# (variances) and 1.1e-14 (estimate) at 100x105; 4.6e-15 and 1.6e-15 at
+# 100x600.
+FREEZE_DRIFT = 1e-12
+
+
+@pytest.mark.parametrize(
+    "K, M, snr_db, channel_seed, iterations",
+    [
+        (100, 105, 80.0, 1016, 1000),  # the slowest pinned variance recursion
+        (100, 600, 10.0, 2, 100),  # swept on, a last-bit 2-cycle
+    ],
+)
+def test_rounding_bound_freeze_stays_close_to_the_bitwise_repeat(
+    K, M, snr_db, channel_seed, iterations
+):
+    inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
+    y = realize(inst, 1).received
+    relax = auto_relaxation(inst)
+    ev_ref, vv_ref, ref_sweeps = _swept_to_a_repeat(inst, y, relax.w, iterations)
+    out = sagmpid_detect(inst, y, relax, eps=0.0, max_iter=iterations)
+    assert out.result.iterations == iterations
+    assert variance_recursion(inst)[2] < ref_sweeps  # the freeze comes earlier
+    np.testing.assert_allclose(
+        out.result.posterior_var, vv_ref, rtol=FREEZE_DRIFT, atol=0
+    )
+    drift = np.max(np.abs(out.result.estimate - ev_ref)) / np.max(np.abs(ev_ref))
+    assert drift <= FREEZE_DRIFT
 
 
 def test_detect_converges_to_mmse_on_small_underloaded_system():

@@ -347,10 +347,12 @@ def test_relaxed_reaches_target_in_fewer_iterations():
 @pytest.mark.parametrize(
     "K, M, snr_db, channel_seed, max_sweeps",
     [
-        # User weights cycle bitwise with period 5 from sweep 63 on.
+        # Swept on, the user weights cycle bitwise with period 5 from sweep
+        # 63 on; the rounding bound settles them at sweep 52.
         (50, 100, 10.0, 14, 80),
-        # Load 0.95 at 80 dB: the weights first repeat after about 740
-        # sweeps, above the old cap of 500.
+        # Load 0.95 at 80 dB: the weights first repeat after about 700
+        # sweeps, above the old cap of 500; the rounding bound settles
+        # them at sweep 610.
         (100, 105, 80.0, 1016, 800),
     ],
     ids=["period-5", "load-0.95"],
@@ -395,8 +397,8 @@ def test_measured_matrix_is_the_run_matrix_bitwise(
 
 def test_measured_relaxation_and_gamma_do_not_depend_on_units():
     # Scaling the prior and the noise by 2**-40 scales every variance and
-    # weight exactly, so a rule with no absolute tolerance returns the same
-    # bits.
+    # weight exactly, so a settle rule whose one tolerance is relative
+    # returns the same bits.
     for channel_seed in range(4):
         unit = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
         tiny = build_instance(
