@@ -39,9 +39,13 @@ class ConvergenceReport:
     """Convergence diagnostics for one mean-update iteration matrix.
 
     In the mean-iteration reports the matrix is ``I - w Mt``, the map the
-    engine iterates once its weights freeze, and ``predicted_converges`` is
-    its radius below 1; ``closed_form_radius`` is the radius of the paper's
-    approximation ``I - w (gamma*(H^T H - D) + I)``. ``diag_dominant`` is
+    engine iterates once its weights freeze. Their ``spectral_radius`` is
+    ``max |1 - w lam|`` over the eigenvalues ``lam`` of the symmetric part
+    of a diagonal similarity of Mt: an upper bound on the radius of
+    ``I - w Mt`` when Mt's spectrum is real, not when it is complex.
+    ``predicted_converges`` is that radius below 1; ``closed_form_radius``
+    is the radius of the paper's approximation
+    ``I - w (gamma*(H^T H - D) + I)``. ``diag_dominant`` is
     the max absolute row sum of the iteration matrix below 1.
     ``beta``/``asymptotic_radius`` are NaN when not applicable.
     """
@@ -145,7 +149,8 @@ def rmt_mmse_mse(
 def _mean_iteration_report(
     inst: SystemInstance, relax: RelaxationChoice | None, asymptotic_radius: float
 ) -> ConvergenceReport:
-    """Report on ``I - w Mt`` from the instance's one measured spectrum.
+    """Report on ``I - w Mt`` from the instance's one measured spectrum,
+    the symmetric-part eigenvalues of :func:`sagmpid._measured_spectrum`.
 
     The closed-form spectrum at the closed-form gamma is kept on the
     instance too, so every report on it shares one symmetric eigenvalue
@@ -183,7 +188,9 @@ def gmpid_mean_convergence_report(
     """Convergence diagnostics for the plain detector's mean iteration.
 
     The radius and verdict are those of ``I - Mt``, the map the engine
-    iterates (w = 1); ``closed_form_radius`` is that of
+    iterates (w = 1), read from the symmetric part of its diagonal
+    similarity: an upper bound on the exact radius when Mt's spectrum is
+    real, not when it is complex. ``closed_form_radius`` is that of
     ``gamma * (H^T H - D)`` with the closed-form gamma, and
     ``asymptotic_radius`` the large-system ``beta + 2*sqrt(beta)``.
     ``measured_gamma=True`` also reports the ratio of the converged variance
@@ -205,7 +212,9 @@ def sagmpid_convergence_report(
     """Convergence diagnostics for the relaxed detector's mean iteration.
 
     The radius and verdict are those of ``I - w Mt`` at the run's w, which
-    the report carries; ``closed_form_radius`` is that of ``I - w A`` with
+    the report carries, read as for the plain report: an upper bound on
+    the exact radius on real spectra, not on complex ones.
+    ``closed_form_radius`` is that of ``I - w A`` with
     the closed-form ``A = gamma*(H^T H - D) + I``, and ``asymptotic_radius``
     the large-system ``2*sqrt(beta)/(1+beta)``. ``relax=None`` reports on
     :func:`auto_relaxation`'s w, the one :func:`sagmpid_detect` runs by

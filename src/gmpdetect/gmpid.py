@@ -26,6 +26,7 @@ from .results import (
 )
 
 VARIANCE_SWEEP_CAP = 5000  # variance_recursion stops here if never settled
+_BLOCK_ENTRIES = 2**16  # float64 entries per row block of a schedule step: 512 KiB
 
 
 @dataclass
@@ -234,10 +235,15 @@ class _VarianceSchedule:
     a sweep reads only the user weights, so repeated weights cycle
     forever. That step is ``settle``, the last one recorded.
 
-    Only :meth:`step` past the recorded end runs the gemv, the reduction
-    and the settle test; a recorded step is replayed with two element-wise
-    passes and one division by the same statements, so it is the swept
-    step bit for bit. The schedule keeps ``H^2`` and a reference to the
+    :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
+    (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache
+    while each block also feeds its share of the engine's ``A^T r`` and,
+    in a sweep, of ``u``; the block shares are summed in block order. Only
+    a step past the recorded end runs the gemv for ``c``, the reduction
+    and the settle test; a recorded step is replayed by the same
+    statements, so it is the swept step bit for bit. Where one block
+    covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
+    unblocked one. The schedule keeps ``H^2`` and a reference to the
     channel, not a copy of it.
     """
 
@@ -263,27 +269,49 @@ class _VarianceSchedule:
         self.u.append(u)
         self.vv.append(vv)
 
-    def variances(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Write the sum-node variances ``V`` of recorded step ``t`` into ``out``."""
+    def variances(self, t: int, out: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Write the sum-node variances ``V`` of recorded step ``t`` (its rows
+        ``rows``) into ``out``."""
         if t == 0:
             out.fill(np.inf)
             return out
-        np.multiply(self.H2, self.vv[t - 1], out=out)
-        return np.subtract(self.c[t][:, None], out, out=out)
+        np.multiply(self.H2[rows], self.vv[t - 1], out=out)
+        return np.subtract(self.c[t][rows, None], out, out=out)
 
-    def step(self, t: int, out: np.ndarray) -> bool:
-        """Write ``A = H / V`` of step ``t`` into ``out``, replaying a recorded step or
-        sweeping and recording step ``len(self.u)``; True at the settled step."""
+    def step(
+        self, t: int, out: np.ndarray, r: np.ndarray | None = None
+    ) -> tuple[bool, np.ndarray | None]:
+        """Compute ``A = H / V`` of step ``t``, replaying a recorded step or
+        sweeping and recording step ``len(self.u)``.
+
+        Returns whether ``t`` is the settled step and, given ``r`` (M,),
+        ``A^T r`` (K,). A sweep and the settled step write all of ``A``
+        into ``out``; any other replayed step writes each block into the
+        leading rows of ``out`` in turn. Step 0 writes nothing: its ``A``
+        is 0.
+        """
         sweep = t == len(self.u)
         if sweep:
             self.c.append(self.H2 @ self.vv[-1] + self.s)
+        M, K = out.shape
         if t == 0:
-            out.fill(0.0)
-        else:
-            np.divide(self.H, self.variances(t, out), out=out)
+            return t == self.settle, None if r is None else np.zeros(K)
+        full = sweep or t == self.settle
+        n = max(1, _BLOCK_ENTRIES // K)
+        starts = range(0, M, n)
+        Ar = None if r is None else np.empty((len(starts), K))
+        u = np.empty((len(starts), K)) if sweep else None
+        for i, lo in enumerate(starts):
+            rows = slice(lo, lo + n)
+            A = out[rows] if full else out[: min(n, M - lo)]
+            np.divide(self.H[rows], self.variances(t, A, rows), out=A)
+            if r is not None:
+                np.matmul(A.T, r[rows], out=Ar[i])
+            if sweep:
+                np.einsum("mk,mk->k", self.H[rows], A, out=u[i])
         if sweep:
-            self._record(np.einsum("mk,mk->k", self.H, out))
-        return t == self.settle
+            self._record(u.sum(axis=0))
+        return t == self.settle, None if r is None else Ar.sum(axis=0)
 
 
 def _schedule(inst: SystemInstance) -> _VarianceSchedule:
@@ -303,7 +331,7 @@ def _settled_messages(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int
     A = np.empty(inst.channel.shape)
     t = schedule.settle if schedule.settle is not None else len(schedule.u)
     t = min(t, VARIANCE_SWEEP_CAP - 1)
-    while not schedule.step(t, A) and t < VARIANCE_SWEEP_CAP - 1:
+    while not schedule.step(t, A)[0] and t < VARIANCE_SWEEP_CAP - 1:
         t += 1
     return schedule.vv[t], A, t + 1
 
@@ -350,9 +378,14 @@ def _run_message_passing(
     plain detector.
 
     Iteration ``t`` replays (or sweeps and records) step ``t - 1`` of the
-    instance's variance schedule into one reused (M, K) buffer
-    ``A = H / V``. Once the sweeps settle, ``A`` and ``u`` are reused, and
-    an iteration is two gemv calls plus O(K) work. The weights settle
+    instance's variance schedule, which also returns ``A^T r`` summed over
+    its cache-sized row blocks of ``A = H / V``. A replayed step cycles
+    its blocks through the leading rows of one reused (M, K) buffer; the
+    settled step fills all of it. Once the sweeps settle, ``A`` and ``u``
+    are reused, and an iteration is two full gemv calls plus O(K) work. A
+    channel of more than one block sums ``A^T r`` in a different order
+    before the weights settle than after, so its estimates move in the
+    last digits against an unblocked engine. The weights settle
     within the rounding error of their own sums, so the run stays within
     rounding of sweeping on (about 1e-13 relative at 100x105, 80 dB, where
     the recursion contracts slowest).
@@ -388,14 +421,16 @@ def _run_message_passing(
     terminated = Termination.MAX_ITERATIONS
 
     for t in range(1, max_iter + 1):
-        if not settled:
-            settled = schedule.step(t - 1, A)
+        r = y - H @ ev
+        if settled:
+            Ar = A.T @ r
+        else:
+            settled, Ar = schedule.step(t - 1, A, r)
             u, vv = schedule.u[t - 1], schedule.vv[t - 1]
             vw = vv if w == 1.0 else w * vv
             mean_var = float(np.mean(vv))
             flops += (sweep_flops if t > 1 else 0) + (2 * K if w == 1.0 else 3 * K)
-        r = y - H @ ev
-        g = A.T @ r + u * ev
+        g = Ar + u * ev
         ev_new = vw * g if w == 1.0 else vw * g - (w - 1.0) * ev
         change, verdict = stop(t, ev_new - ev, ev_new)
         flops += 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)

@@ -9,9 +9,10 @@ and w=1 reduces to the plain detector bit-for-bit.
 Once the weights freeze, the mean update is ``x <- (I - w Mt) x + b``, with
 ``Mt`` the K x K system matrix at the instance's settled per-edge weights.
 It contracts iff ``max |1 - w mu| < 1`` over the eigenvalues ``mu`` of Mt.
-:func:`auto_relaxation` minimizes that radius from one dense eigenvalue
-solve the instance keeps, and the convergence reports in
-:mod:`gmpdetect.analysis` read the same spectrum. The closed-form
+:func:`auto_relaxation` minimizes that radius over the eigenvalues of the
+symmetric part of a diagonal similarity of Mt, from one symmetric solve the
+instance keeps, and the convergence reports in :mod:`gmpdetect.analysis`
+read the same spectrum. The closed-form
 ``gamma * (H^T H - D) + I`` is the paper's large-system approximation of Mt.
 """
 from __future__ import annotations
@@ -94,24 +95,39 @@ def choose_w(
 
 
 def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(Mt, eigvals(Mt), vv)``, formed once per instance (all read-only).
+    """``(Mt, lam, vv)``, formed once per instance (all read-only).
 
     ``Mt = vv A^T H`` (unit diagonal) is the mean-update system matrix at
     the settled step's user variances ``vv`` and ``A = H / V``, the buffer
     the engine iterates with: the exact map the mean iteration applies
-    once the weights freeze.
-    Every convergence decision reads it, not the closed-form matrix, whose
-    single ratio gamma can flip a verdict near load 1.
+    once the weights freeze. Every convergence decision reads it, not the
+    closed-form matrix, whose single ratio gamma can flip a verdict near
+    load 1.
+
+    ``lam`` holds the ascending eigenvalues of the symmetric part of
+    ``S = D^-1/2 Mt D^1/2``, ``D = diag(vv)``, from one symmetric solve:
+    ``S`` is similar to ``Mt``, and by Bendixson's theorem the real parts
+    of Mt's eigenvalues lie within ``[lam[0], lam[-1]]``. So
+    ``max |1 - w lam|`` bounds the radius of ``I - w Mt`` from above when
+    Mt's spectrum is real, though not when it is complex. ``Mt`` itself
+    stays for the row-sum test.
     """
 
     def build(inst: SystemInstance):
-        H = inst.channel
         vv, A, _ = _settled_messages(inst)
-        Mt = vv[:, None] * (A.T @ H)
-        # With G = A^T H the diagonal is vv * (diag G - u) + 1, and
-        # diag G = sum_m H o A = u in exact arithmetic: it is exactly 1.
+        Mt = A.T @ inst.channel  # G = A^T H, scaled into Mt in place below
+        del A  # free the (M, K) buffer before the K x K temporaries
+        root = np.sqrt(vv)
+        S = root[:, None] * Mt
+        S *= root
+        S += S.T
+        S *= 0.5
+        Mt *= vv[:, None]
+        # The diagonal is vv * (diag G - u) + 1, and diag G = sum_m H o A = u
+        # in exact arithmetic: it is exactly 1, in Mt and in S alike.
         np.fill_diagonal(Mt, 1.0)
-        return _read_only(Mt), _read_only(np.linalg.eigvals(Mt)), vv
+        np.fill_diagonal(S, 1.0)
+        return _read_only(Mt), _read_only(np.linalg.eigvalsh(S)), vv
 
     return inst._cached("measured_spectrum", build)
 
@@ -119,17 +135,20 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np
 def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     """Radius-minimizing w from the measured mean-update spectrum.
 
-    ``w = 2/(mu_min + mu_max)`` over the real parts of the eigenvalues of
-    the measured system matrix (mu_min floored at a tiny positive multiple
-    of mu_max so a numerically zero edge cannot produce w >= 2/mu_max).
-    Tagged MANUAL because the value comes from measurement, not one of the
-    closed-form rules.
+    ``w = 2/(lambda_min + lambda_max)`` over the extreme eigenvalues of the
+    symmetric part of the measured system matrix, taken in the variance
+    metric (see :func:`_measured_spectrum`); lambda_min is floored at a tiny
+    positive multiple of lambda_max so a numerically zero edge cannot
+    produce w >= 2/lambda_max. The interval holds the real parts of the
+    measured matrix's eigenvalues, so on a real spectrum this w contracts
+    wherever the one from the exact spectrum does. Tagged MANUAL because
+    the value comes from measurement, not one of the closed-form rules.
     """
-    mu_r = np.sort(_measured_spectrum(inst)[1].real)
-    mu_min, mu_max = float(mu_r[0]), float(mu_r[-1])
-    w = 2.0 / (max(mu_min, 1e-12 * mu_max) + mu_max)
+    lam = _measured_spectrum(inst)[1]
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    w = 2.0 / (max(lam_min, 1e-12 * lam_max) + lam_max)
     return RelaxationChoice(
-        mode=WMode.MANUAL, w=w, lambda_min=mu_min, lambda_max=mu_max
+        mode=WMode.MANUAL, w=w, lambda_min=lam_min, lambda_max=lam_max
     )
 
 

@@ -240,25 +240,30 @@ def test_reports_and_auto_relaxation_share_one_eigenvalue_solve(monkeypatch):
     # The relaxation rule on a separately built measured matrix, before the
     # count starts: sharing the spectrum must not change a bit of it.
     # Its A = H / V is the run's: V from .state of a run that reaches the
-    # settled step.
+    # settled step. The solve is of the symmetric part of D^-1/2 Mt D^1/2,
+    # D = diag(vv), whose entries are sqrt(vv_k vv_j) (A^T H)_kj.
     twin = build_instance(60, 240, snr_db=15.0, channel_seed=8)
     _, _, sweeps = variance_recursion(twin)
     run = gmpid_detect(twin, realize(twin, 1).received, eps=0.0, max_iter=sweeps)
     A = twin.channel / run.state.sum_to_user_var
-    Mt = run.result.posterior_var[:, None] * (A.T @ twin.channel)
-    np.fill_diagonal(Mt, 1.0)
-    mu = np.sort(np.linalg.eigvals(Mt).real)
-    expected_w = 2.0 / (max(mu[0], 1e-12 * mu[-1]) + mu[-1])
+    root = np.sqrt(run.result.posterior_var)
+    S = root[:, None] * (A.T @ twin.channel) * root
+    S = 0.5 * (S + S.T)
+    np.fill_diagonal(S, 1.0)
+    lam = np.linalg.eigvalsh(S)
+    expected_w = 2.0 / (max(lam[0], 1e-12 * lam[-1]) + lam[-1])
 
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    calls, general = [], []
+    eigvalsh, eigvals = np.linalg.eigvalsh, np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: general.append(a) or eigvals(a))
     relax = auto_relaxation(inst)
     gmpid_mean_convergence_report(inst)
     report = sagmpid_convergence_report(inst, relax)
     sagmpid_convergence_report(inst)
-    assert len(calls) == 1
-    assert (relax.w, relax.lambda_min, relax.lambda_max) == (expected_w, mu[0], mu[-1])
+    assert sum(np.array_equal(a, S) for a in calls) == 1
+    assert general == []
+    assert (relax.w, relax.lambda_min, relax.lambda_max) == (expected_w, lam[0], lam[-1])
     assert report.w == relax.w
 
 

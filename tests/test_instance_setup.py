@@ -3,6 +3,8 @@ factor) must not change any result: a detector run on an instance that has
 already served other consumers returns, bit for bit, what the same run on a
 fresh instance built from the same arrays returns."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from gmpdetect import (
     WMode,
     auto_relaxation,
     generate_channel,
+    gmpid,
     gmpid_detect,
     gmpid_mean_convergence_report,
     inverse_filter_detect,
@@ -160,6 +163,34 @@ def _check_reuse(K, extra, snr_db, seed, hetero, order, max_iter, w):
 @example(K=4, extra=8, snr_db=30.0, seed=5, hetero=True, order=CONSUMERS, max_iter=3, w=0.8)
 def test_reused_instance_matches_fresh_instance(K, extra, snr_db, seed, hetero, order, max_iter, w):
     _check_reuse(K, extra, snr_db, seed, hetero, order, max_iter, w)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    K=st.integers(1, 6),
+    extra=st.integers(0, 12),
+    snr_db=st.sampled_from([0.0, 10.0, 30.0]),
+    seed=st.integers(0, 2**16),
+    hetero=st.booleans(),
+    order=st.permutations(CONSUMERS),
+    max_iter=st.integers(1, 80),
+    w=st.floats(0.2, 1.5),
+    blocks=st.integers(3, 6),
+)
+# A run that replays steps before the settled one, and a kept instance whose
+# schedule another consumer recorded.
+@example(K=4, extra=8, snr_db=10.0, seed=5, hetero=True, order=CONSUMERS, max_iter=60, w=0.8, blocks=3)
+def test_reused_instance_matches_fresh_instance_in_row_blocks(
+    K, extra, snr_db, seed, hetero, order, max_iter, w, blocks
+):
+    # The schedule steps the channel in row blocks of _BLOCK_ENTRIES
+    # entries; a small budget splits these small shapes into `blocks` or
+    # more (every row its own block when M < blocks).
+    M = K + extra
+    rows = max(1, M // blocks)
+    assert -(-M // rows) >= min(M, blocks)
+    with mock.patch.object(gmpid, "_BLOCK_ENTRIES", rows * K):
+        _check_reuse(K, extra, snr_db, seed, hetero, order, max_iter, w)
 
 
 def test_reuse_examples_reach_their_edge_runs():

@@ -5,6 +5,7 @@ small-shape property tests also cover the reference message updates that
 both detectors share."""
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gmpdetect import (
     realize,
     relaxation_iteration_matrix,
     relaxation_system_matrix,
+    sagmpid_convergence_report,
     sagmpid_detect,
     spectral_radius,
     sum_node_update,
@@ -34,6 +36,7 @@ from gmpdetect import (
     variance_recursion,
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
+from gmpdetect import gmpid
 from gmpdetect.gmpid import _run_message_passing
 from gmpdetect.sagmpid import _measured_spectrum
 
@@ -276,6 +279,10 @@ def test_reference_updates_keep_user_variances_monotone_on_small_shapes(
 def test_w1_is_bitwise_plain_detector_on_small_shapes(
     K, extra, snr_db, seed, hetero, max_iter
 ):
+    _assert_w1_is_plain(K, extra, snr_db, seed, hetero, max_iter)
+
+
+def _assert_w1_is_plain(K, extra, snr_db, seed, hetero, max_iter):
     inst, x, y = _small_instance(K, extra, snr_db, seed, hetero)
     oracle = mmse_detect(inst, y).estimate
     runs = dict(max_iter=max_iter, truth=x, oracle=oracle)
@@ -292,6 +299,62 @@ def test_w1_is_bitwise_plain_detector_on_small_shapes(
             getattr(plain.trace, column.name),
             err_msg=column.name,
         )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(max_iter=st.integers(1, 80), blocks=st.integers(3, 6), **_SMALL_SHAPES)
+@example(K=6, extra=12, snr_db=30.0, seed=1, hetero=True, max_iter=80, blocks=3)
+def test_w1_is_bitwise_plain_detector_in_row_blocks(
+    K, extra, snr_db, seed, hetero, max_iter, blocks
+):
+    # The same identity with the schedule stepping `blocks` or more row
+    # blocks (every row its own block when M < blocks).
+    rows = max(1, (K + extra) // blocks)
+    with mock.patch.object(gmpid, "_BLOCK_ENTRIES", rows * K):
+        _assert_w1_is_plain(K, extra, snr_db, seed, hetero, max_iter)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scale=st.integers(-20, 20), **_SMALL_SHAPES)
+@example(K=1, extra=0, snr_db=10.0, seed=0, hetero=False, scale=3)  # M = 1
+@example(K=6, extra=0, snr_db=30.0, seed=1, hetero=True, scale=-5)  # K = M
+def test_symmetric_spectrum_bounds_the_exact_one_on_small_shapes(
+    K, extra, snr_db, seed, hetero, scale
+):
+    # The reference: every eigenvalue of the measured Mt, by the general solve.
+    inst, _, _ = _small_instance(K, extra, snr_db, seed, hetero)
+    Mt = _measured_spectrum(inst)[0]
+    mu = np.linalg.eigvals(Mt)
+    mu_r = np.sort(mu.real)
+    exact_w = 2.0 / (max(mu_r[0], 1e-12 * mu_r[-1]) + mu_r[-1])
+    relax = auto_relaxation(inst)
+    # The symmetric-part w contracts wherever the exact-spectrum w does.
+    if np.max(np.abs(1.0 - exact_w * mu)) < 1.0:
+        assert np.max(np.abs(1.0 - relax.w * mu)) < 1.0
+    # On a real spectrum the reported radius bounds the exact one from above.
+    if not np.iscomplex(mu).any():
+        lam = _measured_spectrum(inst)[1]
+        radii = {w: float(np.max(np.abs(1.0 - w * lam))) for w in (1.0, relax.w)}
+        if extra > 0 and not hetero:  # where the reports apply, they read these
+            assert gmpid_mean_convergence_report(inst).spectral_radius == radii[1.0]
+            assert sagmpid_convergence_report(inst, relax).spectral_radius == radii[relax.w]
+        for w, radius in radii.items():
+            assert radius >= np.max(np.abs(1.0 - w * mu.real))
+    # Like the exact spectrum, the symmetric part does not depend on a user's
+    # units: its column of H scaled by 2**-scale and its prior variance by
+    # 4**scale change Mt by a diagonal similarity and leave D^-1/2 Mt D^1/2
+    # bit for bit; the symmetric part of Mt itself would change.
+    H = inst.channel.copy()
+    H[:, 0] *= 2.0**-scale
+    variances = inst.prior.variances.copy()
+    variances[0] *= 4.0**scale
+    rescaled = SystemInstance(
+        dims=inst.dims,
+        channel=H,
+        prior=SourcePrior(variances=variances),
+        noise_var=inst.noise_var,
+    )
+    assert auto_relaxation(rescaled) == relax
 
 
 def test_variance_sequence_identical_to_plain_detector():
