@@ -27,6 +27,7 @@ from .gmpid import (
     MessageState,
     VarianceFixedPoint,
     gmpid_detect,
+    message_state,
     sum_node_update,
     variable_node_update,
     variance_fixed_point,
@@ -119,6 +120,7 @@ __all__ = [
     "iterate",
     "jacobi_for_mmse",
     "matched_filter_detect",
+    "message_state",
     "mmse_detect",
     "mse",
     "realize",

@@ -13,7 +13,7 @@ Three layers:
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +45,10 @@ class ConvergenceReport:
     ``I - w Mt`` when Mt's spectrum is real, not when it is complex.
     ``predicted_converges`` is that radius below 1; ``closed_form_radius``
     is the radius of the paper's approximation
-    ``I - w (gamma*(H^T H - D) + I)``. ``diag_dominant`` is
-    the max absolute row sum of the iteration matrix below 1.
+    ``I - w (gamma*(H^T H - D) + I)``, and ``gamma_measured`` the ratio
+    ``v / (K v + noise_var)`` at the mean ``v`` of the settled user
+    variances, next to the closed-form ``gamma``. ``diag_dominant`` is the
+    max absolute row sum of the iteration matrix below 1.
     ``beta``/``asymptotic_radius`` are NaN when not applicable.
     """
 
@@ -57,7 +59,7 @@ class ConvergenceReport:
     beta: float
     threshold_beta: float = THRESHOLD_BETA
     gamma: float | None = None            # closed-form variance ratio used
-    gamma_measured: float | None = None   # converged-recursion ratio, on request
+    gamma_measured: float | None = None   # converged-recursion ratio
     closed_form_radius: float | None = None
     w: float | None = None                # relaxation factor reported on
 
@@ -160,7 +162,7 @@ def _mean_iteration_report(
         raise ValueError("mean-convergence report requires load beta < 1")
     w = float((relax or auto_relaxation(inst)).w)
     gamma = variance_fixed_point(inst).gamma
-    Mt, mu, _ = _measured_spectrum(inst)
+    Mt, mu, vv = _measured_spectrum(inst)
     lam = inst._cached(
         "closed_form_spectrum",
         lambda inst: _read_only(
@@ -170,6 +172,7 @@ def _mean_iteration_report(
     rho = float(np.max(np.abs(1.0 - w * mu)))
     # Max absolute row sum of I - w Mt, whose diagonal is exactly 1 - w.
     row_sum = abs(1.0 - w) + w * (float(np.max(np.abs(Mt).sum(axis=1))) - 1.0)
+    v = float(np.mean(vv))
     return ConvergenceReport(
         diag_dominant=bool(row_sum < 1.0),
         spectral_radius=rho,
@@ -177,14 +180,13 @@ def _mean_iteration_report(
         predicted_converges=rho < 1.0,
         beta=inst.dims.beta,
         gamma=gamma,
+        gamma_measured=v / (inst.dims.n_users * v + inst.noise_var),
         closed_form_radius=float(np.max(np.abs(1.0 - w * lam))),
         w=w,
     )
 
 
-def gmpid_mean_convergence_report(
-    inst: SystemInstance, *, measured_gamma: bool = False
-) -> ConvergenceReport:
+def gmpid_mean_convergence_report(inst: SystemInstance) -> ConvergenceReport:
     """Convergence diagnostics for the plain detector's mean iteration.
 
     The radius and verdict are those of ``I - Mt``, the map the engine
@@ -193,17 +195,11 @@ def gmpid_mean_convergence_report(
     real, not when it is complex. ``closed_form_radius`` is that of
     ``gamma * (H^T H - D)`` with the closed-form gamma, and
     ``asymptotic_radius`` the large-system ``beta + 2*sqrt(beta)``.
-    ``measured_gamma=True`` also reports the ratio of the converged variance
-    recursion, so the closed-form-vs-measured gap is visible.
+    ``gamma_measured`` is the variance ratio of the settled recursion.
     """
     beta = inst.dims.beta
     plain = RelaxationChoice(mode=WMode.MANUAL, w=1.0)
-    report = _mean_iteration_report(inst, plain, beta + 2.0 * np.sqrt(beta))
-    if measured_gamma:
-        v = float(np.mean(_measured_spectrum(inst)[2]))  # the settled user variances
-        gamma_measured = v / (inst.dims.n_users * v + inst.noise_var)
-        report = replace(report, gamma_measured=gamma_measured)
-    return report
+    return _mean_iteration_report(inst, plain, beta + 2.0 * np.sqrt(beta))
 
 
 def sagmpid_convergence_report(
@@ -216,9 +212,10 @@ def sagmpid_convergence_report(
     the exact radius on real spectra, not on complex ones.
     ``closed_form_radius`` is that of ``I - w A`` with
     the closed-form ``A = gamma*(H^T H - D) + I``, and ``asymptotic_radius``
-    the large-system ``2*sqrt(beta)/(1+beta)``. ``relax=None`` reports on
-    :func:`auto_relaxation`'s w, the one :func:`sagmpid_detect` runs by
-    default.
+    the large-system ``2*sqrt(beta)/(1+beta)``. ``gamma_measured`` is the
+    variance ratio of the settled recursion, as in the plain report.
+    ``relax=None`` reports on :func:`auto_relaxation`'s w, the one
+    :func:`sagmpid_detect` runs by default.
     """
     beta = inst.dims.beta
     return _mean_iteration_report(inst, relax, 2.0 * np.sqrt(beta) / (1.0 + beta))

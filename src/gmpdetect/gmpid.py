@@ -15,8 +15,8 @@ uninformative start is an exact ``A = 0``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .model import SystemDims, SystemInstance, _require_finite
 from .results import (
     DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination, _stop_rule,
 )
+
+if TYPE_CHECKING:
+    from .sagmpid import RelaxationChoice
 
 VARIANCE_SWEEP_CAP = 5000  # variance_recursion stops here if never settled
 _BLOCK_ENTRIES = 2**16  # float64 entries per row block of a schedule step: 512 KiB
@@ -72,45 +75,51 @@ class VarianceFixedPoint:
     asymptote_regime: str  # "underloaded" (K<M), "critical" (K=M), "overloaded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MessagePassingOutput:
-    """Everything a message-passing run produces.
+    """Everything a message-passing run produces, filled once by the engine.
 
     The fixed-point residual of the decision rule at exit is the last step
     change, ``result.trace.step_change[-1]``.
     """
 
     result: DetectionResult
-    relax: object | None = None       # RelaxationChoice when run with relaxation
-    # (inst, y, w, mean before the last update): what ``state`` rebuilds from.
-    _exit: tuple = field(default=(), repr=False)
+    relax: RelaxationChoice | None  # None for the plain detector
+    previous_estimate: np.ndarray | None  # before the last update; None if none ran
 
-    @cached_property
-    def state(self) -> MessageState:
-        """The four edge-message arrays at exit, built on first access.
 
-        Runs that never read it allocate none of them. The sum-node
-        variances are the ``V`` of the instance's variance schedule at the
-        step the run stopped at, by the statements the engine ran before
-        dividing the channel by them, so ``H / V`` is the run's ``A`` bit
-        for bit. The sum-to-user means are those of the system scaled by
-        sqrt(w) (the relaxed form of the messages).
-        """
-        inst, y, w, ev_prev = self._exit
-        if ev_prev is None:  # no iteration ran
-            return MessageState.initial(inst.dims)
-        H = inst.channel
-        M, K = H.shape
-        ev, post_var = self.result.estimate, self.result.posterior_var
-        Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
-        schedule = _schedule(inst)
-        t = min(self.result.iterations, len(schedule.u)) - 1
-        return MessageState(
-            user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
-            user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
-            sum_to_user_mean=(yp - Hp @ ev_prev)[:, None] + Hp * ev_prev,
-            sum_to_user_var=schedule.variances(t, np.empty((M, K))),
-        )
+def message_state(
+    inst: SystemInstance, y: np.ndarray, out: MessagePassingOutput
+) -> MessageState:
+    """The four edge-message arrays at the exit of the run ``out`` on ``y``.
+
+    ``inst`` is the run's instance or one built equal to it, whose schedule
+    is stepped forward to the run's last step if it has not recorded it.
+    The sum-node variances are that step's ``V``, by the statements the
+    engine ran before dividing the channel by them, so ``H / V`` is the
+    run's ``A`` bit for bit. The sum-to-user means are those of the system
+    scaled by sqrt(w) (the relaxed form of the messages).
+    """
+    ev_prev = out.previous_estimate
+    if ev_prev is None:  # no iteration ran
+        return MessageState.initial(inst.dims)
+    H = inst.channel
+    M, K = H.shape
+    w = 1.0 if out.relax is None else float(out.relax.w)
+    ev, post_var = out.result.estimate, out.result.posterior_var
+    Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
+    schedule = _schedule(inst)
+    V = np.empty((M, K))
+    t = out.result.iterations - 1  # the run's last step, unless it settled first
+    while schedule.settle is None and len(schedule.u) <= t:
+        schedule.step(len(schedule.u), V)
+    t = min(t, len(schedule.u) - 1)
+    return MessageState(
+        user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
+        user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
+        sum_to_user_mean=(yp - Hp @ ev_prev)[:, None] + Hp * ev_prev,
+        sum_to_user_var=schedule.variances(t, V),
+    )
 
 
 def sum_node_update(
@@ -357,7 +366,7 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
 def _run_message_passing(
     inst: SystemInstance,
     y: np.ndarray,
-    w: float,
+    relax: RelaxationChoice | None,
     *,
     eps: float | None,
     max_iter: int,
@@ -366,6 +375,7 @@ def _run_message_passing(
 ) -> MessagePassingOutput:
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
+    ``relax`` is a checked relaxation choice, or None for the plain w = 1.
     Rank-1 fast path: user-side messages are edge-independent, so the state
     is one mean vector ``ev`` and one variance vector ``vv``. Relaxation
     scales the system by sqrt(w) in the mean updates and adds a
@@ -394,8 +404,7 @@ def _run_message_passing(
     variances itself and scales the system by sqrt(w): a replayed schedule
     is charged in full.
     """
-    if not 0 < w < np.inf:
-        raise ValueError("relaxation factor must be finite and positive")
+    w = 1.0 if relax is None else float(relax.w)
     H = inst.channel
     M, K = H.shape
     if not inst.noise_var > 0:
@@ -451,7 +460,7 @@ def _run_message_passing(
         terminated=terminated,
         trace=trace,
     )
-    return MessagePassingOutput(result=result, _exit=(inst, y, w, ev_prev))
+    return MessagePassingOutput(result=result, relax=relax, previous_estimate=ev_prev)
 
 
 def gmpid_detect(
@@ -473,11 +482,5 @@ def gmpid_detect(
     oracle-gap trace columns.
     """
     return _run_message_passing(
-        inst,
-        y,
-        1.0,
-        eps=eps,
-        max_iter=max_iter,
-        truth=truth,
-        oracle=oracle,
+        inst, y, None, eps=eps, max_iter=max_iter, truth=truth, oracle=oracle
     )

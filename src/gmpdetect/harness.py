@@ -462,10 +462,16 @@ def render_rows(records: list, kind: type, fmt: str = "csv") -> str:
 
     CSV is a header line of ``kind``'s field names, then one line per record
     with each cell as ``str(value)`` (None as an empty cell). JSON is an
-    array of flat objects.
+    array of flat objects; strict JSON has no infinity or NaN, so such a
+    cell is the text of its CSV cell (``"inf"``, ``"-inf"``, ``"nan"``).
     """
     if fmt == "json":
-        return json.dumps([asdict(r) for r in records], indent=1) + "\n"
+        rows = [asdict(r) for r in records]
+        for row in rows:
+            for k, v in row.items():
+                if isinstance(v, float) and not np.isfinite(v):
+                    row[k] = str(v)
+        return json.dumps(rows, indent=1) + "\n"
     names = [f.name for f in fields(kind)]
     lines = [",".join(names)]
     for r in records:

@@ -178,18 +178,10 @@ def sagmpid_detect(
     ``relax=None`` selects w automatically via :func:`auto_relaxation`.
     With ``relax.w == 1`` the run is bit-identical to
     :func:`gmpid.gmpid_detect` on the same inputs. The returned output
-    carries the relaxation choice used.
+    carries the relaxation choice used as ``relax``.
     """
     if relax is None:
         relax = auto_relaxation(inst)
-    out = _run_message_passing(
-        inst,
-        y,
-        float(relax.w),
-        eps=eps,
-        max_iter=max_iter,
-        truth=truth,
-        oracle=oracle,
+    return _run_message_passing(
+        inst, y, relax, eps=eps, max_iter=max_iter, truth=truth, oracle=oracle
     )
-    out.relax = relax
-    return out

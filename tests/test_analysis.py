@@ -14,6 +14,7 @@ from gmpdetect import (
     convergence_check,
     gmpid_detect,
     gmpid_mean_convergence_report,
+    message_state,
     realize,
     relaxation_system_matrix,
     rmt_mmse_mse,
@@ -154,9 +155,20 @@ def test_plain_report_requires_underloaded_system():
 
 def test_plain_report_measured_gamma_diagnostic_close_to_closed_form():
     inst = build_instance(100, 600, snr_db=20.0, channel_seed=3)
-    report = gmpid_mean_convergence_report(inst, measured_gamma=True)
+    report = gmpid_mean_convergence_report(inst)
     assert report.gamma_measured is not None
     assert abs(report.gamma_measured - report.gamma) / report.gamma < 0.05
+
+
+def test_both_reports_carry_the_same_measured_gamma():
+    # Both read the settled user variances of the one measured spectrum.
+    inst = build_instance(100, 600, snr_db=20.0, channel_seed=3)
+    plain = gmpid_mean_convergence_report(inst)
+    relaxed = sagmpid_convergence_report(inst)
+    assert plain.w != relaxed.w
+    assert relaxed.gamma_measured == plain.gamma_measured
+    v = float(np.mean(variance_recursion(inst)[0]))
+    assert plain.gamma_measured == v / (100 * v + inst.noise_var)
 
 
 def test_plain_radius_matches_contraction_after_weights_freeze():
@@ -239,13 +251,14 @@ def test_reports_and_auto_relaxation_share_one_eigenvalue_solve(monkeypatch):
     inst = build_instance(60, 240, snr_db=15.0, channel_seed=8)
     # The relaxation rule on a separately built measured matrix, before the
     # count starts: sharing the spectrum must not change a bit of it.
-    # Its A = H / V is the run's: V from .state of a run that reaches the
-    # settled step. The solve is of the symmetric part of D^-1/2 Mt D^1/2,
+    # Its A = H / V is the run's: V from message_state of a run that reaches
+    # the settled step. The solve is of the symmetric part of D^-1/2 Mt D^1/2,
     # D = diag(vv), whose entries are sqrt(vv_k vv_j) (A^T H)_kj.
     twin = build_instance(60, 240, snr_db=15.0, channel_seed=8)
     _, _, sweeps = variance_recursion(twin)
-    run = gmpid_detect(twin, realize(twin, 1).received, eps=0.0, max_iter=sweeps)
-    A = twin.channel / run.state.sum_to_user_var
+    y = realize(twin, 1).received
+    run = gmpid_detect(twin, y, eps=0.0, max_iter=sweeps)
+    A = twin.channel / message_state(twin, y, run).sum_to_user_var
     root = np.sqrt(run.result.posterior_var)
     S = root[:, None] * (A.T @ twin.channel) * root
     S = 0.5 * (S + S.T)

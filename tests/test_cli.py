@@ -170,6 +170,17 @@ def test_sweep_json_format(tmp_path):
     assert set(records[0]) == set(CSV_HEADER.split(","))
 
 
+def test_sweep_json_at_an_infinite_snr_point_is_strict(capsys):
+    argv = "sweep --users 4 --antennas 8 --snr-db 10,inf --detectors if --trials 1"
+    assert main([*argv.split(), "--format", "json"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    records = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [r["snr_db"] for r in records] == [10.0, "inf"]
+
+
 def test_sweep_byte_reproducible_without_wall_time(tmp_path):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:

@@ -1,7 +1,11 @@
 """Tests for the iterative Gaussian message-passing detector: the two edge
 update operations, the closed-form variance limit, and the detection loop."""
 
+import contextlib
+import gc
 import tracemalloc
+import weakref
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmpdetect import (
+    MessagePassingOutput,
     MessageState,
     RelaxationChoice,
     SourcePrior,
@@ -21,6 +26,7 @@ from gmpdetect import (
     build_instance,
     gmpid_detect,
     matched_filter_detect,
+    message_state,
     mmse_detect,
     realize,
     sagmpid_detect,
@@ -329,11 +335,12 @@ def test_detect_engine_equals_operation_composition():
         state = sum_node_update(state, inst, real.received)
         state = variable_node_update(state, inst)
     out = gmpid_detect(inst, real.received, eps=0.0, max_iter=rounds)
+    exit_state = message_state(inst, real.received, out)
     np.testing.assert_allclose(
-        out.state.user_to_sum_mean, state.user_to_sum_mean, rtol=0, atol=1e-12
+        exit_state.user_to_sum_mean, state.user_to_sum_mean, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        out.state.user_to_sum_var, state.user_to_sum_var, rtol=0, atol=1e-12
+        exit_state.user_to_sum_var, state.user_to_sum_var, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
         out.result.estimate, state.user_to_sum_mean[:, 0], rtol=0, atol=1e-12
@@ -352,6 +359,7 @@ def test_detect_engine_matches_composition_past_weight_freeze():
     out = gmpid_detect(inst, real.received, eps=0.0, max_iter=60)
     steps = np.diff(out.result.trace.cum_flops)
     assert steps[-1] < steps[1]  # the last iteration ran no variance sweep
+    exit_state = message_state(inst, real.received, out)
     for field in (
         "user_to_sum_mean",
         "user_to_sum_var",
@@ -359,7 +367,7 @@ def test_detect_engine_matches_composition_past_weight_freeze():
         "sum_to_user_var",
     ):
         np.testing.assert_allclose(
-            getattr(out.state, field), getattr(state, field), rtol=0, atol=1e-12
+            getattr(exit_state, field), getattr(state, field), rtol=0, atol=1e-12
         )
     # The freeze comes once every weight moved by at most the rounding
     # bound of its sum, M 2^-53 = 2.2e-14 here; a freeze at a looser
@@ -489,6 +497,69 @@ def test_one_block_covering_the_channel_is_the_unblocked_run(K, M):
             assert (a.iterations, a.flops, a.terminated) == (b.iterations, b.flops, b.terminated)
             assert a.trace.step_change == b.trace.step_change
         np.testing.assert_array_equal(got[2], want[2])
+
+
+def test_outputs_do_not_keep_their_instance_alive():
+    # An output is plain data: holding it holds no channel or kept set-up.
+    assert [f.name for f in fields(MessagePassingOutput)] == [
+        "result", "relax", "previous_estimate",
+    ]
+    inst = build_instance(10, 80, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    outs = [gmpid_detect(inst, y), sagmpid_detect(inst, y)]
+    alive = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert alive() is None
+    assert [out.result.terminated for out in outs] == [Termination.CONVERGED] * 2
+
+
+def test_previous_estimate_gives_the_last_step_change():
+    inst = build_instance(10, 80, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    relax = RelaxationChoice(mode=WMode.MANUAL, w=0.8)
+    for out in (
+        gmpid_detect(inst, y),
+        gmpid_detect(inst, y, max_iter=7),
+        sagmpid_detect(inst, y),
+        sagmpid_detect(inst, y, relax, max_iter=1),
+    ):
+        change = np.max(np.abs(out.result.estimate - out.previous_estimate))
+        assert change == out.result.trace.step_change[-1]
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "blocks"])
+@pytest.mark.parametrize("w", [None, 0.8], ids=["gmpid", "sagmpid"])
+def test_message_state_on_a_rebuilt_instance_is_bitwise(w, rows):
+    # On an equal instance rebuilt from the seed, message_state sweeps the
+    # run's schedule step itself, by the statements the run ran: the four
+    # arrays are those it returns on the run's own instance, bit for bit.
+    # 40 rows run in one block, or in 14 blocks of 3.
+    K, M = 12, 40
+
+    def build():
+        return build_instance(K, M, snr_db=10.0, channel_seed=5)
+
+    with _blocked(rows, K) if rows else contextlib.nullcontext():
+        sweeps = variance_recursion(build())[2]
+        for max_iter in (0, 1, sweeps // 2, sweeps, sweeps + 5):
+            inst = build()
+            y = realize(inst, 6).received
+            if w is None:
+                out = gmpid_detect(inst, y, eps=0.0, max_iter=max_iter)
+            else:
+                relax = RelaxationChoice(mode=WMode.MANUAL, w=w)
+                out = sagmpid_detect(inst, y, relax, eps=0.0, max_iter=max_iter)
+            assert out.result.iterations == max_iter
+            rebuilt = build()
+            got = message_state(rebuilt, y, out)
+            want = message_state(inst, y, out)
+            # The rebuilt schedule was stepped to the run's last step.
+            assert len(gmpid._schedule(rebuilt).u) == max(1, min(max_iter, sweeps))
+            for field in fields(MessageState):
+                np.testing.assert_array_equal(
+                    getattr(got, field.name), getattr(want, field.name), err_msg=field.name
+                )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -625,7 +696,8 @@ def test_detect_zero_iterations_returns_prior_state():
     assert out.result.iterations == 0
     assert out.result.terminated is Termination.MAX_ITERATIONS
     np.testing.assert_array_equal(out.result.estimate, np.zeros(3))
-    assert np.all(np.isinf(out.state.user_to_sum_var))
+    assert out.previous_estimate is None
+    assert np.all(np.isinf(message_state(inst, np.ones(6), out).user_to_sum_var))
 
 
 def test_detect_per_iteration_cost_within_twice_nominal():

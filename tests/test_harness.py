@@ -2,7 +2,7 @@
 emission, variance traces, verdict tables, and complexity accounting."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -279,6 +279,31 @@ def test_json_round_trip_reproduces_records_exactly(tmp_path):
         parsed = [TrialRecord(**obj) for obj in json.load(fh)]
     assert parsed == records
     assert all(isinstance(r, TrialRecord) for r in parsed)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_rows_are_strict_with_non_finite_cells():
+    # Strict JSON has no Infinity or NaN: such a cell is written as the text
+    # of its CSV cell, and a row whose cells are all finite keeps its bytes.
+    finite = TrialRecord("if", 10.0, 0, 1, 0.5, 0, 9, "Exact", 0)
+    odd = [
+        replace(finite, snr_db=float("inf")),
+        replace(finite, snr_db=float("-inf")),
+        replace(finite, mse=float("nan")),
+    ]
+    text = render_rows([finite, *odd], TrialRecord, "json")
+    rows = json.loads(text, parse_constant=_reject_constant)
+    assert [r["snr_db"] for r in rows] == [10.0, "inf", "-inf", 10.0]
+    assert [r["mse"] for r in rows] == [0.5, 0.5, 0.5, "nan"]
+    csv_cells = render_rows(odd, TrialRecord).splitlines()[1:]
+    assert [c.split(",")[1] for c in csv_cells[:2]] == ["inf", "-inf"]
+    assert csv_cells[2].split(",")[4] == "nan"
+    assert render_rows([finite], TrialRecord, "json") == (
+        json.dumps([asdict(finite)], indent=1) + "\n"
+    )
 
 
 # ---------------------------------------------------------------------------

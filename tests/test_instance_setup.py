@@ -25,6 +25,7 @@ from gmpdetect import (
     inverse_filter_detect,
     jacobi_for_mmse,
     matched_filter_detect,
+    message_state,
     mmse_detect,
     richardson_for_mmse,
     sagmpid_convergence_report,
@@ -98,7 +99,7 @@ def _consume(name, inst, y, w, max_iter, truth):
         # Both reports need load beta < 1: at K = M the error must match too.
         try:
             if name == "gmpid-report":
-                report = gmpid_mean_convergence_report(inst, measured_gamma=True)
+                report = gmpid_mean_convergence_report(inst)
             else:
                 report = sagmpid_convergence_report(inst)
         except ValueError as exc:
@@ -118,7 +119,7 @@ def _consume(name, inst, y, w, max_iter, truth):
     if name == "sagmpid-auto":
         return [out.relax.w, *_result_fields(out.result)]
     if name.endswith("-state"):
-        st_ = out.state
+        st_ = message_state(inst, y, out)
         return [st_.user_to_sum_mean, st_.user_to_sum_var, st_.sum_to_user_mean, st_.sum_to_user_var]
     return _result_fields(out.result)
 

@@ -23,6 +23,7 @@ from gmpdetect import (
     choose_w,
     gmpid_detect,
     gmpid_mean_convergence_report,
+    message_state,
     mmse_detect,
     realize,
     relaxation_iteration_matrix,
@@ -37,7 +38,6 @@ from gmpdetect import (
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 from gmpdetect import gmpid
-from gmpdetect.gmpid import _run_message_passing
 from gmpdetect.sagmpid import _measured_spectrum
 
 
@@ -126,13 +126,10 @@ def test_choose_w_error_paths():
 @pytest.mark.parametrize("w", [float("inf"), float("nan")])
 def test_relaxation_factor_must_be_finite(w):
     inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
-    y = realize(inst, 1).received
     with pytest.raises(ValueError):
         RelaxationChoice(WMode.MANUAL, w)
     with pytest.raises(ValueError):
         choose_w(inst, mode=WMode.MANUAL, manual_w=w)
-    with pytest.raises(ValueError):
-        _run_message_passing(inst, y, w, eps=None, max_iter=5)
 
 
 def test_auto_relaxation_returns_positive_manual_choice():
@@ -212,11 +209,13 @@ def test_w1_reduces_bitwise_to_plain_detector():
         )
         assert relaxed.result.iterations == plain.result.iterations
         assert relaxed.result.trace.step_change == plain.result.trace.step_change
+        relaxed_state = message_state(inst, real.received, relaxed)
+        plain_state = message_state(inst, real.received, plain)
         np.testing.assert_array_equal(
-            relaxed.state.sum_to_user_mean, plain.state.sum_to_user_mean
+            relaxed_state.sum_to_user_mean, plain_state.sum_to_user_mean
         )
         np.testing.assert_array_equal(
-            relaxed.state.sum_to_user_var, plain.state.sum_to_user_var
+            relaxed_state.sum_to_user_var, plain_state.sum_to_user_var
         )
 
 
@@ -442,17 +441,18 @@ def test_weights_freeze_on_a_rounding_cycle_longer_than_two(
 def test_measured_matrix_is_the_run_matrix_bitwise(
     K, M, snr_db, channel_seed, spectrum_first
 ):
-    # Mt is vv A^T H with A = H / V, V the sum-node variances .state returns:
-    # both when the spectrum replays a step the run recorded and when it
-    # sweeps the schedule itself.
+    # Mt is vv A^T H with A = H / V, V the sum-node variances that
+    # message_state returns: both when the spectrum replays a step the run
+    # recorded and when it sweeps the schedule itself.
     inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
     if spectrum_first:
         _measured_spectrum(inst)
-    run = gmpid_detect(inst, realize(inst, 5).received, eps=0.0, max_iter=120)
+    y = realize(inst, 5).received
+    run = gmpid_detect(inst, y, eps=0.0, max_iter=120)
     assert run.result.iterations > variance_recursion(inst)[2]  # past the settle step
     H = inst.channel
     expected = run.result.posterior_var[:, None] * (
-        (H / run.state.sum_to_user_var).T @ H
+        (H / message_state(inst, y, run).sum_to_user_var).T @ H
     )
     np.fill_diagonal(expected, 1.0)
     np.testing.assert_array_equal(_measured_spectrum(inst)[0], expected)
@@ -469,8 +469,8 @@ def test_measured_relaxation_and_gamma_do_not_depend_on_units():
         )
         assert auto_relaxation(tiny).w == auto_relaxation(unit).w
         assert (
-            gmpid_mean_convergence_report(tiny, measured_gamma=True).gamma_measured
-            == gmpid_mean_convergence_report(unit, measured_gamma=True).gamma_measured
+            gmpid_mean_convergence_report(tiny).gamma_measured
+            == gmpid_mean_convergence_report(unit).gamma_measured
         )
 
 
