@@ -109,16 +109,12 @@ def message_state(
     ev, post_var = out.result.estimate, out.result.posterior_var
     Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
     schedule = _schedule(inst)
-    V = np.empty((M, K))
-    t = out.result.iterations - 1  # the run's last step, unless it settled first
-    while schedule.settle is None and len(schedule.u) <= t:
-        schedule.step(len(schedule.u), V)
-    t = min(t, len(schedule.u) - 1)
+    t = schedule.reach(out.result.iterations - 1)  # the run's last step, unless settled first
     return MessageState(
         user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
         user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
         sum_to_user_mean=(yp - Hp @ ev_prev)[:, None] + Hp * ev_prev,
-        sum_to_user_var=schedule.variances(t, V),
+        sum_to_user_var=schedule.variances(t, np.empty((M, K))),
     )
 
 
@@ -245,20 +241,26 @@ class _VarianceSchedule:
     forever. That step is ``settle``, the last one recorded.
 
     :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
-    (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache
-    while each block also feeds its share of the engine's ``A^T r`` and,
-    in a sweep, of ``u``; the block shares are summed in block order. Only
-    a step past the recorded end runs the gemv for ``c``, the reduction
-    and the settle test; a recorded step is replayed by the same
-    statements, so it is the swept step bit for bit. Where one block
-    covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
-    unblocked one. The schedule keeps ``H^2`` and a reference to the
-    channel, not a copy of it.
+    (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache.
+    Each block squares its own rows of ``H`` (``H[rows] * H[rows]`` is
+    ``H^2[rows]`` bit for bit) and, while in cache, also feeds its share of
+    the engine's ``A^T r`` and, in a sweep, of ``c`` and ``u``; the block
+    shares of ``A^T r`` and ``u`` are summed in block order. Only a step
+    past the recorded end runs the gemv for ``c``, the reduction and the
+    settle test; a recorded step is replayed by the same statements, so it
+    is the swept step bit for bit. Where one block covers the channel
+    (``M K <= _BLOCK_ENTRIES``) every sum is the unblocked one.
+
+    The schedule keeps a reference to the channel, not a copy of it, and
+    one (M, K) buffer ``A``: every sweep writes its step's ``A`` there, so
+    once the schedule settles it holds the settled ``A`` (read-only from
+    then on), which the engine's frozen phase and the measured spectrum
+    read in place.
     """
 
     def __init__(self, inst: SystemInstance):
         self.H = inst.channel
-        self.H2 = inst.channel * inst.channel
+        self.A = np.zeros(inst.channel.shape)  # the last swept step's A
         self.s, self.px = inst.noise_var, inst.prior.precisions
         self.u, self.vv, self.c = [], [], [None]
         self.settle: int | None = None  # index of the settled step, once reached
@@ -271,6 +273,7 @@ class _VarianceSchedule:
         pw = u + self.px
         if pw.tobytes() in self._seen or (abs(pw - self._pw) <= self._rtol * pw).all():
             self.settle = len(self.u)
+            self.A.flags.writeable = False
         self._seen.add(pw.tobytes())
         self._pw = pw
         vv = 1.0 / pw
@@ -278,42 +281,69 @@ class _VarianceSchedule:
         self.u.append(u)
         self.vv.append(vv)
 
-    def variances(self, t: int, out: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Write the sum-node variances ``V`` of recorded step ``t`` (its rows
-        ``rows``) into ``out``."""
+    def _rows(self) -> int:
+        return max(1, _BLOCK_ENTRIES // self.H.shape[1])
+
+    def block(self) -> np.ndarray:
+        """A new buffer of one row block, for the replayed steps of one run."""
+        M, K = self.H.shape
+        return np.empty((min(M, self._rows()), K))
+
+    def reach(self, t: int) -> int:
+        """Sweep until step ``t`` is recorded or the schedule settles; return
+        ``t``, or the settled step if that comes first."""
+        while self.settle is None and len(self.u) <= t:
+            self.step(len(self.u))
+        return min(t, len(self.u) - 1)
+
+    def variances(
+        self, t: int, out: np.ndarray, rows: slice = slice(None), *, sweep: bool = False
+    ) -> np.ndarray:
+        """Write the sum-node variances ``V`` of step ``t`` (its rows ``rows``)
+        into ``out``.
+
+        With ``sweep``, ``t`` is the step being swept, and its
+        ``c[t][rows]`` is first taken from the squared block.
+        """
         if t == 0:
             out.fill(np.inf)
             return out
-        np.multiply(self.H2[rows], self.vv[t - 1], out=out)
-        return np.subtract(self.c[t][rows, None], out, out=out)
+        H, vv, c = self.H[rows], self.vv[t - 1], self.c[t][rows]
+        np.multiply(H, H, out=out)
+        if sweep:
+            np.matmul(out, vv, out=c)
+            c += self.s
+        out *= vv
+        return np.subtract(c[:, None], out, out=out)
 
     def step(
-        self, t: int, out: np.ndarray, r: np.ndarray | None = None
+        self, t: int, r: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> tuple[bool, np.ndarray | None]:
         """Compute ``A = H / V`` of step ``t``, replaying a recorded step or
         sweeping and recording step ``len(self.u)``.
 
         Returns whether ``t`` is the settled step and, given ``r`` (M,),
-        ``A^T r`` (K,). A sweep and the settled step write all of ``A``
-        into ``out``; any other replayed step writes each block into the
-        leading rows of ``out`` in turn. Step 0 writes nothing: its ``A``
-        is 0.
+        ``A^T r`` (K,). A sweep writes all of ``A`` into ``self.A``; the
+        settled step is read from there. Any other replayed step writes
+        each block in turn into the leading rows of ``out``, a buffer from
+        :meth:`block`. Step 0 writes nothing: its ``A`` is 0.
         """
         sweep = t == len(self.u)
-        if sweep:
-            self.c.append(self.H2 @ self.vv[-1] + self.s)
-        M, K = out.shape
+        M, K = self.H.shape
         if t == 0:
             return t == self.settle, None if r is None else np.zeros(K)
-        full = sweep or t == self.settle
-        n = max(1, _BLOCK_ENTRIES // K)
+        n = self._rows()
         starts = range(0, M, n)
         Ar = None if r is None else np.empty((len(starts), K))
-        u = np.empty((len(starts), K)) if sweep else None
+        if sweep:
+            self.c.append(np.empty(M))
+            u = np.empty((len(starts), K))
+        kept = t == self.settle  # the buffer holds this step's A
         for i, lo in enumerate(starts):
             rows = slice(lo, lo + n)
-            A = out[rows] if full else out[: min(n, M - lo)]
-            np.divide(self.H[rows], self.variances(t, A, rows), out=A)
+            A = self.A[rows] if sweep or kept else out[: min(n, M - lo)]
+            if not kept:
+                np.divide(self.H[rows], self.variances(t, A, rows, sweep=sweep), out=A)
             if r is not None:
                 np.matmul(A.T, r[rows], out=Ar[i])
             if sweep:
@@ -330,18 +360,20 @@ def _schedule(inst: SystemInstance) -> _VarianceSchedule:
 def _settled_messages(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """Step the variance schedule until it settles or ``VARIANCE_SWEEP_CAP`` steps.
 
-    Returns the last step's user variances, its ``A = H / V`` in a new
-    (M, K) buffer, and the number of steps; earlier recorded steps are not
-    replayed. The buffer is allocated after the schedule's ``H^2``, which
-    outlives it: the other way round, its freed block is a hole that later
-    allocations fragment, and peak RSS over 500x3500 channels grew by 8 MB.
+    Returns the last step's user variances, its ``A = H / V`` and the
+    number of steps; earlier recorded steps are not replayed. ``A`` is the
+    schedule's own buffer, read-only once the schedule has settled. Only
+    a schedule that a longer run swept past the cap without settling no
+    longer holds the cap's step there: that step is replayed into a new
+    (M, K) buffer.
     """
     schedule = _schedule(inst)
-    A = np.empty(inst.channel.shape)
-    t = schedule.settle if schedule.settle is not None else len(schedule.u)
-    t = min(t, VARIANCE_SWEEP_CAP - 1)
-    while not schedule.step(t, A)[0] and t < VARIANCE_SWEEP_CAP - 1:
-        t += 1
+    t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
+    if t == len(schedule.u) - 1:
+        A = schedule.A
+    else:
+        A = schedule.variances(t, np.empty(schedule.A.shape))
+        np.divide(schedule.H, A, out=A)
     return schedule.vv[t], A, t + 1
 
 
@@ -354,13 +386,14 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     or a bitwise repeat of any earlier sweep) or after
     ``VARIANCE_SWEEP_CAP``; the first sweep only installs the prior.
     Returns the user variances (K,), the sum-node weights ``W = 1/V``
-    (M, K) behind them, and the sweeps run. The sweeps are recorded on the
-    instance, so later calls and detector runs on it replay them instead
-    of sweeping again.
+    (M, K) behind them, in a new array, and the sweeps run. The sweeps are
+    recorded on the instance, so later calls and detector runs on it
+    replay them instead of sweeping again.
     """
-    vv, W, sweeps = _settled_messages(inst)
-    _schedule(inst).variances(sweeps - 1, W)
-    return vv, np.divide(1.0, W, out=W), sweeps
+    schedule = _schedule(inst)
+    t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
+    W = schedule.variances(t, np.empty(schedule.A.shape))
+    return schedule.vv[t], np.divide(1.0, W, out=W), t + 1
 
 
 def _run_message_passing(
@@ -390,15 +423,16 @@ def _run_message_passing(
     Iteration ``t`` replays (or sweeps and records) step ``t - 1`` of the
     instance's variance schedule, which also returns ``A^T r`` summed over
     its cache-sized row blocks of ``A = H / V``. A replayed step cycles
-    its blocks through the leading rows of one reused (M, K) buffer; the
-    settled step fills all of it. Once the sweeps settle, ``A`` and ``u``
-    are reused, and an iteration is two full gemv calls plus O(K) work. A
-    channel of more than one block sums ``A^T r`` in a different order
-    before the weights settle than after, so its estimates move in the
-    last digits against an unblocked engine. The weights settle
-    within the rounding error of their own sums, so the run stays within
-    rounding of sweeping on (about 1e-13 relative at 100x105, 80 dB, where
-    the recursion contracts slowest).
+    its blocks through one row-block buffer of the run's own; a swept step
+    writes the schedule's (M, K) buffer, and the settled step is read from
+    there, not computed again. Once the sweeps settle, the schedule's
+    ``A`` and ``u`` are reused, and an iteration is two full gemv calls
+    plus O(K) work. A channel of more than one block sums ``A^T r`` in a
+    different order before the weights settle than after, so its estimates
+    move in the last digits against an unblocked engine. The weights
+    settle within the rounding error of their own sums, so the run stays
+    within rounding of sweeping on (about 1e-13 relative at 100x105,
+    80 dB, where the recursion contracts slowest).
 
     ``flops`` is the analytic cost of a standalone run, which sweeps the
     variances itself and scales the system by sqrt(w): a replayed schedule
@@ -423,18 +457,20 @@ def _run_message_passing(
     ev = np.zeros(K)
     ev_prev = None
     vv = np.full(K, np.inf)  # the uninformative state, returned if no iteration runs
-    A = np.empty((M, K))
     schedule = _schedule(inst)
-    settled = False
+    block = schedule.block()
+    A = None  # the schedule's settled A, once the run reaches it
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
 
     for t in range(1, max_iter + 1):
         r = y - H @ ev
-        if settled:
+        if A is not None:
             Ar = A.T @ r
         else:
-            settled, Ar = schedule.step(t - 1, A, r)
+            settled, Ar = schedule.step(t - 1, r, block)
+            if settled:
+                A = schedule.A
             u, vv = schedule.u[t - 1], schedule.vv[t - 1]
             vw = vv if w == 1.0 else w * vv
             mean_var = float(np.mean(vv))

@@ -45,7 +45,9 @@ def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
         M, K = H.shape
         s = inst.noise_var
         if K <= M:
-            Linv, f = _chol_inverse_factor(inst._gram() / s + np.diag(inst.prior.precisions))
+            W = np.divide(inst._gram(), s)  # one K x K buffer, no diag(1/prior) array
+            W.reshape(-1)[:: K + 1] += inst.prior.precisions  # its diagonal, in place
+            Linv, f = _chol_inverse_factor(W)
             post_var = (Linv * Linv).sum(axis=0)
         else:
             vx = inst.prior.variances

@@ -98,8 +98,9 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np
     """``(Mt, lam, vv)``, formed once per instance (all read-only).
 
     ``Mt = vv A^T H`` (unit diagonal) is the mean-update system matrix at
-    the settled step's user variances ``vv`` and ``A = H / V``, the buffer
-    the engine iterates with: the exact map the mean iteration applies
+    the settled step's user variances ``vv`` and ``A = H / V``, read in
+    place from the schedule's buffer, which the engine's frozen phase
+    iterates with too: the exact map the mean iteration applies
     once the weights freeze. Every convergence decision reads it, not the
     closed-form matrix, whose single ratio gamma can flip a verdict near
     load 1.
@@ -116,7 +117,6 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np
     def build(inst: SystemInstance):
         vv, A, _ = _settled_messages(inst)
         Mt = A.T @ inst.channel  # G = A^T H, scaled into Mt in place below
-        del A  # free the (M, K) buffer before the K x K temporaries
         root = np.sqrt(vv)
         S = root[:, None] * Mt
         S *= root

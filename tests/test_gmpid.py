@@ -410,6 +410,76 @@ def test_replayed_run_allocates_one_buffer():
     assert peak < inst.channel.nbytes + 128 * 1024
 
 
+def _kept_arrays(obj, seen):
+    """Every array reachable from ``obj`` through containers and attributes."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if obj.base is not None:
+            yield from _kept_arrays(obj.base, seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _kept_arrays(value, seen)
+    elif isinstance(obj, (list, tuple, set)):
+        for value in obj:
+            yield from _kept_arrays(value, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        yield from _kept_arrays(vars(obj), seen)
+
+
+def test_runs_on_a_multi_block_channel_allocate_one_row_block():
+    # 1500 rows in blocks of 327. Once the schedule has settled, a run
+    # replays its steps through one row block and reads the settled A from
+    # the schedule: no (M, K) array per run. The slack is the one above.
+    K, M = 200, 1500
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    auto_relaxation(inst)
+    for detect in (gmpid_detect, sagmpid_detect):
+        tracemalloc.start()
+        try:
+            out = detect(inst, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.result.terminated is Termination.CONVERGED
+        assert peak < gmpid._BLOCK_ENTRIES * 8 + 128 * 1024
+    # Besides the channel, the instance keeps one (M, K) array: the
+    # schedule's settled A, which the measured spectrum also read.
+    large = {
+        id(a) for a in _kept_arrays(inst._setup, set())
+        if a.base is None and a.nbytes >= M * K * 8
+        and not np.shares_memory(a, inst.channel)
+    }
+    assert len(large) == 1
+    settled = gmpid._schedule(inst).A
+    assert id(settled) in large and settled.shape == (M, K) and settled.dtype == np.float64
+    assert not settled.flags.writeable
+
+
+def test_schedule_recorded_past_the_sweep_cap_gives_the_cap_step():
+    # This channel never settles, so its schedule stops at the cap for
+    # variance_recursion and auto_relaxation. A longer run records 1,000
+    # steps past the cap first; both must still read the cap's step, not
+    # the last one recorded.
+    def build():
+        return build_instance(2, 1, snr_db=200.0, channel_seed=0)
+
+    fresh = build()
+    want = auto_relaxation(fresh), variance_recursion(fresh)
+    assert gmpid._schedule(fresh).settle is None
+    inst = build()
+    out = gmpid_detect(inst, np.zeros(1), eps=0.0, max_iter=VARIANCE_SWEEP_CAP + 1000)
+    assert out.result.iterations == len(gmpid._schedule(inst).u) == VARIANCE_SWEEP_CAP + 1000
+    got = auto_relaxation(inst), variance_recursion(inst)
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1]):
+        np.testing.assert_array_equal(a, b)
+    assert want[1][2] == VARIANCE_SWEEP_CAP
+
+
 def test_variance_recursion_is_the_engine_recursion():
     # Swept on, channels 0 and 1 reach a bitwise fixed point after 30-31
     # sweeps and 2 and 3 a last-bit 2-cycle after 30-33; the rounding
