@@ -70,9 +70,7 @@ from .reference import (
 from .results import DetectionResult, IterationTrace, Termination
 from .sagmpid import (
     RelaxationChoice,
-    WMode,
     auto_relaxation,
-    choose_w,
     relaxation_iteration_matrix,
     relaxation_system_matrix,
     sagmpid_detect,
@@ -103,12 +101,10 @@ __all__ = [
     "Termination",
     "TrialRecord",
     "VarianceFixedPoint",
-    "WMode",
     "aggregate_records",
     "assemble_realization",
     "auto_relaxation",
     "build_instance",
-    "choose_w",
     "convergence_check",
     "derive_trial_seeds",
     "emit_csv",

@@ -22,7 +22,6 @@ from .gmpid import variance_fixed_point
 from .model import SystemInstance, _read_only
 from .sagmpid import (
     RelaxationChoice,
-    WMode,
     _measured_spectrum,
     auto_relaxation,
     relaxation_iteration_matrix,  # noqa: F401 - a site the benchmark tracer wraps
@@ -148,19 +147,23 @@ def rmt_mmse_mse(
     return RmtMse(exact=float(exact), asymptote=float(asymptote), regime=regime)
 
 
+def _underloaded(inst: SystemInstance) -> float:
+    """The instance's load beta; ValueError unless it is below 1."""
+    if not inst.dims.beta < 1:
+        raise ValueError("mean-convergence report requires load beta < 1")
+    return inst.dims.beta
+
+
 def _mean_iteration_report(
-    inst: SystemInstance, relax: RelaxationChoice | None, asymptotic_radius: float
+    inst: SystemInstance, w: float, asymptotic_radius: float
 ) -> ConvergenceReport:
     """Report on ``I - w Mt`` from the instance's one measured spectrum,
     the symmetric-part eigenvalues of :func:`sagmpid._measured_spectrum`.
 
     The closed-form spectrum at the closed-form gamma is kept on the
     instance too, so every report on it shares one symmetric eigenvalue
-    solve. ``relax=None`` reports on :func:`auto_relaxation`'s w.
+    solve.
     """
-    if not inst.dims.beta < 1:
-        raise ValueError("mean-convergence report requires load beta < 1")
-    w = float((relax or auto_relaxation(inst)).w)
     gamma = variance_fixed_point(inst).gamma
     Mt, mu, vv = _measured_spectrum(inst)
     lam = inst._cached(
@@ -197,9 +200,8 @@ def gmpid_mean_convergence_report(inst: SystemInstance) -> ConvergenceReport:
     ``asymptotic_radius`` the large-system ``beta + 2*sqrt(beta)``.
     ``gamma_measured`` is the variance ratio of the settled recursion.
     """
-    beta = inst.dims.beta
-    plain = RelaxationChoice(mode=WMode.MANUAL, w=1.0)
-    return _mean_iteration_report(inst, plain, beta + 2.0 * np.sqrt(beta))
+    beta = _underloaded(inst)
+    return _mean_iteration_report(inst, 1.0, beta + 2.0 * np.sqrt(beta))
 
 
 def sagmpid_convergence_report(
@@ -217,5 +219,6 @@ def sagmpid_convergence_report(
     ``relax=None`` reports on :func:`auto_relaxation`'s w, the one
     :func:`sagmpid_detect` runs by default.
     """
-    beta = inst.dims.beta
-    return _mean_iteration_report(inst, relax, 2.0 * np.sqrt(beta) / (1.0 + beta))
+    beta = _underloaded(inst)
+    w = float((relax or auto_relaxation(inst)).w)
+    return _mean_iteration_report(inst, w, 2.0 * np.sqrt(beta) / (1.0 + beta))

@@ -357,26 +357,6 @@ def _schedule(inst: SystemInstance) -> _VarianceSchedule:
     return inst._cached("variance_schedule", _VarianceSchedule)
 
 
-def _settled_messages(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
-    """Step the variance schedule until it settles or ``VARIANCE_SWEEP_CAP`` steps.
-
-    Returns the last step's user variances, its ``A = H / V`` and the
-    number of steps; earlier recorded steps are not replayed. ``A`` is the
-    schedule's own buffer, read-only once the schedule has settled. Only
-    a schedule that a longer run swept past the cap without settling no
-    longer holds the cap's step there: that step is replayed into a new
-    (M, K) buffer.
-    """
-    schedule = _schedule(inst)
-    t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
-    if t == len(schedule.u) - 1:
-        A = schedule.A
-    else:
-        A = schedule.variances(t, np.empty(schedule.A.shape))
-        np.divide(schedule.H, A, out=A)
-    return schedule.vv[t], A, t + 1
-
-
 def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """Run the message-variance recursion from the uninformative state until it settles.
 
@@ -385,15 +365,24 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     user weight within the rounding bound ``M 2^-53`` of the sweep before,
     or a bitwise repeat of any earlier sweep) or after
     ``VARIANCE_SWEEP_CAP``; the first sweep only installs the prior.
-    Returns the user variances (K,), the sum-node weights ``W = 1/V``
-    (M, K) behind them, in a new array, and the sweeps run. The sweeps are
-    recorded on the instance, so later calls and detector runs on it
-    replay them instead of sweeping again.
+    Returns the user variances (K,), the matrix ``A = H / V`` (M, K) of the
+    sum-node variances ``V`` behind them, and the sweeps run. ``A`` is
+    read-only: the schedule's own settled buffer, which detector runs on
+    the instance also read, so no new (M, K) array is built. Only a
+    recursion stopped by the cap, whose buffer longer runs write on, replays
+    its last step into a new array. The sweeps are recorded on the
+    instance, so later calls and detector runs on it replay them instead
+    of sweeping again.
     """
     schedule = _schedule(inst)
     t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
-    W = schedule.variances(t, np.empty(schedule.A.shape))
-    return schedule.vv[t], np.divide(1.0, W, out=W), t + 1
+    if t == schedule.settle:
+        A = schedule.A
+    else:
+        A = schedule.variances(t, np.empty(schedule.A.shape))
+        np.divide(schedule.H, A, out=A)
+        A.flags.writeable = False
+    return schedule.vv[t], A, t + 1
 
 
 def _run_message_passing(

@@ -31,7 +31,7 @@ from .reference import (
     mmse_detect,
 )
 from .results import DetectionResult
-from .sagmpid import WMode, choose_w, sagmpid_detect
+from .sagmpid import RelaxationChoice, sagmpid_detect
 
 # A table trial converges when its estimate is within TABLE_TARGET_REL
 # relative 2-norm error of exact MMSE; a row is C when TABLE_PASS_FRACTION
@@ -102,13 +102,12 @@ def _check_load(config: ExperimentConfig) -> None:
     """Reject detectors that cannot run at the config's load.
 
     For the runners that read ``config.dims.n_antennas``: the inverse filter
-    needs K <= M, and ``sagmpid`` under w-mode ``beta`` needs load beta < 1.
+    needs K <= M. (``sagmpid`` under w-mode ``beta`` needs load beta < 1,
+    which :func:`resolve_relaxation` checks.)
     """
-    dims, detectors = config.dims, config.detectors
-    if "if" in detectors and dims.n_users > dims.n_antennas:
+    dims = config.dims
+    if "if" in config.detectors and dims.n_users > dims.n_antennas:
         raise ConfigError("detector if requires users <= antennas")
-    if "sagmpid" in detectors and config.w_mode == "beta" and not dims.beta < 1:
-        raise ConfigError("w-mode beta requires load beta < 1")
 
 
 def _parse_w_mode(text: str) -> tuple[str, float | None]:
@@ -126,12 +125,23 @@ def _parse_w_mode(text: str) -> tuple[str, float | None]:
     raise ConfigError(f"unknown w-mode {text!r}; expected auto|beta|manual:<v>")
 
 
-def resolve_relaxation(inst, w_mode: str):
-    """Turn a w-mode string into a RelaxationChoice (None means auto)."""
+def resolve_relaxation(inst, w_mode: str) -> RelaxationChoice | None:
+    """Turn a w-mode string into the relaxation a ``sagmpid`` run uses.
+
+    ``auto`` gives None: :func:`sagmpid_detect` then measures ``w`` itself
+    (source ``"auto"``). ``beta`` gives ``w = 1/(1+beta)`` at the
+    instance's load, a ConfigError unless beta < 1; ``manual:<v>`` gives
+    ``w = v``.
+    """
     mode, value = _parse_w_mode(w_mode)
     if mode == "auto":
         return None
-    return choose_w(inst, WMode(mode), manual_w=value)
+    if mode == "manual":
+        return RelaxationChoice(value)
+    beta = inst.dims.beta
+    if not beta < 1:
+        raise ConfigError("w-mode beta requires load beta < 1")
+    return RelaxationChoice(1.0 / (1.0 + beta), source="beta")
 
 
 @dataclass(frozen=True)

@@ -16,44 +16,55 @@ from .model import SystemInstance, _require_finite
 from .results import DetectionResult, Termination
 
 
-def _chol_inverse_factor(W: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cholesky-factor W = L L^T and return L^{-1} plus the flop cost.
+def _inverse_factor(L: np.ndarray) -> tuple[np.ndarray, int]:
+    """Invert the Cholesky factor of ``W = L L^T``; return ``L^{-1}`` plus
+    the flop cost of the factorization and the inversion.
 
     Solves and inverse diagonals are then O(K^2) products with the inverted
-    triangular factor; W itself is never inverted directly. Raises
-    ``numpy.linalg.LinAlgError`` if W is not positive definite.
+    triangular factor; W itself is never inverted directly. Callers form L
+    with ``np.linalg.cholesky``, which raises ``numpy.linalg.LinAlgError``
+    if W is not positive definite.
     """
-    K = W.shape[0]
-    L = np.linalg.cholesky(W)
-    Linv = np.linalg.inv(L)  # triangular factor inversion
-    flops = K**3 // 3 + K**3
-    return Linv, flops
+    K = L.shape[0]
+    return np.linalg.inv(L), K**3 // 3 + K**3
+
+
+def _mmse_cholesky(inst: SystemInstance) -> np.ndarray:
+    """Cholesky factor of ``H^T H / s + diag(1/prior)`` (K <= M) or of
+    ``H diag(prior) H^T + s I`` (M < K).
+
+    The matrix is a local here, freed on return: the triangular inverse
+    then runs beside the factor alone, not beside the matrix too.
+    """
+    H = inst.channel
+    M, K = H.shape
+    s = inst.noise_var
+    if K <= M:
+        W = np.divide(inst._gram(), s)  # one K x K buffer, no diag(1/prior) array
+        W.reshape(-1)[:: K + 1] += inst.prior.precisions  # its diagonal, in place
+    else:
+        W = (H * inst.prior.variances[None, :]) @ H.T
+        W[np.diag_indices_from(W)] += s
+    return np.linalg.cholesky(W)
 
 
 def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """The part of the MMSE solve that does not depend on ``y``.
 
-    Returns the inverse Cholesky factor of the user-side matrix
-    ``H^T H / s + diag(1/prior)`` (K <= M) or of the antenna-side matrix
-    ``H diag(prior) H^T + s I`` (M < K), the posterior variances and the
-    factor's flop cost. Formed once per instance and kept there (read-only);
-    :func:`inverse_filter_detect` combines with the same user-side factor.
+    Returns the inverse of :func:`_mmse_cholesky`'s factor, the posterior
+    variances and the factor's flop cost. Formed once per instance and kept
+    there (read-only); :func:`inverse_filter_detect` combines with the same
+    user-side factor.
     """
 
     def build(inst: SystemInstance):
         H = inst.channel
         M, K = H.shape
-        s = inst.noise_var
+        Linv, f = _inverse_factor(_mmse_cholesky(inst))  # the factor is freed once inverted
         if K <= M:
-            W = np.divide(inst._gram(), s)  # one K x K buffer, no diag(1/prior) array
-            W.reshape(-1)[:: K + 1] += inst.prior.precisions  # its diagonal, in place
-            Linv, f = _chol_inverse_factor(W)
             post_var = (Linv * Linv).sum(axis=0)
         else:
             vx = inst.prior.variances
-            S = (H * vx[None, :]) @ H.T
-            S[np.diag_indices_from(S)] += s
-            Linv, f = _chol_inverse_factor(S)
             T = Linv @ H
             post_var = vx - vx * vx * (T * T).sum(axis=0)
         Linv.flags.writeable = post_var.flags.writeable = False
@@ -148,7 +159,8 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
 
     G = inst._gram()
     flops = 2 * M * K * K
-    Lginv, f = _chol_inverse_factor(G)  # raises if H is column-rank deficient
+    # np.linalg.cholesky raises if H is column-rank deficient.
+    Lginv, f = _inverse_factor(np.linalg.cholesky(G))
     flops += f
     z0 = H.T @ y
     x_tilde = Lginv.T @ (Lginv @ z0)

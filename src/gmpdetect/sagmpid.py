@@ -12,43 +12,45 @@ It contracts iff ``max |1 - w mu| < 1`` over the eigenvalues ``mu`` of Mt.
 :func:`auto_relaxation` minimizes that radius over the eigenvalues of the
 symmetric part of a diagonal similarity of Mt, from one symmetric solve the
 instance keeps, and the convergence reports in :mod:`gmpdetect.analysis`
-read the same spectrum. The closed-form
-``gamma * (H^T H - D) + I`` is the paper's large-system approximation of Mt.
+read the same spectrum. Every ``w`` a run uses is a :class:`RelaxationChoice`
+that names its source: ``auto`` (that measurement), ``beta`` or ``manual``
+(both resolved from a w-mode string by ``harness.resolve_relaxation``).
+The closed-form ``gamma * (H^T H - D) + I`` is the paper's large-system
+approximation of Mt.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .gmpid import (
     MessagePassingOutput,
     _run_message_passing,
-    _settled_messages,
     variance_fixed_point,
+    variance_recursion,
 )
 from .model import SystemInstance, _read_only
 from .results import DEFAULT_MAX_ITER
 
 
-class WMode(Enum):
-    """How the relaxation factor was chosen."""
-
-    ASYMPTOTIC_BETA = "beta"      # w = 1/(1+beta), large-system rule of thumb
-    MANUAL = "manual"             # user-supplied or measured-spectrum w
-
-
 @dataclass(frozen=True)
 class RelaxationChoice:
-    """A relaxation factor plus the provenance needed to audit it."""
+    """A relaxation factor and where it came from.
 
-    mode: WMode
+    ``source`` is ``"auto"`` (:func:`auto_relaxation`, from the measured
+    spectrum, whose extreme eigenvalues it also carries), ``"beta"`` (the
+    large-system rule ``1/(1+beta)``) or ``"manual"`` (given by the user).
+    """
+
     w: float
+    source: str = "manual"
     lambda_min: float | None = None
     lambda_max: float | None = None
 
     def __post_init__(self) -> None:
+        if self.source not in ("auto", "beta", "manual"):
+            raise ValueError(f"unknown relaxation source {self.source!r}")
         if not 0 < self.w < np.inf:
             raise ValueError("relaxation factor w must be finite and positive")
 
@@ -69,29 +71,6 @@ def relaxation_system_matrix(
     A = gamma * inst._gram()
     np.fill_diagonal(A, 1.0)  # gamma*(G - D) has an exact zero diagonal
     return A
-
-
-def choose_w(
-    inst: SystemInstance, mode: WMode, manual_w: float | None = None
-) -> RelaxationChoice:
-    """Select a relaxation factor by a rule that needs no spectrum.
-
-    - ``ASYMPTOTIC_BETA``: ``1/(1+beta)``, valid for load beta < 1.
-    - ``MANUAL``: pass ``manual_w`` through (must be finite and positive).
-
-    The radius-minimizing w comes from the measured spectrum instead: see
-    :func:`auto_relaxation`.
-    """
-    if mode is WMode.MANUAL:
-        if manual_w is None:
-            raise ValueError("manual mode requires manual_w")
-        return RelaxationChoice(mode=WMode.MANUAL, w=float(manual_w))
-    if mode is WMode.ASYMPTOTIC_BETA:
-        beta = inst.dims.beta
-        if not beta < 1:
-            raise ValueError("asymptotic-beta mode requires load beta < 1")
-        return RelaxationChoice(mode=mode, w=1.0 / (1.0 + beta))
-    raise ValueError(f"unknown relaxation mode: {mode!r}")
 
 
 def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,7 +94,7 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np
     """
 
     def build(inst: SystemInstance):
-        vv, A, _ = _settled_messages(inst)
+        vv, A, _ = variance_recursion(inst)
         Mt = A.T @ inst.channel  # G = A^T H, scaled into Mt in place below
         root = np.sqrt(vv)
         S = root[:, None] * Mt
@@ -141,15 +120,12 @@ def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     positive multiple of lambda_max so a numerically zero edge cannot
     produce w >= 2/lambda_max. The interval holds the real parts of the
     measured matrix's eigenvalues, so on a real spectrum this w contracts
-    wherever the one from the exact spectrum does. Tagged MANUAL because
-    the value comes from measurement, not one of the closed-form rules.
+    wherever the one from the exact spectrum does.
     """
     lam = _measured_spectrum(inst)[1]
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     w = 2.0 / (max(lam_min, 1e-12 * lam_max) + lam_max)
-    return RelaxationChoice(
-        mode=WMode.MANUAL, w=w, lambda_min=lam_min, lambda_max=lam_max
-    )
+    return RelaxationChoice(w, source="auto", lambda_min=lam_min, lambda_max=lam_max)
 
 
 def relaxation_iteration_matrix(inst: SystemInstance, w: float) -> np.ndarray:
@@ -175,7 +151,8 @@ def sagmpid_detect(
 ) -> MessagePassingOutput:
     """Relaxed Gaussian message-passing detection.
 
-    ``relax=None`` selects w automatically via :func:`auto_relaxation`.
+    ``relax=None`` selects w automatically via :func:`auto_relaxation`
+    (source ``"auto"``).
     With ``relax.w == 1`` the run is bit-identical to
     :func:`gmpid.gmpid_detect` on the same inputs. The returned output
     carries the relaxation choice used as ``relax``.

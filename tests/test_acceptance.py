@@ -9,10 +9,8 @@ import numpy as np
 from gmpdetect import (
     ExperimentConfig,
     SystemDims,
-    WMode,
     aggregate_records,
     build_instance,
-    choose_w,
     gmp_block_detect,
     gmpid_detect,
     gmpid_mean_convergence_report,
@@ -248,7 +246,7 @@ def test_criterion_10_unit_relaxation_reduces_exactly():
         inst = build_instance(30, 90, snr_db=15.0, channel_seed=100 + s)
         y = realize(inst, 200 + s).received
         plain = gmpid_detect(inst, y, max_iter=60)
-        relax = choose_w(inst, mode=WMode.MANUAL, manual_w=1.0)
+        relax = resolve_relaxation(inst, "manual:1.0")
         red = sagmpid_detect(inst, y, relax, max_iter=60)
         bitwise &= np.array_equal(plain.result.estimate, red.result.estimate)
         plain_state = message_state(inst, y, plain)

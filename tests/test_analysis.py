@@ -8,7 +8,6 @@ from gmpdetect import (
     THRESHOLD_BETA,
     RelaxationChoice,
     Termination,
-    WMode,
     auto_relaxation,
     build_instance,
     convergence_check,
@@ -293,7 +292,7 @@ def test_reports_share_one_closed_form_eigenvalue_solve(monkeypatch):
     reports = (
         gmpid_mean_convergence_report(inst),
         sagmpid_convergence_report(inst),
-        sagmpid_convergence_report(inst, RelaxationChoice(mode=WMode.MANUAL, w=0.5)),
+        sagmpid_convergence_report(inst, RelaxationChoice(w=0.5)),
     )
     assert len(calls) == 1
     assert [r.w for r in reports] == [1.0, relax.w, 0.5]
@@ -310,7 +309,7 @@ def test_relaxed_report_vanishing_load_radius_goes_to_zero():
 
 def test_relaxed_report_respects_supplied_choice():
     inst = build_instance(50, 200, snr_db=20.0, channel_seed=4)
-    manual = RelaxationChoice(mode=WMode.MANUAL, w=0.5)
+    manual = RelaxationChoice(w=0.5)
     report = sagmpid_convergence_report(inst, manual)
     auto = sagmpid_convergence_report(inst)
     assert report.spectral_radius != pytest.approx(auto.spectral_radius)

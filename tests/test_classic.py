@@ -10,7 +10,6 @@ from gmpdetect import (
     AffineIteration,
     RelaxationChoice,
     Termination,
-    WMode,
     build_instance,
     convergence_check,
     gmpid_detect,
@@ -287,9 +286,7 @@ STOP_EDGES = {
         lambda: gmpid_detect(_EDGE_INST, np.zeros(12)).result, Termination.CONVERGED, 2
     ),
     "sagmpid, y = 0": (
-        lambda: sagmpid_detect(
-            _EDGE_INST, np.zeros(12), RelaxationChoice(mode=WMode.MANUAL, w=0.8)
-        ).result,
+        lambda: sagmpid_detect(_EDGE_INST, np.zeros(12), RelaxationChoice(w=0.8)).result,
         Termination.CONVERGED,
         2,
     ),

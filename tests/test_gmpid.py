@@ -21,7 +21,6 @@ from gmpdetect import (
     SystemDims,
     SystemInstance,
     Termination,
-    WMode,
     auto_relaxation,
     build_instance,
     gmpid_detect,
@@ -446,6 +445,15 @@ def test_runs_on_a_multi_block_channel_allocate_one_row_block():
             tracemalloc.stop()
         assert out.result.terminated is Termination.CONVERGED
         assert peak < gmpid._BLOCK_ENTRIES * 8 + 128 * 1024
+    # variance_recursion returns the schedule's settled A itself.
+    tracemalloc.start()
+    try:
+        vv, A, sweeps = variance_recursion(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(A, gmpid._schedule(inst).A)
+    assert peak < M * K * 8
     # Besides the channel, the instance keeps one (M, K) array: the
     # schedule's settled A, which the measured spectrum also read.
     large = {
@@ -478,6 +486,12 @@ def test_schedule_recorded_past_the_sweep_cap_gives_the_cap_step():
     for a, b in zip(got[1], want[1]):
         np.testing.assert_array_equal(a, b)
     assert want[1][2] == VARIANCE_SWEEP_CAP
+    # The sum-node weights W = 1/V of the cap's step, rebuilt on each.
+    W_got, W_want = (
+        1.0 / gmpid._schedule(i).variances(VARIANCE_SWEEP_CAP - 1, np.empty((1, 2)))
+        for i in (inst, fresh)
+    )
+    np.testing.assert_array_equal(W_got, W_want)
 
 
 def test_variance_recursion_is_the_engine_recursion():
@@ -487,9 +501,9 @@ def test_variance_recursion_is_the_engine_recursion():
     for channel_seed in range(4):
         inst = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
         y = realize(inst, 100 + channel_seed).received
-        vv, W, sweeps = variance_recursion(inst)
+        vv, A, sweeps = variance_recursion(inst)
         assert sweeps <= 24
-        assert W.shape == (600, 100)
+        assert A.shape == (600, 100)
         out = gmpid_detect(inst, y, eps=0.0, max_iter=sweeps + 5)
         np.testing.assert_array_equal(vv, out.result.posterior_var)
 
@@ -502,7 +516,7 @@ def _blocked(rows, K):
 def _runs(inst, y):
     return (
         gmpid_detect(inst, y).result,
-        sagmpid_detect(inst, y, RelaxationChoice(mode=WMode.MANUAL, w=0.8)).result,
+        sagmpid_detect(inst, y, RelaxationChoice(w=0.8)).result,
     )
 
 
@@ -587,7 +601,7 @@ def test_outputs_do_not_keep_their_instance_alive():
 def test_previous_estimate_gives_the_last_step_change():
     inst = build_instance(10, 80, snr_db=10.0, channel_seed=3)
     y = realize(inst, 4).received
-    relax = RelaxationChoice(mode=WMode.MANUAL, w=0.8)
+    relax = RelaxationChoice(w=0.8)
     for out in (
         gmpid_detect(inst, y),
         gmpid_detect(inst, y, max_iter=7),
@@ -618,7 +632,7 @@ def test_message_state_on_a_rebuilt_instance_is_bitwise(w, rows):
             if w is None:
                 out = gmpid_detect(inst, y, eps=0.0, max_iter=max_iter)
             else:
-                relax = RelaxationChoice(mode=WMode.MANUAL, w=w)
+                relax = RelaxationChoice(w=w)
                 out = sagmpid_detect(inst, y, relax, eps=0.0, max_iter=max_iter)
             assert out.result.iterations == max_iter
             rebuilt = build()

@@ -11,7 +11,6 @@ from gmpdetect import (
     DetectionResult,
     SystemDims,
     Termination,
-    WMode,
     build_instance,
     realize,
     variance_fixed_point,
@@ -227,9 +226,9 @@ def test_resolve_relaxation_modes():
     inst = build_instance(10, 40, snr_db=10.0, channel_seed=0)
     assert resolve_relaxation(inst, "auto") is None
     manual = resolve_relaxation(inst, "manual:0.5")
-    assert manual.mode is WMode.MANUAL and manual.w == pytest.approx(0.5)
+    assert manual.source == "manual" and manual.w == pytest.approx(0.5)
     beta_choice = resolve_relaxation(inst, "beta")
-    assert beta_choice.w == pytest.approx(1.0 / 1.25)
+    assert beta_choice.source == "beta" and beta_choice.w == pytest.approx(1.0 / 1.25)
     for removed in ("eigen", "bound"):
         with pytest.raises(ConfigError, match="auto"):
             resolve_relaxation(inst, removed)

@@ -16,7 +16,6 @@ from gmpdetect import (
     SystemDims,
     SystemInstance,
     Termination,
-    WMode,
     auto_relaxation,
     generate_channel,
     gmpid,
@@ -75,7 +74,7 @@ def _instance(H, variances, noise_var):
 def _message_passing(inst, y, w, max_iter, truth):
     if w is None:
         return gmpid_detect(inst, y, max_iter=max_iter, truth=truth)
-    relax = None if w == "auto" else RelaxationChoice(mode=WMode.MANUAL, w=w)
+    relax = None if w == "auto" else RelaxationChoice(w=w)
     return sagmpid_detect(inst, y, relax, max_iter=max_iter, truth=truth)
 
 
@@ -90,8 +89,10 @@ def _result_fields(r):
 def _consume(name, inst, y, w, max_iter, truth):
     """What one consumer returns, as a list of comparable fields."""
     if name == "variance_recursion":
-        vv, W, sweeps = variance_recursion(inst)
-        return [vv, W, sweeps]
+        vv, A, sweeps = variance_recursion(inst)
+        schedule = gmpid._schedule(inst)
+        W = 1.0 / schedule.variances(sweeps - 1, np.empty(A.shape))
+        return [vv, W, A, sweeps]
     if name == "auto_relaxation":
         relax = auto_relaxation(inst)
         return [relax.w, relax.lambda_min, relax.lambda_max]
@@ -216,7 +217,7 @@ def test_runs_on_one_instance_report_standalone_flops():
     inst = _instance(H, variances, noise_var)
     for run in (
         lambda: gmpid_detect(inst, y).result,
-        lambda: sagmpid_detect(inst, y, RelaxationChoice(mode=WMode.MANUAL, w=0.8)).result,
+        lambda: sagmpid_detect(inst, y, RelaxationChoice(w=0.8)).result,
         lambda: mmse_detect(inst, y),
         lambda: inverse_filter_detect(inst, y),
     ):

@@ -19,6 +19,7 @@ from gmpdetect import (
     mse,
     realize,
 )
+from gmpdetect.reference import _mmse_setup
 
 
 def _instance(H, noise_var, prior_var=1.0):
@@ -96,6 +97,28 @@ def test_mmse_rejects_zero_noise_and_flat_prior():
     flat = _instance(np.eye(2), noise_var=1.0, prior_var=np.inf)
     with pytest.raises(ValueError):
         mmse_detect(flat, np.zeros(2))
+
+
+def test_mmse_setup_frees_the_matrix_before_the_triangular_inverse():
+    # Freed once factored, the user-side matrix does not live beside L and
+    # L^-1: over the kept Gram matrix, at most two K x K arrays are live at
+    # once (three while the matrix stayed). The factor is the one of the
+    # plain statements, bit for bit.
+    K, M = 200, 300
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    G = inst._gram()
+    tracemalloc.start()
+    try:
+        r = mmse_detect(inst, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * K * K * 8
+    W = G / inst.noise_var + np.diag(inst.prior.precisions)
+    Linv = np.linalg.inv(np.linalg.cholesky(W))
+    np.testing.assert_array_equal(_mmse_setup(inst)[0], Linv)
+    np.testing.assert_array_equal(r.posterior_var, (Linv * Linv).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

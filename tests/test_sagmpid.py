@@ -17,10 +17,8 @@ from gmpdetect import (
     MessageState,
     RelaxationChoice,
     Termination,
-    WMode,
     auto_relaxation,
     build_instance,
-    choose_w,
     gmpid_detect,
     gmpid_mean_convergence_report,
     message_state,
@@ -38,6 +36,7 @@ from gmpdetect import (
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 from gmpdetect import gmpid
+from gmpdetect.harness import resolve_relaxation
 from gmpdetect.sagmpid import _measured_spectrum
 
 
@@ -103,39 +102,52 @@ def test_system_matrix_eigenvalues_inside_asymptotic_band():
 # ---------------------------------------------------------------------------
 
 
-def test_choose_w_asymptotic_beta_value():
+def test_resolve_relaxation_beta_value():
     inst = build_instance(100, 300, snr_db=10.0, channel_seed=0)
-    choice = choose_w(inst, mode=WMode.ASYMPTOTIC_BETA)
-    assert choice.mode is WMode.ASYMPTOTIC_BETA
+    choice = resolve_relaxation(inst, "beta")
+    assert choice.source == "beta"
     assert choice.w == pytest.approx(0.75)
 
 
-def test_choose_w_error_paths():
+def test_resolve_relaxation_error_paths():
     inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
+    for no_value in ("manual", "manual:"):
+        with pytest.raises(ValueError):
+            resolve_relaxation(inst, no_value)
     with pytest.raises(ValueError):
-        choose_w(inst, mode=WMode.MANUAL)  # no value supplied
-    with pytest.raises(ValueError):
-        choose_w(inst, mode=WMode.MANUAL, manual_w=-1.0)
+        resolve_relaxation(inst, "manual:-1.0")
     square = build_instance(4, 4, snr_db=10.0, channel_seed=0)
     with pytest.raises(ValueError):
-        choose_w(square, mode=WMode.ASYMPTOTIC_BETA)  # load not below one
+        resolve_relaxation(square, "beta")  # load not below one
     with pytest.raises(ValueError):
-        RelaxationChoice(mode=WMode.MANUAL, w=0.0)
+        RelaxationChoice(w=0.0)
 
 
 @pytest.mark.parametrize("w", [float("inf"), float("nan")])
 def test_relaxation_factor_must_be_finite(w):
     inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
     with pytest.raises(ValueError):
-        RelaxationChoice(WMode.MANUAL, w)
+        RelaxationChoice(w)
     with pytest.raises(ValueError):
-        choose_w(inst, mode=WMode.MANUAL, manual_w=w)
+        resolve_relaxation(inst, f"manual:{w}")
 
 
-def test_auto_relaxation_returns_positive_manual_choice():
+def test_every_relaxation_names_its_source():
+    inst = build_instance(20, 80, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    auto = sagmpid_detect(inst, y).relax
+    assert auto == auto_relaxation(inst) and auto.source == "auto"
+    assert resolve_relaxation(inst, "beta") == RelaxationChoice(0.8, "beta")
+    assert resolve_relaxation(inst, "manual:0.7") == RelaxationChoice(0.7, "manual")
+    assert RelaxationChoice(0.7).source == "manual"
+    with pytest.raises(ValueError, match="source"):
+        RelaxationChoice(0.7, "eigen")
+
+
+def test_auto_relaxation_returns_positive_auto_choice():
     inst = build_instance(50, 300, snr_db=20.0, channel_seed=2)
     choice = auto_relaxation(inst)
-    assert choice.mode is WMode.MANUAL
+    assert choice.source == "auto"
     assert 0.0 < choice.w < 2.0
 
 
@@ -200,7 +212,7 @@ def test_w1_reduces_bitwise_to_plain_detector():
         relaxed = sagmpid_detect(
             inst,
             real.received,
-            RelaxationChoice(mode=WMode.MANUAL, w=1.0),
+            RelaxationChoice(w=1.0),
             max_iter=60,
         )
         np.testing.assert_array_equal(relaxed.result.estimate, plain.result.estimate)
@@ -286,7 +298,7 @@ def _assert_w1_is_plain(K, extra, snr_db, seed, hetero, max_iter):
     oracle = mmse_detect(inst, y).estimate
     runs = dict(max_iter=max_iter, truth=x, oracle=oracle)
     plain = gmpid_detect(inst, y, **runs).result
-    relax = RelaxationChoice(mode=WMode.MANUAL, w=1.0)
+    relax = RelaxationChoice(w=1.0)
     relaxed = sagmpid_detect(inst, y, relax, **runs).result
     np.testing.assert_array_equal(relaxed.estimate, plain.estimate)
     np.testing.assert_array_equal(relaxed.posterior_var, plain.posterior_var)
@@ -484,7 +496,7 @@ def test_error_decay_rate_tracks_iteration_matrix_radius():
         out = sagmpid_detect(
             inst,
             real.received,
-            RelaxationChoice(mode=WMode.MANUAL, w=w),
+            RelaxationChoice(w=w),
             eps=0.0,
             max_iter=60,
             oracle=ref,
