@@ -87,26 +87,22 @@ def spectral_radius(B: np.ndarray) -> float:
     return float(np.max(np.abs(eig(B))))
 
 
-def convergence_check(
-    B: np.ndarray,
-    *,
-    beta: float = float("nan"),
-    asymptotic_radius: float = float("nan"),
-) -> ConvergenceReport:
+def convergence_check(B: np.ndarray) -> ConvergenceReport:
     """Diagnose an affine iteration's matrix: dominance, radius, verdict.
 
     ``diag_dominant`` is the max absolute row sum of B being below 1 (the
     row-sum form of strict diagonal dominance of the system matrix I - B);
-    the verdict is that condition OR measured spectral radius < 1.
+    the verdict is that condition OR measured spectral radius < 1. A bare
+    matrix has no load, so ``beta`` and ``asymptotic_radius`` are NaN.
     """
     dominant = bool(float(np.max(np.abs(B).sum(axis=1))) < 1.0)
     rho = spectral_radius(B)
     return ConvergenceReport(
         diag_dominant=dominant,
         spectral_radius=rho,
-        asymptotic_radius=float(asymptotic_radius),
+        asymptotic_radius=float("nan"),
         predicted_converges=dominant or rho < 1.0,
-        beta=float(beta),
+        beta=float("nan"),
     )
 
 

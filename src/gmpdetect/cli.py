@@ -89,7 +89,10 @@ _SETTINGS = {
     s.key: s
     for s in (
         _Setting("users", int, 100, "number of users K"),
-        _Setting("antennas", int, 600, "number of antennas M"),
+        _Setting(
+            "antennas", int, 600, "number of antennas M",
+            ("sweep", "mset", "complexity", "analyze"),  # table sets M from each load
+        ),
         _Setting("snr_db", _parse_list, [10.0], "comma-separated SNR grid in dB"),
         _Setting("trials", int, 10, "Monte-Carlo trials per point", _ROWS),
         _Setting("seed", int, 0, "master seed"),

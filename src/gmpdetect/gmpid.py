@@ -28,7 +28,7 @@ from .results import (
 if TYPE_CHECKING:
     from .sagmpid import RelaxationChoice
 
-VARIANCE_SWEEP_CAP = 5000  # variance_recursion stops here if never settled
+VARIANCE_SWEEP_CAP = 5000  # the variance schedule settles by this sweep at the latest
 _BLOCK_ENTRIES = 2**16  # float64 entries per row block of a schedule step: 512 KiB
 
 
@@ -238,7 +238,9 @@ class _VarianceSchedule:
     ``u``, or repeat bitwise those of any earlier step. The repeat test
     catches rounding cycles wider than that bound (at M <= 2, mostly):
     a sweep reads only the user weights, so repeated weights cycle
-    forever. That step is ``settle``, the last one recorded.
+    forever. A schedule that neither test settles settles at step
+    ``VARIANCE_SWEEP_CAP - 1``. That step is ``settle``, the last one
+    recorded.
 
     :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
     (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache.
@@ -271,7 +273,8 @@ class _VarianceSchedule:
 
     def _record(self, u: np.ndarray) -> None:
         pw = u + self.px
-        if pw.tobytes() in self._seen or (abs(pw - self._pw) <= self._rtol * pw).all():
+        settled = pw.tobytes() in self._seen or (abs(pw - self._pw) <= self._rtol * pw).all()
+        if settled or len(self.u) == VARIANCE_SWEEP_CAP - 1:
             self.settle = len(self.u)
             self.A.flags.writeable = False
         self._seen.add(pw.tobytes())
@@ -361,28 +364,20 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     """Run the message-variance recursion from the uninformative state until it settles.
 
     The variances depend on neither the means, ``y`` nor the relaxation
-    factor. Sweeps stop where the detectors freeze their weights (every
+    factor. Sweeps stop where the detectors freeze their weights: every
     user weight within the rounding bound ``M 2^-53`` of the sweep before,
-    or a bitwise repeat of any earlier sweep) or after
-    ``VARIANCE_SWEEP_CAP``; the first sweep only installs the prior.
-    Returns the user variances (K,), the matrix ``A = H / V`` (M, K) of the
-    sum-node variances ``V`` behind them, and the sweeps run. ``A`` is
-    read-only: the schedule's own settled buffer, which detector runs on
-    the instance also read, so no new (M, K) array is built. Only a
-    recursion stopped by the cap, whose buffer longer runs write on, replays
-    its last step into a new array. The sweeps are recorded on the
-    instance, so later calls and detector runs on it replay them instead
-    of sweeping again.
+    a bitwise repeat of any earlier sweep, or ``VARIANCE_SWEEP_CAP``
+    sweeps, whichever comes first; the first sweep only installs the
+    prior. Returns the user variances (K,), the matrix ``A = H / V``
+    (M, K) of the sum-node variances ``V`` behind them, and the sweeps
+    run. ``A`` is read-only: the schedule's own settled buffer, which
+    detector runs on the instance also read, so no new (M, K) array is
+    built. The sweeps are recorded on the instance, so later calls and
+    detector runs on it replay them instead of sweeping again.
     """
     schedule = _schedule(inst)
     t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
-    if t == schedule.settle:
-        A = schedule.A
-    else:
-        A = schedule.variances(t, np.empty(schedule.A.shape))
-        np.divide(schedule.H, A, out=A)
-        A.flags.writeable = False
-    return schedule.vv[t], A, t + 1
+    return schedule.vv[t], schedule.A, t + 1
 
 
 def _run_message_passing(

@@ -1,10 +1,11 @@
-"""Successively relaxed Gaussian message passing.
+"""Scale-and-add Gaussian message passing (SA-GMPID).
 
-The relaxed detector runs the same message schedule as the plain one but
-scales the channel and observation by sqrt(w) in the mean updates and adds
-a (w-1)-weighted memory term to each user-side mean. Variance updates are
-untouched, so both detectors share one engine (`gmpid._run_message_passing`)
-and w=1 reduces to the plain detector bit-for-bit.
+The detector runs the same message schedule as the plain one. It scales
+the system, channel and observation alike, by sqrt(w) in the mean updates,
+and adds to each user-side mean a memory term, its previous value weighted
+by w - 1 (``-(w - 1) x``). Variance updates are untouched, so both
+detectors share one engine (`gmpid._run_message_passing`) and w=1 reduces
+to the plain detector bit-for-bit.
 
 Once the weights freeze, the mean update is ``x <- (I - w Mt) x + b``, with
 ``Mt`` the K x K system matrix at the instance's settled per-edge weights.
@@ -78,11 +79,12 @@ def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np
 
     ``Mt = vv A^T H`` (unit diagonal) is the mean-update system matrix at
     the settled step's user variances ``vv`` and ``A = H / V``, read in
-    place from the schedule's buffer, which the engine's frozen phase
-    iterates with too: the exact map the mean iteration applies
-    once the weights freeze. Every convergence decision reads it, not the
-    closed-form matrix, whose single ratio gamma can flip a verdict near
-    load 1.
+    place from the schedule's buffer. Every schedule settles, after
+    ``VARIANCE_SWEEP_CAP`` sweeps at the latest, and the engine's frozen
+    phase iterates with that buffer too: the exact map the mean iteration
+    applies once the weights freeze. Every convergence decision reads it,
+    not the closed-form matrix, whose single ratio gamma can flip a
+    verdict near load 1.
 
     ``lam`` holds the ascending eigenvalues of the symmetric part of
     ``S = D^-1/2 Mt D^1/2``, ``D = diag(vv)``, from one symmetric solve:

@@ -96,13 +96,16 @@ def test_help_exits_zero():
         # sweep has a wall-time column. A config file cannot set them either.
         ["mset", *_SMALL, "--eps", "0.5"],
         ["mset", *_SMALL, "--no-wall-time"],
-        ["table", *_SMALL, "--beta", "0.1", "--no-wall-time"],
+        ["table", "--users", "8", "--trials", "1", "--beta", "0.1", "--no-wall-time"],
         ["complexity", *_SMALL, "--no-wall-time"],
         ["mset", *_SMALL, "--config", {"eps": 0.5}],
         ["mset", *_SMALL, "--config", {"no_wall_time": True}],
-        ["table", *_SMALL, "--beta", "0.1", "--config", {"no_wall_time": True}],
+        ["table", "--users", "8", "--trials", "1", "--beta", "0.1", "--config", {"no_wall_time": True}],
         ["complexity", *_SMALL, "--config", {"no_wall_time": True}],
         ["analyze", "--config", {"trials": 2}],
+        # table sets M = round(K / beta) for each load: it has no --antennas.
+        ["table", "--users", "8", "--trials", "1", "--beta", "0.1", "--antennas", "50"],
+        ["table", "--users", "8", "--trials", "1", "--beta", "0.1", "--config", {"antennas": 50}],
         # Relaxation modes that were removed: auto is the measured optimum.
         ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "eigen"],
         ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "bound"],

@@ -467,31 +467,36 @@ def test_runs_on_a_multi_block_channel_allocate_one_row_block():
     assert not settled.flags.writeable
 
 
-def test_schedule_recorded_past_the_sweep_cap_gives_the_cap_step():
-    # This channel never settles, so its schedule stops at the cap for
-    # variance_recursion and auto_relaxation. A longer run records 1,000
-    # steps past the cap first; both must still read the cap's step, not
-    # the last one recorded.
+def test_schedule_settles_at_the_sweep_cap():
+    # Neither the rounding bound nor a bitwise repeat settles this channel
+    # (K > M: its variances still fall roughly as 1/t), so its schedule
+    # settles at the cap. A longer run freezes its weights there too:
+    # it ends on the variances that variance_recursion and auto_relaxation
+    # read, whether it ran before them or not.
     def build():
         return build_instance(2, 1, snr_db=200.0, channel_seed=0)
 
     fresh = build()
     want = auto_relaxation(fresh), variance_recursion(fresh)
-    assert gmpid._schedule(fresh).settle is None
+    assert want[1][2] == VARIANCE_SWEEP_CAP
     inst = build()
     out = gmpid_detect(inst, np.zeros(1), eps=0.0, max_iter=VARIANCE_SWEEP_CAP + 1000)
-    assert out.result.iterations == len(gmpid._schedule(inst).u) == VARIANCE_SWEEP_CAP + 1000
+    schedule = gmpid._schedule(inst)
+    assert out.result.iterations == VARIANCE_SWEEP_CAP + 1000
+    assert len(schedule.u) == VARIANCE_SWEEP_CAP
+    assert schedule.settle == VARIANCE_SWEEP_CAP - 1
     got = auto_relaxation(inst), variance_recursion(inst)
     assert got[0] == want[0]
     for a, b in zip(got[1], want[1]):
         np.testing.assert_array_equal(a, b)
-    assert want[1][2] == VARIANCE_SWEEP_CAP
-    # The sum-node weights W = 1/V of the cap's step, rebuilt on each.
-    W_got, W_want = (
-        1.0 / gmpid._schedule(i).variances(VARIANCE_SWEEP_CAP - 1, np.empty((1, 2)))
-        for i in (inst, fresh)
-    )
-    np.testing.assert_array_equal(W_got, W_want)
+    np.testing.assert_array_equal(out.result.posterior_var, got[1][0])
+    assert np.shares_memory(got[1][1], schedule.A)
+    # Iteration VARIANCE_SWEEP_CAP sweeps the settled step; every later
+    # one costs the frozen phase's two gemv plus O(K) work.
+    K, M = 2, 1
+    steps = np.diff(out.result.trace.cum_flops)
+    assert steps[VARIANCE_SWEEP_CAP - 2] > steps[-1]
+    assert (steps[VARIANCE_SWEEP_CAP - 1:] == 4 * K * M + M + 5 * K).all()
 
 
 def test_variance_recursion_is_the_engine_recursion():
