@@ -103,7 +103,7 @@ def _normal_equations(
     and the set-up flops of a splitting: the two plus a K x K matrix and offset."""
     if not inst.noise_var > 0:
         raise ValueError("normal equations require positive noise variance")
-    _require_finite(y)
+    _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var

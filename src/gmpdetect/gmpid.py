@@ -428,7 +428,7 @@ def _run_message_passing(
     if not inst.noise_var > 0:
         raise ValueError("message passing requires positive noise variance")
     _require_finite(inst.prior.variances, "message passing: prior variances")
-    _require_finite(y)
+    _require_finite(y, length=inst.dims.n_antennas)
     if eps is not None and not eps >= 0:  # eps = 0 turns the stop off
         raise ValueError("eps must be non-negative")
 
@@ -497,8 +497,8 @@ def gmpid_detect(
     Stops when the max-norm mean change falls below ``eps`` (default
     ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
     NaN ``eps`` raises ValueError), the iteration budget runs out, or the
-    estimate grows past the divergence threshold. A non-finite ``y`` raises
-    ValueError. ``truth`` / ``oracle`` optionally enable per-iteration MSE /
+    estimate grows past the divergence threshold. A ``y`` that is not a
+    finite vector of length M raises ValueError. ``truth`` / ``oracle`` optionally enable per-iteration MSE /
     oracle-gap trace columns.
     """
     return _run_message_passing(

@@ -20,10 +20,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
-def _require_finite(v: np.ndarray, name: str = "y") -> None:
-    """Raise ValueError naming ``v`` when an entry is NaN or infinite."""
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, with no NaN or infinite entry")
+def _require_finite(v: np.ndarray, name: str = "y", length: int | None = None):
+    """Raise ValueError naming ``v`` when an entry is NaN or infinite or,
+    given ``length``, when ``v`` is not a vector of that length."""
+    if (length is not None and np.shape(v) != (length,)) or not np.all(np.isfinite(v)):
+        shape = "" if length is None else f", in shape ({length},)"
+        raise ValueError(f"{name} must be finite, with no NaN or infinite entry{shape}")
 
 
 @dataclass(frozen=True)

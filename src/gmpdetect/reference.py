@@ -3,7 +3,7 @@ and the block-message formulation that is algebraically equivalent to MMSE.
 
 All four return a :class:`~gmpdetect.results.DetectionResult` with
 ``iterations=0`` and ``terminated=Termination.EXACT``, and raise ValueError
-on a non-finite ``y``. Flop counts follow the dense-linear-algebra route of
+unless ``y`` is a finite vector of length M. Flop counts follow the dense-linear-algebra route of
 a standalone call, counting one multiply or add as one flop (a
 multiply-accumulate is two); set-up that an instance keeps (the Gram
 matrix, the MMSE factor) is charged to every call that uses it.
@@ -90,7 +90,7 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     antenna-side (matrix-inversion-lemma) form when M < K, so the cubic cost
     always scales with min(K, M).
     """
-    _require_finite(y)
+    _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var
@@ -125,7 +125,7 @@ def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     This normalization (unit gain on the desired user) is a documented
     choice; other conventions rescale the same statistic.
     """
-    _require_finite(y)
+    _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var
@@ -150,7 +150,7 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     for positive noise; with an infinite-variance (flat) prior the output is
     the plain decorrelator. Requires K <= M and a full-column-rank channel.
     """
-    _require_finite(y)
+    _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
     if K > M:
@@ -196,7 +196,7 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     is the block formulation's analytic cost, dense M x M products
     included.
     """
-    _require_finite(y)
+    _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var

@@ -3,6 +3,7 @@ output formats, and reproducibility of emitted files."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,8 @@ def test_help_exits_zero():
         # Relaxation modes that were removed: auto is the measured optimum.
         ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "eigen"],
         ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "bound"],
+        # A false no_wall_time stands for no flag, and mset still has none.
+        ["mset", *_SMALL, "--config", {"no_wall_time": False}],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):
@@ -244,7 +247,55 @@ def test_config_file_must_be_json_object(tmp_path):
     assert main(["sweep", "--config", str(cfg_path)]) == 1
 
 
-_PARITY_BASE = {"users": "8", "antennas": "32", "trials": "1", "detectors": "mmse"}
+def test_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'\xff{"users": 8}')
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+# The flags each command lists in its help, besides --help and --config.
+_COMMAND_FLAGS = {
+    "analyze": {"--users", "--antennas", "--snr-db", "--seed", "--w-mode", "--prior-var", "--out"},
+}
+_ROW_FLAGS = _COMMAND_FLAGS["analyze"] | {"--trials", "--detectors", "--max-iter", "--format"}
+_COMMAND_FLAGS["sweep"] = _ROW_FLAGS | {"--eps", "--no-wall-time"}
+_COMMAND_FLAGS["mset"] = _ROW_FLAGS
+_COMMAND_FLAGS["table"] = _ROW_FLAGS - {"--antennas"} | {"--eps", "--beta"}
+_COMMAND_FLAGS["complexity"] = _ROW_FLAGS | {"--eps"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_command_help_lists_exactly_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    named = {s.flag for s in cli._SETTINGS.values() if command in s.commands}
+    assert listed == named | {"--help", "--config"}
+    assert named == _COMMAND_FLAGS[command]
+
+
+_PARITY_BASE = {"users": "8", "antennas": "32", "trials": "1", "detectors": "mmse,sagmpid"}
+# beta has a flag on table alone, which sets M from each load and has no
+# wall-time column.
+_TABLE_BASE = {"users": "8", "trials": "1", "max_iter": "100"}
+# A valid value for every setting, each on a command with its flag.
+_VALID_VALUES = [
+    ("users", 6, ["--users", "6"]),
+    ("antennas", "40", ["--antennas", "40"]),
+    ("snr_db", "-5", ["--snr-db=-5"]),
+    ("trials", 2, ["--trials", "2"]),
+    ("seed", 3, ["--seed", "3"]),
+    ("detectors", ["mmse", "gmp"], ["--detectors", "mmse,gmp"]),
+    ("max_iter", 7, ["--max-iter", "7"]),
+    ("eps", 0.001, ["--eps", "0.001"]),
+    ("w_mode", "manual:0.8", ["--w-mode", "manual:0.8"]),
+    ("prior_var", 2, ["--prior-var", "2"]),
+    ("out", "other.csv", ["--out", "other.csv"]),
+    ("format", "json", ["--format", "json"]),
+    ("beta", [0.1, "0.2"], ["--beta", "0.1,0.2"]),
+]
 
 
 @pytest.mark.parametrize(
@@ -263,25 +314,33 @@ _PARITY_BASE = {"users": "8", "antennas": "32", "trials": "1", "detectors": "mms
         ("no_wall_time", "false", ["--no-wall-time=false"]),
         ("snr_db", [0, 10], ["--snr-db", "0,10"]),
         ("no_wall_time", True, ["--no-wall-time"]),
+        *_VALID_VALUES,
     ],
 )
-def test_config_file_value_runs_like_its_flag(tmp_path, key, value, flag):
+def test_config_file_value_runs_like_its_flag(tmp_path, monkeypatch, key, value, flag):
     # A file value exits 1 exactly when its flag does, else writes the same bytes.
-    argv = ["sweep"]
-    for k, text in _PARITY_BASE.items():
+    monkeypatch.chdir(tmp_path)  # relative output paths land in tmp_path
+    command, base = ("table", _TABLE_BASE) if key == "beta" else ("sweep", _PARITY_BASE)
+    argv = [command]
+    for k, text in base.items():
         if k != key:
-            argv += ["--" + k, text]
-    if key != "no_wall_time":
+            argv += ["--" + k.replace("_", "-"), text]
+    if command == "sweep" and key != "no_wall_time":
         argv.append("--no-wall-time")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({key: value}))
+    out = "other.csv" if key == "out" else "out.csv"
+    if key != "out":
+        argv += ["--out", out]
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
     results = []
-    for i, extra in enumerate([["--config", str(cfg_path)], flag]):
-        out = tmp_path / f"{i}.csv"
-        code = main(argv + extra + ["--out", str(out)])
-        results.append((code, out.read_bytes() if out.exists() else None))
+    for extra in (["--config", "cfg.json"], flag):
+        code = main(argv + extra)
+        path = tmp_path / out
+        results.append((code, path.read_bytes() if path.exists() else None))
+        path.unlink(missing_ok=True)
     assert results[0] == results[1]
     assert results[0][0] in (0, 1)
+    if (key, value, flag) in _VALID_VALUES:
+        assert results[0][0] == 0
 
 
 # ---------------------------------------------------------------------------

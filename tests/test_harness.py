@@ -133,6 +133,18 @@ def test_every_detector_rejects_a_non_finite_observation(name, bad):
             run_detector(name, inst, y, eps=eps)
 
 
+@pytest.mark.parametrize("cut", ["column", "short"])
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_every_detector_rejects_an_observation_of_the_wrong_shape(name, cut):
+    # A 2-D y used to pass: some detectors returned a K x K estimate and
+    # ended Converged, others a numpy matmul error.
+    inst = build_instance(4, 16, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    message = r"^y must be finite, with no NaN or infinite entry, in shape \(16,\)$"
+    with pytest.raises(ValueError, match=message):
+        run_detector(name, inst, y[:, None] if cut == "column" else y[:-1])
+
+
 def test_rerun_with_identical_config_is_byte_identical():
     cfg = _config(dims=SystemDims(8, 32), trials=3, detectors=("mmse", "gmpid"))
     first = render_csv(run_experiment(cfg))
