@@ -161,7 +161,7 @@ def _mean_iteration_report(
     solve.
     """
     gamma = variance_fixed_point(inst).gamma
-    Mt, mu, vv = _measured_spectrum(inst)
+    row_abs_sums, mu, vv = _measured_spectrum(inst)
     lam = inst._cached(
         "closed_form_spectrum",
         lambda inst: _read_only(
@@ -170,7 +170,7 @@ def _mean_iteration_report(
     )
     rho = float(np.max(np.abs(1.0 - w * mu)))
     # Max absolute row sum of I - w Mt, whose diagonal is exactly 1 - w.
-    row_sum = abs(1.0 - w) + w * (float(np.max(np.abs(Mt).sum(axis=1))) - 1.0)
+    row_sum = abs(1.0 - w) + w * (float(np.max(row_abs_sums)) - 1.0)
     v = float(np.mean(vv))
     return ConvergenceReport(
         diag_dominant=bool(row_sum < 1.0),

@@ -15,6 +15,27 @@ import numpy as np
 from .model import SystemInstance, _require_finite
 from .results import DetectionResult, Termination
 
+# Diagonal blocks of at most this many rows are inverted by a dense solve.
+_TRIANGLE_BLOCK = 32
+
+
+def _invert_lower(L: np.ndarray, X: np.ndarray) -> None:
+    """Write ``L^{-1}`` of a lower-triangular ``L`` into the zeroed ``X``.
+
+    The 2x2 block recursion inverts both diagonal blocks in place, then
+    sets ``X21 = -X22 (L21 X11)``; ``X``'s upper triangle stays 0.
+    """
+    n = L.shape[0]
+    if n <= _TRIANGLE_BLOCK:
+        X[...] = np.tril(np.linalg.inv(L))
+        return
+    h = n // 2
+    _invert_lower(L[:h, :h], X[:h, :h])
+    _invert_lower(L[h:, h:], X[h:, h:])
+    X21 = X[h:, :h]
+    np.matmul(X[h:, h:], L[h:, :h] @ X[:h, :h], out=X21)
+    np.negative(X21, out=X21)
+
 
 def _inverse_factor(L: np.ndarray) -> tuple[np.ndarray, int]:
     """Invert the Cholesky factor of ``W = L L^T``; return ``L^{-1}`` plus
@@ -24,9 +45,18 @@ def _inverse_factor(L: np.ndarray) -> tuple[np.ndarray, int]:
     triangular factor; W itself is never inverted directly. Callers form L
     with ``np.linalg.cholesky``, which raises ``numpy.linalg.LinAlgError``
     if W is not positive definite.
+
+    The inverse is written into one zeroed K x K buffer, triangle by
+    triangle (:func:`_invert_lower`), so it needs no more scratch than one
+    product of half-size blocks. ``np.linalg.inv(L)`` would solve against a
+    K x K identity with an LU factorization of a copy of ``L``: two more
+    K x K arrays, malloc'd by numpy.linalg where tracemalloc does not see
+    them. The flops charged stay those of the dense route.
     """
     K = L.shape[0]
-    return np.linalg.inv(L), K**3 // 3 + K**3
+    X = np.zeros_like(L)
+    _invert_lower(L, X)
+    return X, K**3 // 3 + K**3
 
 
 def _mmse_cholesky(inst: SystemInstance) -> np.ndarray:
@@ -54,7 +84,10 @@ def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     Returns the inverse of :func:`_mmse_cholesky`'s factor, the posterior
     variances and the factor's flop cost. Formed once per instance and kept
     there (read-only); :func:`inverse_filter_detect` combines with the same
-    user-side factor.
+    user-side factor. Over the kept Gram matrix, the factor and its
+    inverse are the only K x K arrays (M x M on the antenna side) live at
+    once, beside one quarter-size product while :func:`_inverse_factor`
+    runs: the matrix is freed once factored, and the factor once inverted.
     """
 
     def build(inst: SystemInstance):

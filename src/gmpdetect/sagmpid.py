@@ -74,41 +74,65 @@ def relaxation_system_matrix(
     return A
 
 
-def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(Mt, lam, vv)``, formed once per instance (all read-only).
+def _system_matrix(G: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """Scale ``G = A^T H`` into ``Mt = vv G`` in place, with unit diagonal.
 
-    ``Mt = vv A^T H`` (unit diagonal) is the mean-update system matrix at
-    the settled step's user variances ``vv`` and ``A = H / V``, read in
-    place from the schedule's buffer. Every schedule settles, after
-    ``VARIANCE_SWEEP_CAP`` sweeps at the latest, and the engine's frozen
-    phase iterates with that buffer too: the exact map the mean iteration
-    applies once the weights freeze. Every convergence decision reads it,
-    not the closed-form matrix, whose single ratio gamma can flip a
-    verdict near load 1.
+    The diagonal is vv * (diag G - u) + 1, and diag G = sum_m H o A = u in
+    exact arithmetic: it is exactly 1.
+    """
+    G *= vv[:, None]
+    np.fill_diagonal(G, 1.0)
+    return G
+
+
+def _measured_matrix(inst: SystemInstance) -> np.ndarray:
+    """``Mt = vv A^T H`` with unit diagonal, a new K x K array each call.
+
+    The mean-update system matrix at the settled step's user variances
+    ``vv`` and ``A = H / V``, read in place from the schedule's buffer.
+    Every schedule settles, after ``VARIANCE_SWEEP_CAP`` sweeps at the
+    latest, and the engine's frozen phase iterates with that buffer: this
+    is the exact map the mean iteration applies once the weights freeze.
+    The instance keeps only :func:`_measured_spectrum`'s summary of it.
+    """
+    vv, A, _ = variance_recursion(inst)
+    return _system_matrix(A.T @ inst.channel, vv)
+
+
+def _measured_spectrum(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_abs_sums, lam, vv)``, formed once per instance (all read-only).
+
+    ``row_abs_sums`` is ``np.abs(Mt).sum(axis=1)`` over the measured
+    matrix of :func:`_measured_matrix`, the K numbers the row-sum test
+    reads. Every convergence decision reads the measured matrix, not the
+    closed-form one, whose single ratio gamma can flip a verdict near
+    load 1.
 
     ``lam`` holds the ascending eigenvalues of the symmetric part of
     ``S = D^-1/2 Mt D^1/2``, ``D = diag(vv)``, from one symmetric solve:
     ``S`` is similar to ``Mt``, and by Bendixson's theorem the real parts
     of Mt's eigenvalues lie within ``[lam[0], lam[-1]]``. So
     ``max |1 - w lam|`` bounds the radius of ``I - w Mt`` from above when
-    Mt's spectrum is real, though not when it is complex. ``Mt`` itself
-    stays for the row-sum test.
+    Mt's spectrum is real, though not when it is complex.
+
+    Neither K x K matrix is kept: ``S`` is formed from ``G = A^T H`` before
+    ``G`` becomes ``Mt``, and ``Mt`` is dropped once its row sums are
+    taken, so the symmetric solve runs beside ``S`` alone.
     """
 
     def build(inst: SystemInstance):
         vv, A, _ = variance_recursion(inst)
-        Mt = A.T @ inst.channel  # G = A^T H, scaled into Mt in place below
+        G = A.T @ inst.channel
         root = np.sqrt(vv)
-        S = root[:, None] * Mt
+        S = root[:, None] * G
         S *= root
+        Mt = _system_matrix(G, vv)
+        row_abs_sums = np.abs(Mt, out=Mt).sum(axis=1)
+        del G, Mt
         S += S.T
         S *= 0.5
-        Mt *= vv[:, None]
-        # The diagonal is vv * (diag G - u) + 1, and diag G = sum_m H o A = u
-        # in exact arithmetic: it is exactly 1, in Mt and in S alike.
-        np.fill_diagonal(Mt, 1.0)
-        np.fill_diagonal(S, 1.0)
-        return _read_only(Mt), _read_only(np.linalg.eigvalsh(S)), vv
+        np.fill_diagonal(S, 1.0)  # exactly 1, as in Mt
+        return _read_only(row_abs_sums), _read_only(np.linalg.eigvalsh(S)), vv
 
     return inst._cached("measured_spectrum", build)
 

@@ -1,6 +1,9 @@
 """Tests for the one-shot reference detectors: exact MMSE (both solve
 branches), matched filter, decorrelator, and the block-message detector."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,8 +21,9 @@ from gmpdetect import (
     mmse_detect,
     mse,
     realize,
+    reference,
 )
-from gmpdetect.reference import _mmse_setup
+from gmpdetect.reference import _inverse_factor, _mmse_setup
 
 
 def _instance(H, noise_var, prior_var=1.0):
@@ -101,9 +105,9 @@ def test_mmse_rejects_zero_noise_and_flat_prior():
 
 def test_mmse_setup_frees_the_matrix_before_the_triangular_inverse():
     # Freed once factored, the user-side matrix does not live beside L and
-    # L^-1: over the kept Gram matrix, at most two K x K arrays are live at
-    # once (three while the matrix stayed). The factor is the one of the
-    # plain statements, bit for bit.
+    # L^-1: over the kept Gram matrix, two K x K arrays and one quarter-size
+    # product are live at once (three arrays while the matrix stayed). The
+    # factor is the one of the plain statements, bit for bit.
     K, M = 200, 300
     inst = build_instance(K, M, snr_db=10.0, channel_seed=3)
     y = realize(inst, 4).received
@@ -116,9 +120,84 @@ def test_mmse_setup_frees_the_matrix_before_the_triangular_inverse():
         tracemalloc.stop()
     assert peak < 2.5 * K * K * 8
     W = G / inst.noise_var + np.diag(inst.prior.precisions)
-    Linv = np.linalg.inv(np.linalg.cholesky(W))
+    Linv = _inverse_factor(np.linalg.cholesky(W))[0]
     np.testing.assert_array_equal(_mmse_setup(inst)[0], Linv)
     np.testing.assert_array_equal(r.posterior_var, (Linv * Linv).sum(axis=0))
+
+
+@pytest.mark.parametrize("K", [1, 2, 31, 32, 33, 64, 65, 100, 257])
+def test_inverse_factor_is_a_lower_triangle_inverse(K):
+    # Sizes on both sides of the dense base block and of its doublings.
+    B = np.random.default_rng(K).standard_normal((K, 2 * K + 3))
+    L = np.linalg.cholesky(B @ B.T / K + np.eye(K))
+    X = _inverse_factor(L)[0]
+    assert not np.triu(X, 1).any()
+    assert np.max(np.abs(L @ X - np.eye(K))) <= 1e-13
+    ref = np.linalg.inv(L)
+    assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(200, 300), (300, 200)], ids=["users", "antennas"])
+def test_mmse_matches_the_dense_inverse_of_its_factor(shape):
+    # Both solve branches, against the factor inverted by np.linalg.inv.
+    K, M = shape
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    r = mmse_detect(inst, y)
+    H, s, vx = inst.channel, inst.noise_var, inst.prior.variances
+    if K <= M:
+        W = H.T @ H / s + np.diag(inst.prior.precisions)
+    else:
+        W = (H * vx) @ H.T + s * np.eye(M)
+    Linv = np.linalg.inv(np.linalg.cholesky(W))
+    if K <= M:
+        x_ref = Linv.T @ (Linv @ (H.T @ y / s))
+        var_ref = (Linv * Linv).sum(axis=0)
+    else:
+        x_ref = vx * (H.T @ (Linv.T @ (Linv @ y)))
+        var_ref = vx - vx * vx * ((Linv @ H) ** 2).sum(axis=0)
+    for got, ref in ((_mmse_setup(inst)[0], Linv), (r.estimate, x_ref), (r.posterior_var, var_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+_INVERSE_RSS = """
+import resource
+import numpy as np
+from gmpdetect.reference import _inverse_factor
+
+K = {K}
+# The factor is built row by row, so the process peaks at the factor alone
+# and the high-water mark rises with whatever the inverse adds to it.
+rng = np.random.default_rng(0)
+L = np.zeros((K, K))
+for i in range(K):
+    L[i, :i] = rng.standard_normal(i) * (0.3 / np.sqrt(K))
+    L[i, i] = 1.0
+_inverse_factor(L[: K // 2, : K // 2])  # BLAS and LAPACK warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+X = _inverse_factor(L)[0]
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert np.max(np.abs(L @ X - np.eye(K))) <= 1e-13
+print((after - before) * 1024)
+"""
+
+
+def test_inverse_factor_peak_rss_stays_under_one_and_a_half_factors():
+    # numpy.linalg mallocs its scratch where tracemalloc does not see it, so
+    # the resident high-water mark of a fresh process is read instead. The
+    # inverse needs its output plus one product of half-size blocks; an LU
+    # solve against an identity needs two more K x K arrays.
+    K = 1000
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reference.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _INVERSE_RSS.format(K=K)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1.5 * K * K * 8
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from gmpdetect import (
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 from gmpdetect import gmpid
 from gmpdetect.harness import resolve_relaxation
-from gmpdetect.sagmpid import _measured_spectrum
+from gmpdetect.sagmpid import _measured_matrix, _measured_spectrum
 
 
 def _orthogonal_instance(n_users=3, n_antennas=6, noise_var=0.1, seed=1):
@@ -334,7 +334,7 @@ def test_symmetric_spectrum_bounds_the_exact_one_on_small_shapes(
 ):
     # The reference: every eigenvalue of the measured Mt, by the general solve.
     inst, _, _ = _small_instance(K, extra, snr_db, seed, hetero)
-    Mt = _measured_spectrum(inst)[0]
+    Mt = _measured_matrix(inst)
     mu = np.linalg.eigvals(Mt)
     mu_r = np.sort(mu.real)
     exact_w = 2.0 / (max(mu_r[0], 1e-12 * mu_r[-1]) + mu_r[-1])
@@ -455,7 +455,8 @@ def test_measured_matrix_is_the_run_matrix_bitwise(
 ):
     # Mt is vv A^T H with A = H / V, V the sum-node variances that
     # message_state returns: both when the spectrum replays a step the run
-    # recorded and when it sweeps the schedule itself.
+    # recorded and when it sweeps the schedule itself. The instance keeps
+    # only Mt's absolute row sums, and they are those of this matrix.
     inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
     if spectrum_first:
         _measured_spectrum(inst)
@@ -467,7 +468,8 @@ def test_measured_matrix_is_the_run_matrix_bitwise(
         (H / message_state(inst, y, run).sum_to_user_var).T @ H
     )
     np.fill_diagonal(expected, 1.0)
-    np.testing.assert_array_equal(_measured_spectrum(inst)[0], expected)
+    np.testing.assert_array_equal(_measured_matrix(inst), expected)
+    np.testing.assert_array_equal(_measured_spectrum(inst)[0], np.abs(expected).sum(axis=1))
 
 
 def test_measured_relaxation_and_gamma_do_not_depend_on_units():
