@@ -16,17 +16,14 @@ uninformative start is an exact ``A = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import SystemDims, SystemInstance, _require_finite
 from .results import (
-    DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination, _stop_rule,
+    DEFAULT_MAX_ITER, DetectionResult, IterationTrace, RelaxationChoice, Termination,
+    _stop_rule,
 )
-
-if TYPE_CHECKING:
-    from .sagmpid import RelaxationChoice
 
 VARIANCE_SWEEP_CAP = 5000  # the variance schedule settles by this sweep at the latest
 _BLOCK_ENTRIES = 2**16  # float64 entries per row block of a schedule step: 512 KiB
@@ -75,23 +72,10 @@ class VarianceFixedPoint:
     asymptote_regime: str  # "underloaded" (K<M), "critical" (K=M), "overloaded"
 
 
-@dataclass(frozen=True)
-class MessagePassingOutput:
-    """Everything a message-passing run produces, filled once by the engine.
-
-    The fixed-point residual of the decision rule at exit is the last step
-    change, ``result.trace.step_change[-1]``.
-    """
-
-    result: DetectionResult
-    relax: RelaxationChoice | None  # None for the plain detector
-    previous_estimate: np.ndarray | None  # before the last update; None if none ran
-
-
 def message_state(
-    inst: SystemInstance, y: np.ndarray, out: MessagePassingOutput
+    inst: SystemInstance, y: np.ndarray, result: DetectionResult
 ) -> MessageState:
-    """The four edge-message arrays at the exit of the run ``out`` on ``y``.
+    """The four edge-message arrays at the exit of the run ``result`` on ``y``.
 
     ``inst`` is the run's instance or one built equal to it, whose schedule
     is stepped forward to the run's last step if it has not recorded it.
@@ -100,16 +84,16 @@ def message_state(
     run's ``A`` bit for bit. The sum-to-user means are those of the system
     scaled by sqrt(w) (the relaxed form of the messages).
     """
-    ev_prev = out.previous_estimate
+    ev_prev = result.previous_estimate
     if ev_prev is None:  # no iteration ran
         return MessageState.initial(inst.dims)
     H = inst.channel
     M, K = H.shape
-    w = 1.0 if out.relax is None else float(out.relax.w)
-    ev, post_var = out.result.estimate, out.result.posterior_var
+    w = 1.0 if result.relax is None else float(result.relax.w)
+    ev, post_var = result.estimate, result.posterior_var
     Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
     schedule = _schedule(inst)
-    t = schedule.reach(out.result.iterations - 1)  # the run's last step, unless settled first
+    t = schedule.reach(result.iterations - 1)  # the run's last step, unless settled first
     return MessageState(
         user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
         user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
@@ -389,7 +373,7 @@ def _run_message_passing(
     max_iter: int,
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
-) -> MessagePassingOutput:
+) -> DetectionResult:
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
     ``relax`` is a checked relaxation choice, or None for the plain w = 1.
@@ -472,15 +456,16 @@ def _run_message_passing(
             terminated = verdict
             break
 
-    result = DetectionResult(
+    return DetectionResult(
         estimate=ev,
         posterior_var=vv,
         iterations=len(trace),
         flops=flops,
         terminated=terminated,
         trace=trace,
+        relax=relax,
+        previous_estimate=ev_prev,
     )
-    return MessagePassingOutput(result=result, relax=relax, previous_estimate=ev_prev)
 
 
 def gmpid_detect(
@@ -491,15 +476,16 @@ def gmpid_detect(
     max_iter: int = DEFAULT_MAX_ITER,
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
-) -> MessagePassingOutput:
+) -> DetectionResult:
     """Iterative Gaussian message-passing detection (plain, unrelaxed).
 
     Stops when the max-norm mean change falls below ``eps`` (default
     ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
     NaN ``eps`` raises ValueError), the iteration budget runs out, or the
     estimate grows past the divergence threshold. A ``y`` that is not a
-    finite vector of length M raises ValueError. ``truth`` / ``oracle`` optionally enable per-iteration MSE /
-    oracle-gap trace columns.
+    finite vector of length M raises ValueError. ``truth`` / ``oracle``
+    optionally enable per-iteration MSE / oracle-gap trace columns. The
+    result's ``relax`` is None.
     """
     return _run_message_passing(
         inst, y, None, eps=eps, max_iter=max_iter, truth=truth, oracle=oracle

@@ -23,7 +23,9 @@ import numpy as np
 
 from .classic import iterate, jacobi_for_mmse, richardson_for_mmse
 from .gmpid import gmpid_detect
-from .model import SystemDims, build_instance, derive_trial_seeds, mse, realize
+from .model import (
+    SystemDims, _noise_var, build_instance, derive_trial_seeds, mse, realize,
+)
 from .reference import (
     gmp_block_detect,
     inverse_filter_detect,
@@ -69,32 +71,34 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be non-empty")
-        if any(np.isnan(snr) for snr in self.snr_grid_db):
-            raise ConfigError("snr points must be numbers, not NaN")
-        if -np.inf in self.snr_grid_db:
-            raise ConfigError("snr points must be above -inf dB")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
         _check_detectors(self.detectors)
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigError(f"duplicate detectors in {list(self.detectors)}")
-        # +inf dB is noise variance 0, where only the decorrelator runs.
-        if np.inf in self.snr_grid_db and set(self.detectors) != {"if"}:
-            raise ConfigError("snr point +inf dB (zero noise) runs only detector if")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.eps is not None and not self.eps > 0:
             raise ConfigError("eps must be positive when given")
         if not 0 < self.prior_var < np.inf:
             raise ConfigError("prior_var must be finite and positive")
+        # Each point's noise variance, as build_instance computes it: 0 runs only if.
+        for snr in self.snr_grid_db:
+            try:
+                s = _noise_var(snr, self.prior_var)
+            except OverflowError:
+                s = np.inf
+            if not (0 < s < np.inf or s == 0 and set(self.detectors) == {"if"}):
+                raise ConfigError(f"snr point {snr} dB gives noise variance {s}: it must be "
+                                  "finite and positive (0 runs only detector if)")
         _parse_w_mode(self.w_mode)  # raises ConfigError on bad syntax
 
     def single_snr(self, what: str) -> float:
-        """The one SNR point of the grid; ConfigError naming ``what`` if not."""
+        """The one SNR point, of positive noise variance; else ConfigError naming ``what``."""
         if len(self.snr_grid_db) != 1:
             raise ConfigError(f"{what} requires a single SNR point")
-        if not np.isfinite(self.snr_grid_db[0]):
-            raise ConfigError(f"{what} requires a finite SNR point")
+        if not _noise_var(self.snr_grid_db[0], self.prior_var) > 0:
+            raise ConfigError(f"{what} requires a positive noise variance")
         return self.snr_grid_db[0]
 
 
@@ -183,10 +187,10 @@ _ONE_SHOT = {
 }
 _REGISTRY = {
     **_ONE_SHOT,
-    "gmpid": lambda inst, y, w_mode, **run: gmpid_detect(inst, y, **run).result,
+    "gmpid": lambda inst, y, w_mode, **run: gmpid_detect(inst, y, **run),
     "sagmpid": lambda inst, y, w_mode, **run: sagmpid_detect(
         inst, y, resolve_relaxation(inst, w_mode), **run
-    ).result,
+    ),
     "jacobi": lambda inst, y, w_mode, **run: iterate(jacobi_for_mmse(inst, y), **run),
     "richardson": lambda inst, y, w_mode, **run: iterate(
         richardson_for_mmse(inst, y)[0], **run
@@ -353,8 +357,8 @@ def run_convergence_table(
 
     Returns one record per (load, detector), loads in ``beta_list`` order
     and detectors in config order. The records for load beta have
-    K = ``config.dims.n_users`` users and M = round(K / beta) antennas;
-    ``config.dims.n_antennas`` is ignored.
+    K = ``config.dims.n_users`` users and M = round(K / beta) > K antennas
+    (a ConfigError if not); ``config.dims.n_antennas`` is ignored.
     A trial counts as converged when the detector's final estimate is
     within ``TABLE_TARGET_REL`` relative 2-norm error of the exact MMSE
     solution on the same realization (within the iteration budget); the
@@ -365,10 +369,12 @@ def run_convergence_table(
     snr_db = config.single_snr("table")
     if not beta_list:
         raise ConfigError("load list must be non-empty")
+    n_users, detectors = config.dims.n_users, config.detectors
     for beta in beta_list:
         if not 0.0 < beta < 1.0:
             raise ConfigError("table loads must satisfy 0 < beta < 1")
-    n_users, detectors = config.dims.n_users, config.detectors
+        if not round(n_users / beta) > n_users:  # its row would run load 1
+            raise ConfigError(f"load {beta} gives M = round(K / beta) = K = {n_users}")
     rows: list[TableRecord] = []
     for row_index, beta in enumerate(beta_list):
         M = int(round(n_users / beta))

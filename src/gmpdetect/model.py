@@ -192,6 +192,11 @@ def derive_trial_seeds(
     return int(cs), int(rs)
 
 
+def _noise_var(snr_db: float, prior_var: float) -> float:
+    """Noise variance at ``snr_db`` dB; OverflowError on overflow, 0 on underflow."""
+    return prior_var * 10.0 ** (-snr_db / 10.0)
+
+
 def build_instance(
     n_users: int,
     n_antennas: int,
@@ -210,7 +215,7 @@ def build_instance(
     if (snr_db is None) == (noise_var is None):
         raise ValueError("give exactly one of snr_db or noise_var")
     if noise_var is None:
-        noise_var = prior_var * 10.0 ** (-snr_db / 10.0)
+        noise_var = _noise_var(snr_db, prior_var)
     dims = SystemDims(n_users, n_antennas)
     return SystemInstance(
         dims=dims,

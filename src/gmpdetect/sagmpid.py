@@ -21,39 +21,11 @@ approximation of Mt.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gmpid import (
-    MessagePassingOutput,
-    _run_message_passing,
-    variance_fixed_point,
-    variance_recursion,
-)
+from .gmpid import _run_message_passing, variance_fixed_point, variance_recursion
 from .model import SystemInstance, _read_only
-from .results import DEFAULT_MAX_ITER
-
-
-@dataclass(frozen=True)
-class RelaxationChoice:
-    """A relaxation factor and where it came from.
-
-    ``source`` is ``"auto"`` (:func:`auto_relaxation`, from the measured
-    spectrum, whose extreme eigenvalues it also carries), ``"beta"`` (the
-    large-system rule ``1/(1+beta)``) or ``"manual"`` (given by the user).
-    """
-
-    w: float
-    source: str = "manual"
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.source not in ("auto", "beta", "manual"):
-            raise ValueError(f"unknown relaxation source {self.source!r}")
-        if not 0 < self.w < np.inf:
-            raise ValueError("relaxation factor w must be finite and positive")
+from .results import DEFAULT_MAX_ITER, DetectionResult, RelaxationChoice
 
 
 def relaxation_system_matrix(
@@ -174,13 +146,13 @@ def sagmpid_detect(
     max_iter: int = DEFAULT_MAX_ITER,
     truth: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
-) -> MessagePassingOutput:
+) -> DetectionResult:
     """Relaxed Gaussian message-passing detection.
 
     ``relax=None`` selects w automatically via :func:`auto_relaxation`
     (source ``"auto"``).
     With ``relax.w == 1`` the run is bit-identical to
-    :func:`gmpid.gmpid_detect` on the same inputs. The returned output
+    :func:`gmpid.gmpid_detect` on the same inputs. The returned result
     carries the relaxation choice used as ``relax``.
     """
     if relax is None:

@@ -67,7 +67,7 @@ def test_criterion_02_converged_variance_matches_closed_form_and_mmse():
         inst = build_instance(100, 600, snr_db=20.0, channel_seed=5000 + s)
         y = realize(inst, 6000 + s).received
         out = gmpid_detect(inst, y, max_iter=200)
-        run_vars.append(float(np.mean(out.result.posterior_var)))
+        run_vars.append(float(np.mean(out.posterior_var)))
         mmse_vars.append(float(np.mean(mmse_detect(inst, y).posterior_var)))
     mean_run = float(np.mean(run_vars))
     dev_cf = abs(mean_run / closed_form - 1.0)
@@ -106,7 +106,7 @@ def test_criterion_04_mean_convergence_below_threshold():
         oracle = mmse_detect(inst, y).estimate
         out = gmpid_detect(inst, y, eps=0.0, max_iter=200, oracle=oracle)
         rel = float(
-            np.linalg.norm(out.result.estimate - oracle) / np.linalg.norm(oracle)
+            np.linalg.norm(out.estimate - oracle) / np.linalg.norm(oracle)
         )
         worst = max(worst, rel)
     _record(4, worst < 1e-6, f"worst relative error {worst:.3e} < 1e-6")
@@ -124,12 +124,12 @@ def test_criterion_05_divergence_above_effective_radius_and_relaxed_rescue():
         oracle = mmse_detect(inst, y).estimate
         gap = gmpid_detect(
             inst, y, eps=0.0, max_iter=70, oracle=oracle
-        ).result.trace.oracle_gap
+        ).trace.oracle_gap
         ratio = gap[min(60, len(gap) - 1)] / gap[10]
         min_ratio = min(min_ratio, ratio)
         if ratio >= 10.0:
             grew += 1
-        est = sagmpid_detect(inst, y, max_iter=300).result.estimate
+        est = sagmpid_detect(inst, y, max_iter=300).estimate
         rel = float(np.linalg.norm(est - oracle) / np.linalg.norm(oracle))
         worst_rel = max(worst_rel, rel)
     ok = grew >= 18 and worst_rel < 1e-4
@@ -213,7 +213,7 @@ def test_criterion_09_flop_accounting_and_complexity_advantage():
     inst = build_instance(n_users, n_antennas, snr_db=10.0, channel_seed=0)
     y = realize(inst, 1).received
     out = gmpid_detect(inst, y, eps=0.0, max_iter=12)
-    steps = np.diff(out.result.trace.cum_flops)
+    steps = np.diff(out.trace.cum_flops)
     per_iter = float(np.max(steps))
     budget = 2.0 * 8.0 * n_users * n_antennas
     cfg = ExperimentConfig(
@@ -248,7 +248,7 @@ def test_criterion_10_unit_relaxation_reduces_exactly():
         plain = gmpid_detect(inst, y, max_iter=60)
         relax = resolve_relaxation(inst, "manual:1.0")
         red = sagmpid_detect(inst, y, relax, max_iter=60)
-        bitwise &= np.array_equal(plain.result.estimate, red.result.estimate)
+        bitwise &= np.array_equal(plain.estimate, red.estimate)
         plain_state = message_state(inst, y, plain)
         red_state = message_state(inst, y, red)
         for field in (
@@ -260,12 +260,12 @@ def test_criterion_10_unit_relaxation_reduces_exactly():
             bitwise &= np.array_equal(
                 getattr(plain_state, field), getattr(red_state, field)
             )
-        bitwise &= plain.result.trace.step_change == red.result.trace.step_change
+        bitwise &= plain.trace.step_change == red.trace.step_change
     # variance path is shared for any w: auto-relaxed trace matches plain
     inst = build_instance(50, 300, snr_db=20.0, channel_seed=11)
     y = realize(inst, 12).received
-    v_plain = gmpid_detect(inst, y, eps=0.0, max_iter=40).result.trace.mean_variance
-    v_rel = sagmpid_detect(inst, y, eps=0.0, max_iter=40).result.trace.mean_variance
+    v_plain = gmpid_detect(inst, y, eps=0.0, max_iter=40).trace.mean_variance
+    v_rel = sagmpid_detect(inst, y, eps=0.0, max_iter=40).trace.mean_variance
     var_dev = float(np.max(np.abs(np.array(v_plain) - np.array(v_rel))))
     ok = bitwise and var_dev == 0.0
     _record(

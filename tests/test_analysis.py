@@ -180,7 +180,7 @@ def test_plain_radius_matches_contraction_after_weights_freeze():
         rho = gmpid_mean_convergence_report(inst).spectral_radius
         start = variance_recursion(inst)[2] + 10
         y = realize(inst, 1).received
-        trace = gmpid_detect(inst, y, eps=0.0, max_iter=start + 41).result.trace
+        trace = gmpid_detect(inst, y, eps=0.0, max_iter=start + 41).trace
         rate = (trace.step_change[start + 40] / trace.step_change[start]) ** (1 / 40)
         assert abs(rate - rho) / rho < 5e-3
 
@@ -242,7 +242,7 @@ def test_relaxed_report_converges_near_unit_load_where_closed_form_says_not():
         assert report.spectral_radius < 1.0 < report.closed_form_radius
         y = realize(inst, 1).received
         out = sagmpid_detect(inst, y, max_iter=5000)
-        assert out.result.terminated is Termination.CONVERGED
+        assert out.terminated is Termination.CONVERGED
         assert out.relax.w == report.w
 
 
@@ -258,7 +258,7 @@ def test_reports_and_auto_relaxation_share_one_eigenvalue_solve(monkeypatch):
     y = realize(twin, 1).received
     run = gmpid_detect(twin, y, eps=0.0, max_iter=sweeps)
     A = twin.channel / message_state(twin, y, run).sum_to_user_var
-    root = np.sqrt(run.result.posterior_var)
+    root = np.sqrt(run.posterior_var)
     S = root[:, None] * (A.T @ twin.channel) * root
     S = 0.5 * (S + S.T)
     np.fill_diagonal(S, 1.0)

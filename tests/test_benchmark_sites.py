@@ -1,5 +1,7 @@
 """The benchmark tracer wraps package functions by name: every site it
-names, and every name the package exports, must resolve."""
+names, and every name the package exports, must resolve. The benchmark
+also reads ``.result`` of a message-passing run, which must be the run's
+own result."""
 
 import importlib
 import sys
@@ -30,3 +32,13 @@ def test_every_traced_site_and_exported_name_resolves(monkeypatch):
     ]
     assert missing == []
     assert [name for name in gmpdetect.__all__ if not hasattr(gmpdetect, name)] == []
+
+
+def test_result_bridge_is_the_result_itself():
+    # large-detect reads out.result of a message-passing run: the bridge
+    # hands back the same DetectionResult, so the benchmark reads its fields.
+    inst = gmpdetect.build_instance(8, 32, snr_db=10.0, channel_seed=0)
+    y = gmpdetect.realize(inst, 1).received
+    for out in (gmpdetect.gmpid_detect(inst, y), gmpdetect.sagmpid_detect(inst, y)):
+        assert type(out) is gmpdetect.DetectionResult
+        assert out.result is out

@@ -283,10 +283,10 @@ STOP_EDGES = {
     # Message passing arms the convergence test at t = 2: its first sweep
     # only installs the prior.
     "gmpid, y = 0": (
-        lambda: gmpid_detect(_EDGE_INST, np.zeros(12)).result, Termination.CONVERGED, 2
+        lambda: gmpid_detect(_EDGE_INST, np.zeros(12)), Termination.CONVERGED, 2
     ),
     "sagmpid, y = 0": (
-        lambda: sagmpid_detect(_EDGE_INST, np.zeros(12), RelaxationChoice(w=0.8)).result,
+        lambda: sagmpid_detect(_EDGE_INST, np.zeros(12), RelaxationChoice(w=0.8)),
         Termination.CONVERGED,
         2,
     ),

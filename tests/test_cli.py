@@ -112,6 +112,16 @@ def test_help_exits_zero():
         ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "bound"],
         # A false no_wall_time stands for no flag, and mset still has none.
         ["mset", *_SMALL, "--config", {"no_wall_time": False}],
+        # A finite point whose noise variance overflows to inf or underflows
+        # to 0 is as bad as -inf or +inf dB.
+        ["sweep", "--users", "2", "--antennas", "4", "--trials", "1", "--snr-db=-4000"],
+        ["sweep", "--users", "2", "--antennas", "4", "--trials", "1", "--snr-db", "4000",
+         "--detectors", "mmse"],
+        ["analyze", "--users", "4", "--antennas", "8", "--snr-db", "1e6"],
+        ["table", "--users", "10", "--beta", "0.5", "--trials", "1", "--snr-db", "4000",
+         "--detectors", "if"],
+        # M = round(10 / 0.99) = 10: that row would run load 1, not 0.99.
+        ["table", "--users", "10", "--beta", "0.99", "--trials", "1", "--detectors", "if"],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):

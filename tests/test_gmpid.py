@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmpdetect import (
-    MessagePassingOutput,
+    DetectionResult,
     MessageState,
     RelaxationChoice,
     SourcePrior,
@@ -28,6 +28,7 @@ from gmpdetect import (
     message_state,
     mmse_detect,
     realize,
+    run_detector,
     sagmpid_detect,
     sum_node_update,
     variable_node_update,
@@ -36,6 +37,7 @@ from gmpdetect import (
 )
 from gmpdetect import gmpid
 from gmpdetect.gmpid import VARIANCE_SWEEP_CAP
+from gmpdetect.harness import DETECTORS
 
 
 def _instance(H, noise_var, prior_var=1.0):
@@ -342,7 +344,7 @@ def test_detect_engine_equals_operation_composition():
         exit_state.user_to_sum_var, state.user_to_sum_var, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        out.result.estimate, state.user_to_sum_mean[:, 0], rtol=0, atol=1e-12
+        out.estimate, state.user_to_sum_mean[:, 0], rtol=0, atol=1e-12
     )
 
 
@@ -356,7 +358,7 @@ def test_detect_engine_matches_composition_past_weight_freeze():
         state = sum_node_update(state, inst, real.received)
         state = variable_node_update(state, inst)
     out = gmpid_detect(inst, real.received, eps=0.0, max_iter=60)
-    steps = np.diff(out.result.trace.cum_flops)
+    steps = np.diff(out.trace.cum_flops)
     assert steps[-1] < steps[1]  # the last iteration ran no variance sweep
     exit_state = message_state(inst, real.received, out)
     for field in (
@@ -372,7 +374,7 @@ def test_detect_engine_matches_composition_past_weight_freeze():
     # bound of its sum, M 2^-53 = 2.2e-14 here; a freeze at a looser
     # tolerance (1e-10, say) leaves the variances off by more than 1e-13.
     np.testing.assert_allclose(
-        out.result.posterior_var, state.user_to_sum_var[:, 0], rtol=1e-13, atol=0
+        out.posterior_var, state.user_to_sum_var[:, 0], rtol=1e-13, atol=0
     )
 
 
@@ -386,7 +388,7 @@ def test_detect_iteration_after_weight_freeze_costs_two_gemv():
         inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
         real = realize(inst, realization)
         out = gmpid_detect(inst, real.received, eps=0.0, max_iter=80)
-        steps = np.diff(out.result.trace.cum_flops)
+        steps = np.diff(out.trace.cum_flops)
         assert steps[1] > 8 * K * M  # iteration 3 still sweeps the variances
         assert steps[-1] <= 4 * K * M + 10 * (K + M)
 
@@ -405,7 +407,7 @@ def test_replayed_run_allocates_one_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.result.iterations == 60
+    assert out.iterations == 60
     assert peak < inst.channel.nbytes + 128 * 1024
 
 
@@ -443,7 +445,7 @@ def test_runs_on_a_multi_block_channel_allocate_one_row_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.result.terminated is Termination.CONVERGED
+        assert out.terminated is Termination.CONVERGED
         assert peak < gmpid._BLOCK_ENTRIES * 8 + 128 * 1024
     # variance_recursion returns the schedule's settled A itself.
     tracemalloc.start()
@@ -482,19 +484,19 @@ def test_schedule_settles_at_the_sweep_cap():
     inst = build()
     out = gmpid_detect(inst, np.zeros(1), eps=0.0, max_iter=VARIANCE_SWEEP_CAP + 1000)
     schedule = gmpid._schedule(inst)
-    assert out.result.iterations == VARIANCE_SWEEP_CAP + 1000
+    assert out.iterations == VARIANCE_SWEEP_CAP + 1000
     assert len(schedule.u) == VARIANCE_SWEEP_CAP
     assert schedule.settle == VARIANCE_SWEEP_CAP - 1
     got = auto_relaxation(inst), variance_recursion(inst)
     assert got[0] == want[0]
     for a, b in zip(got[1], want[1]):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(out.result.posterior_var, got[1][0])
+    np.testing.assert_array_equal(out.posterior_var, got[1][0])
     assert np.shares_memory(got[1][1], schedule.A)
     # Iteration VARIANCE_SWEEP_CAP sweeps the settled step; every later
     # one costs the frozen phase's two gemv plus O(K) work.
     K, M = 2, 1
-    steps = np.diff(out.result.trace.cum_flops)
+    steps = np.diff(out.trace.cum_flops)
     assert steps[VARIANCE_SWEEP_CAP - 2] > steps[-1]
     assert (steps[VARIANCE_SWEEP_CAP - 1:] == 4 * K * M + M + 5 * K).all()
 
@@ -510,7 +512,7 @@ def test_variance_recursion_is_the_engine_recursion():
         assert sweeps <= 24
         assert A.shape == (600, 100)
         out = gmpid_detect(inst, y, eps=0.0, max_iter=sweeps + 5)
-        np.testing.assert_array_equal(vv, out.result.posterior_var)
+        np.testing.assert_array_equal(vv, out.posterior_var)
 
 
 def _blocked(rows, K):
@@ -520,8 +522,8 @@ def _blocked(rows, K):
 
 def _runs(inst, y):
     return (
-        gmpid_detect(inst, y).result,
-        sagmpid_detect(inst, y, RelaxationChoice(w=0.8)).result,
+        gmpid_detect(inst, y),
+        sagmpid_detect(inst, y, RelaxationChoice(w=0.8)),
     )
 
 
@@ -536,7 +538,7 @@ def test_blocked_variance_recursion_is_the_engine_recursion(rows):
             fresh = build_instance(100, 600, snr_db=10.0, channel_seed=channel_seed)
             y = realize(fresh, 100 + channel_seed).received
             out = gmpid_detect(fresh, y, eps=0.0, max_iter=sweeps + 5)
-            np.testing.assert_array_equal(vv, out.result.posterior_var)
+            np.testing.assert_array_equal(vv, out.posterior_var)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 200])
@@ -589,18 +591,27 @@ def test_one_block_covering_the_channel_is_the_unblocked_run(K, M):
 
 
 def test_outputs_do_not_keep_their_instance_alive():
-    # An output is plain data: holding it holds no channel or kept set-up.
-    assert [f.name for f in fields(MessagePassingOutput)] == [
-        "result", "relax", "previous_estimate",
+    # A result is plain data: holding it holds no channel or kept set-up,
+    # whichever detector made it, called directly or through run_detector.
+    assert [f.name for f in fields(DetectionResult)] == [
+        "estimate", "iterations", "flops", "terminated", "posterior_var", "trace",
+        "relax", "previous_estimate",
     ]
     inst = build_instance(10, 80, snr_db=10.0, channel_seed=3)
     y = realize(inst, 4).received
     outs = [gmpid_detect(inst, y), sagmpid_detect(inst, y)]
+    names = sorted(DETECTORS)
+    registered = [run_detector(name, inst, y) for name in names]
     alive = weakref.ref(inst)
     del inst
     gc.collect()
     assert alive() is None
-    assert [out.result.terminated for out in outs] == [Termination.CONVERGED] * 2
+    assert [out.terminated for out in outs] == [Termination.CONVERGED] * 2
+    assert all(type(out) is DetectionResult for out in outs + registered)
+    # Only message passing fills previous_estimate, and only sagmpid relax.
+    for name, out in zip(names, registered):
+        assert (out.relax is not None) == (name == "sagmpid"), name
+        assert (out.previous_estimate is not None) == (name in ("gmpid", "sagmpid")), name
 
 
 def test_previous_estimate_gives_the_last_step_change():
@@ -613,8 +624,8 @@ def test_previous_estimate_gives_the_last_step_change():
         sagmpid_detect(inst, y),
         sagmpid_detect(inst, y, relax, max_iter=1),
     ):
-        change = np.max(np.abs(out.result.estimate - out.previous_estimate))
-        assert change == out.result.trace.step_change[-1]
+        change = np.max(np.abs(out.estimate - out.previous_estimate))
+        assert change == out.trace.step_change[-1]
 
 
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "blocks"])
@@ -639,7 +650,7 @@ def test_message_state_on_a_rebuilt_instance_is_bitwise(w, rows):
             else:
                 relax = RelaxationChoice(w=w)
                 out = sagmpid_detect(inst, y, relax, eps=0.0, max_iter=max_iter)
-            assert out.result.iterations == max_iter
+            assert out.iterations == max_iter
             rebuilt = build()
             got = message_state(rebuilt, y, out)
             want = message_state(inst, y, out)
@@ -674,11 +685,11 @@ def test_variance_schedule_settles_on_tiny_shapes(shape, snr_db, channel_seed):
     vv, _, sweeps = variance_recursion(inst)
     assert sweeps <= budget
     assert np.all(vv > 0) and np.all(vv <= 1.0 / inst.prior.precisions)
-    np.testing.assert_array_equal(out.result.posterior_var, vv)
-    assert not out.result.estimate.any()
+    np.testing.assert_array_equal(out.posterior_var, vv)
+    assert not out.estimate.any()
     # Iteration t takes schedule step t - 1: the last sweep is iteration
     # ``sweeps``, and every later iteration costs the same.
-    steps = np.diff(out.result.trace.cum_flops)
+    steps = np.diff(out.trace.cum_flops)
     assert steps[sweeps - 2] > steps[-1]
     assert (steps[sweeps - 1:] == steps[-1]).all()
 
@@ -733,12 +744,12 @@ def test_rounding_bound_freeze_stays_close_to_the_bitwise_repeat(
     relax = auto_relaxation(inst)
     ev_ref, vv_ref, ref_sweeps = _swept_to_a_repeat(inst, y, relax.w, iterations)
     out = sagmpid_detect(inst, y, relax, eps=0.0, max_iter=iterations)
-    assert out.result.iterations == iterations
+    assert out.iterations == iterations
     assert variance_recursion(inst)[2] < ref_sweeps  # the freeze comes earlier
     np.testing.assert_allclose(
-        out.result.posterior_var, vv_ref, rtol=FREEZE_DRIFT, atol=0
+        out.posterior_var, vv_ref, rtol=FREEZE_DRIFT, atol=0
     )
-    drift = np.max(np.abs(out.result.estimate - ev_ref)) / np.max(np.abs(ev_ref))
+    drift = np.max(np.abs(out.estimate - ev_ref)) / np.max(np.abs(ev_ref))
     assert drift <= FREEZE_DRIFT
 
 
@@ -748,8 +759,8 @@ def test_detect_converges_to_mmse_on_small_underloaded_system():
         real = realize(inst, 15 + cs)
         out = gmpid_detect(inst, real.received, eps=1e-13, max_iter=2000)
         ref = mmse_detect(inst, real.received).estimate
-        assert out.result.terminated is Termination.CONVERGED
-        assert np.max(np.abs(out.result.estimate - ref)) < 1e-8
+        assert out.terminated is Termination.CONVERGED
+        assert np.max(np.abs(out.estimate - ref)) < 1e-8
 
 
 def test_detect_relative_mmse_gap_below_threshold_load():
@@ -757,8 +768,8 @@ def test_detect_relative_mmse_gap_below_threshold_load():
     real = realize(inst, 4000 + 10**6)
     out = gmpid_detect(inst, real.received, max_iter=200)
     ref = mmse_detect(inst, real.received).estimate
-    rel = np.linalg.norm(out.result.estimate - ref) / np.linalg.norm(ref)
-    assert out.result.terminated is Termination.CONVERGED
+    rel = np.linalg.norm(out.estimate - ref) / np.linalg.norm(ref)
+    assert out.terminated is Termination.CONVERGED
     assert rel < 1e-6
 
 
@@ -766,7 +777,7 @@ def test_detect_diverges_at_two_thirds_load():
     inst = build_instance(200, 300, snr_db=20.0, channel_seed=107_000)
     real = realize(inst, 107_000 + 10**6)
     out = gmpid_detect(inst, real.received, eps=0.0, max_iter=200)
-    assert out.result.terminated is Termination.DIVERGED
+    assert out.terminated is Termination.DIVERGED
 
 
 def test_detect_stopping_not_armed_on_first_iteration():
@@ -774,17 +785,17 @@ def test_detect_stopping_not_armed_on_first_iteration():
     # must still take a second iteration to certify the change is small.
     inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
     out = gmpid_detect(inst, np.zeros(8))
-    assert out.result.iterations == 2
-    assert out.result.terminated is Termination.CONVERGED
-    assert out.result.trace.step_change[-1] == 0.0
+    assert out.iterations == 2
+    assert out.terminated is Termination.CONVERGED
+    assert out.trace.step_change[-1] == 0.0
 
 
 def test_detect_zero_iterations_returns_prior_state():
     inst = build_instance(3, 6, snr_db=10.0, channel_seed=1)
     out = gmpid_detect(inst, np.ones(6), max_iter=0)
-    assert out.result.iterations == 0
-    assert out.result.terminated is Termination.MAX_ITERATIONS
-    np.testing.assert_array_equal(out.result.estimate, np.zeros(3))
+    assert out.iterations == 0
+    assert out.terminated is Termination.MAX_ITERATIONS
+    np.testing.assert_array_equal(out.estimate, np.zeros(3))
     assert out.previous_estimate is None
     assert np.all(np.isinf(message_state(inst, np.ones(6), out).user_to_sum_var))
 
@@ -794,7 +805,7 @@ def test_detect_per_iteration_cost_within_twice_nominal():
         inst = build_instance(K, M, snr_db=20.0, channel_seed=1)
         real = realize(inst, 2)
         out = gmpid_detect(inst, real.received, eps=0.0, max_iter=5)
-        cum = out.result.trace.cum_flops
+        cum = out.trace.cum_flops
         per_iter = cum[-1] - cum[-2]
         assert per_iter <= 2 * 8 * K * M
 
@@ -806,7 +817,7 @@ def test_detect_trace_records_requested_diagnostics():
     out = gmpid_detect(
         inst, real.received, eps=0.0, max_iter=7, truth=real.symbols, oracle=ref
     )
-    tr = out.result.trace
+    tr = out.trace
     assert len(tr) == 7
     assert len(tr.oracle_gap) == 7 and len(tr.mse_to_truth) == 7
     assert all(np.isfinite(tr.mean_variance))
@@ -831,4 +842,4 @@ def test_detect_rejects_bad_eps_like_iterate(eps):
     with pytest.raises(ValueError, match="eps"):
         sagmpid_detect(inst, y, eps=eps)
     # eps = 0 turns the stop off: the run takes its whole budget.
-    assert gmpid_detect(inst, y, eps=0.0, max_iter=9).result.iterations == 9
+    assert gmpid_detect(inst, y, eps=0.0, max_iter=9).iterations == 9

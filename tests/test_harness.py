@@ -217,6 +217,8 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
         {"snr_grid_db": [float("-inf")], "detectors": ("if",)},
         {"snr_grid_db": [float("inf")]},
         {"snr_grid_db": [10.0, float("inf")], "detectors": ("if", "mmse")},
+        {"snr_grid_db": [-4000.0], "detectors": ("if",)},  # noise variance overflows
+        {"snr_grid_db": [4000.0]},  # and underflows to 0
         {"master_seed": -1},
         {"detectors": ("mmse", "mmse")},
         {"detectors": ("mmse", "gmpid", "mmse")},

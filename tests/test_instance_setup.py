@@ -118,11 +118,11 @@ def _consume(name, inst, y, w, max_iter, truth):
     run_w = {"gmpid": None, "sagmpid-w1": 1.0, "sagmpid-w": w, "sagmpid-auto": "auto"}
     out = _message_passing(inst, y, run_w[name.removesuffix("-state")], max_iter, truth)
     if name == "sagmpid-auto":
-        return [out.relax.w, *_result_fields(out.result)]
+        return [out.relax.w, *_result_fields(out)]
     if name.endswith("-state"):
         st_ = message_state(inst, y, out)
         return [st_.user_to_sum_mean, st_.user_to_sum_var, st_.sum_to_user_mean, st_.sum_to_user_var]
-    return _result_fields(out.result)
+    return _result_fields(out)
 
 
 def _assert_same(got, want, what):
@@ -199,14 +199,14 @@ def test_reuse_examples_reach_their_edge_runs():
     # The explicit examples above must exercise what their comments claim.
     H, variances, noise_var, x, y = _arrays(5, 5, 30.0, 6, False)
     inst = _instance(H, variances, noise_var)
-    assert gmpid_detect(inst, y, max_iter=80).result.terminated is Termination.DIVERGED
+    assert gmpid_detect(inst, y, max_iter=80).terminated is Termination.DIVERGED
     with pytest.raises(ValueError, match="beta < 1"):
         sagmpid_convergence_report(inst)
 
     H, variances, noise_var, x, y = _arrays(4, 12, 30.0, 5, True)
     inst = _instance(H, variances, noise_var)
     _, _, sweeps = variance_recursion(inst)
-    out = gmpid_detect(inst, y, max_iter=3).result
+    out = gmpid_detect(inst, y, max_iter=3)
     assert out.terminated is Termination.MAX_ITERATIONS and out.iterations < sweeps
 
 
@@ -216,8 +216,8 @@ def test_runs_on_one_instance_report_standalone_flops():
     H, variances, noise_var, x, y = _arrays(20, 80, 10.0, 7, False)
     inst = _instance(H, variances, noise_var)
     for run in (
-        lambda: gmpid_detect(inst, y).result,
-        lambda: sagmpid_detect(inst, y, RelaxationChoice(w=0.8)).result,
+        lambda: gmpid_detect(inst, y),
+        lambda: sagmpid_detect(inst, y, RelaxationChoice(w=0.8)),
         lambda: mmse_detect(inst, y),
         lambda: inverse_filter_detect(inst, y),
     ):

@@ -215,12 +215,12 @@ def test_w1_reduces_bitwise_to_plain_detector():
             RelaxationChoice(w=1.0),
             max_iter=60,
         )
-        np.testing.assert_array_equal(relaxed.result.estimate, plain.result.estimate)
+        np.testing.assert_array_equal(relaxed.estimate, plain.estimate)
         np.testing.assert_array_equal(
-            relaxed.result.posterior_var, plain.result.posterior_var
+            relaxed.posterior_var, plain.posterior_var
         )
-        assert relaxed.result.iterations == plain.result.iterations
-        assert relaxed.result.trace.step_change == plain.result.trace.step_change
+        assert relaxed.iterations == plain.iterations
+        assert relaxed.trace.step_change == plain.trace.step_change
         relaxed_state = message_state(inst, real.received, relaxed)
         plain_state = message_state(inst, real.received, plain)
         np.testing.assert_array_equal(
@@ -297,9 +297,9 @@ def _assert_w1_is_plain(K, extra, snr_db, seed, hetero, max_iter):
     inst, x, y = _small_instance(K, extra, snr_db, seed, hetero)
     oracle = mmse_detect(inst, y).estimate
     runs = dict(max_iter=max_iter, truth=x, oracle=oracle)
-    plain = gmpid_detect(inst, y, **runs).result
+    plain = gmpid_detect(inst, y, **runs)
     relax = RelaxationChoice(w=1.0)
-    relaxed = sagmpid_detect(inst, y, relax, **runs).result
+    relaxed = sagmpid_detect(inst, y, relax, **runs)
     np.testing.assert_array_equal(relaxed.estimate, plain.estimate)
     np.testing.assert_array_equal(relaxed.posterior_var, plain.posterior_var)
     assert (relaxed.iterations, relaxed.flops) == (plain.iterations, plain.flops)
@@ -376,8 +376,8 @@ def test_variance_sequence_identical_to_plain_detector():
         relaxed = sagmpid_detect(inst, real.received, eps=0.0, max_iter=40)
         dev = np.max(
             np.abs(
-                np.array(plain.result.trace.mean_variance)
-                - np.array(relaxed.result.trace.mean_variance)
+                np.array(plain.trace.mean_variance)
+                - np.array(relaxed.trace.mean_variance)
             )
         )
         assert dev <= 1e-12
@@ -388,10 +388,10 @@ def test_relaxed_converges_where_plain_diverges_at_two_thirds_load():
     real = realize(inst, 89)
     ref = mmse_detect(inst, real.received).estimate
     plain = gmpid_detect(inst, real.received, eps=0.0, max_iter=100)
-    assert plain.result.terminated is Termination.DIVERGED
+    assert plain.terminated is Termination.DIVERGED
     relaxed = sagmpid_detect(inst, real.received, eps=0.0, max_iter=200)
-    assert relaxed.result.terminated is not Termination.DIVERGED
-    rel = np.linalg.norm(relaxed.result.estimate - ref) / np.linalg.norm(ref)
+    assert relaxed.terminated is not Termination.DIVERGED
+    rel = np.linalg.norm(relaxed.estimate - ref) / np.linalg.norm(ref)
     assert rel < 5e-3
     assert relaxed.relax is not None and relaxed.relax.w > 0
 
@@ -403,7 +403,7 @@ def test_relaxed_reaches_target_in_fewer_iterations():
     nrm = float(np.linalg.norm(ref))
 
     def first_hit(out):
-        for i, gap in enumerate(out.result.trace.oracle_gap):
+        for i, gap in enumerate(out.trace.oracle_gap):
             if gap / nrm < 1e-3:
                 return i + 1
         return None
@@ -440,8 +440,8 @@ def test_weights_freeze_on_a_rounding_cycle_longer_than_two(
     vv, _, sweeps = variance_recursion(inst)
     assert sweeps <= max_sweeps
     out = sagmpid_detect(inst, realize(inst, 3).received, eps=0.0, max_iter=sweeps + 5)
-    np.testing.assert_array_equal(vv, out.result.posterior_var)
-    assert np.diff(out.result.trace.cum_flops)[-1] <= 4 * K * M + 10 * (K + M)
+    np.testing.assert_array_equal(vv, out.posterior_var)
+    assert np.diff(out.trace.cum_flops)[-1] <= 4 * K * M + 10 * (K + M)
 
 
 @pytest.mark.parametrize(
@@ -462,9 +462,9 @@ def test_measured_matrix_is_the_run_matrix_bitwise(
         _measured_spectrum(inst)
     y = realize(inst, 5).received
     run = gmpid_detect(inst, y, eps=0.0, max_iter=120)
-    assert run.result.iterations > variance_recursion(inst)[2]  # past the settle step
+    assert run.iterations > variance_recursion(inst)[2]  # past the settle step
     H = inst.channel
-    expected = run.result.posterior_var[:, None] * (
+    expected = run.posterior_var[:, None] * (
         (H / message_state(inst, y, run).sum_to_user_var).T @ H
     )
     np.fill_diagonal(expected, 1.0)
@@ -503,7 +503,7 @@ def test_error_decay_rate_tracks_iteration_matrix_radius():
             max_iter=60,
             oracle=ref,
         )
-        log_gap = np.log(np.asarray(out.result.trace.oracle_gap[9:60]))
+        log_gap = np.log(np.asarray(out.trace.oracle_gap[9:60]))
         slope = np.polyfit(np.arange(len(log_gap)), log_gap, 1)[0]
         fitted_rate = float(np.exp(slope))
         assert abs(fitted_rate - rho) / rho < 0.15
@@ -513,9 +513,9 @@ def test_converged_run_reports_small_decision_residual():
     inst = build_instance(20, 100, snr_db=15.0, channel_seed=41)
     real = realize(inst, 42)
     out = sagmpid_detect(inst, real.received, max_iter=300)
-    assert out.result.terminated is Termination.CONVERGED
+    assert out.terminated is Termination.CONVERGED
     eps_used = 1e-8 * (1.0 + float(np.max(np.abs(real.received))))
-    assert out.result.trace.step_change[-1] < eps_used
+    assert out.trace.step_change[-1] < eps_used
 
 
 # Iteration counts of the engine that re-swept the variances on every
@@ -529,8 +529,8 @@ def test_iteration_counts_match_full_sweep_engine(
 ):
     inst = build_instance(100, 600, snr_db=10.0, channel_seed=seed)
     y = realize(inst, 100 + seed).received
-    plain = gmpid_detect(inst, y).result
-    relaxed = sagmpid_detect(inst, y).result
+    plain = gmpid_detect(inst, y)
+    relaxed = sagmpid_detect(inst, y)
     assert plain.iterations == plain_iterations
     assert relaxed.iterations == relaxed_iterations
     assert plain.terminated is Termination.CONVERGED
