@@ -223,14 +223,12 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         dims = SystemDims(args.users, args.antennas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         dims=dims, snr_grid_db=args.snr_db, trials=args.trials, master_seed=args.seed,
         detectors=args.detectors, max_iter=args.max_iter, eps=args.eps,
         prior_var=args.prior_var, w_mode=args.w_mode,
         record_wall_time=not args.no_wall_time,
     )
-    cfg.validate()
-    return cfg
 
 
 def _emit_records(args: argparse.Namespace) -> None:
@@ -244,6 +242,7 @@ def _emit_records(args: argparse.Namespace) -> None:
 
 def _analyze(args: argparse.Namespace) -> None:
     cfg = _experiment_config(args)
+    cfg.validate()
     snr_db = cfg.single_snr("analyze")
     if not cfg.dims.beta < 1:
         raise ConfigError("analyze requires load beta < 1")

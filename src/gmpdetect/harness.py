@@ -91,7 +91,7 @@ class ExperimentConfig:
             if not (0 < s < np.inf or s == 0 and set(self.detectors) == {"if"}):
                 raise ConfigError(f"snr point {snr} dB gives noise variance {s}: it must be "
                                   "finite and positive (0 runs only detector if)")
-        _parse_w_mode(self.w_mode)  # raises ConfigError on bad syntax
+        _parse_w_mode(self.w_mode)  # raises ConfigError on a bad mode or manual w
 
     def single_snr(self, what: str) -> float:
         """The one SNR point, of positive noise variance; else ConfigError naming ``what``."""
@@ -102,30 +102,15 @@ class ExperimentConfig:
         return self.snr_grid_db[0]
 
 
-def _check_load(config: ExperimentConfig) -> None:
-    """Reject detectors that cannot run at the config's load.
-
-    For the runners that read ``config.dims.n_antennas``: the inverse filter
-    needs K <= M. (``sagmpid`` under w-mode ``beta`` needs load beta < 1,
-    which :func:`resolve_relaxation` checks.)
-    """
-    dims = config.dims
-    if "if" in config.detectors and dims.n_users > dims.n_antennas:
-        raise ConfigError("detector if requires users <= antennas")
-
-
-def _parse_w_mode(text: str) -> tuple[str, float | None]:
-    """Split a w-mode string into (mode, manual value)."""
+def _parse_w_mode(text: str) -> tuple[str, RelaxationChoice | None]:
+    """Split a w-mode string into (mode, the manual relaxation or None)."""
     if text in ("auto", "beta"):
         return text, None
     if text.startswith("manual:"):
         try:
-            value = float(text.split(":", 1)[1])
+            return "manual", RelaxationChoice(float(text.split(":", 1)[1]))
         except ValueError as exc:
-            raise ConfigError(f"bad manual w value in {text!r}") from exc
-        if not 0 < value < np.inf:
-            raise ConfigError("manual w must be finite and positive")
-        return "manual", value
+            raise ConfigError(f"bad manual w in {text!r}: {exc}") from exc
     raise ConfigError(f"unknown w-mode {text!r}; expected auto|beta|manual:<v>")
 
 
@@ -137,11 +122,9 @@ def resolve_relaxation(inst, w_mode: str) -> RelaxationChoice | None:
     instance's load, a ConfigError unless beta < 1; ``manual:<v>`` gives
     ``w = v``.
     """
-    mode, value = _parse_w_mode(w_mode)
-    if mode == "auto":
-        return None
-    if mode == "manual":
-        return RelaxationChoice(value)
+    mode, manual = _parse_w_mode(w_mode)
+    if mode != "beta":
+        return manual
     beta = inst.dims.beta
     if not beta < 1:
         raise ConfigError("w-mode beta requires load beta < 1")
@@ -224,19 +207,54 @@ def run_detector(
     return _REGISTRY[name](inst, y, w_mode, max_iter=max_iter, eps=eps, truth=truth)
 
 
-def _seeded_draw(config, index, trial, snr_db, n_antennas):
-    """Channel seed, instance and realization of one (index, trial) pair."""
-    channel_seed, realization_seed = derive_trial_seeds(
-        config.master_seed, index, trial
+def _draws(config: ExperimentConfig, what: str, loads: list[float] | None = None):
+    """Check ``config`` and every point that runner ``what`` draws at, then
+    return the iterator over its draws. Every ConfigError comes here, before
+    the first draw: this is a plain function, not a generator, so that its
+    checks run when it is called.
+
+    Every runner but ``sweep`` takes one SNR point of positive noise
+    variance. The points are the SNR grid at ``config.dims.n_antennas``
+    antennas or, given ``loads`` (the table), each load ``0 < beta < 1`` at
+    M = round(K / beta) > K antennas. At every point ``if`` needs K <= M and
+    ``sagmpid`` under w-mode ``beta`` needs K < M. The iterator yields
+    ``(point, trial, channel_seed, inst, realization)``; ``point`` indexes
+    the grid or ``loads`` and is the seeding contract's experiment index.
+    """
+    config.validate()
+    K = config.dims.n_users
+    if what != "sweep":
+        config.single_snr(what)
+    if loads is None:
+        points = [(snr_db, config.dims.n_antennas) for snr_db in config.snr_grid_db]
+    elif not loads:
+        raise ConfigError("load list must be non-empty")
+    else:
+        points = []
+        for beta in loads:
+            if not (0.0 < beta < 1.0 and K / beta < np.inf):
+                raise ConfigError("table loads must satisfy 0 < beta < 1, with K / beta finite")
+            M = round(K / beta)
+            if not M > K:  # its row would run load 1
+                raise ConfigError(f"load {beta} gives M = round(K / beta) = K = {K}")
+            points.append((config.snr_grid_db[0], M))
+    for _, M in points:
+        if "if" in config.detectors and K > M:
+            raise ConfigError("detector if requires users <= antennas")
+        if "sagmpid" in config.detectors and config.w_mode == "beta" and not K < M:
+            raise ConfigError("w-mode beta requires load beta < 1")
+    return (
+        (point, trial, channel_seed, inst, realize(inst, realization_seed))
+        for point, (snr_db, M) in enumerate(points)
+        for trial in range(config.trials)
+        for channel_seed, realization_seed in [
+            derive_trial_seeds(config.master_seed, point, trial)
+        ]
+        for inst in [
+            build_instance(K, M, snr_db=snr_db, prior_var=config.prior_var,
+                           channel_seed=channel_seed)
+        ]
     )
-    inst = build_instance(
-        config.dims.n_users,
-        n_antennas,
-        snr_db=snr_db,
-        prior_var=config.prior_var,
-        channel_seed=channel_seed,
-    )
-    return channel_seed, inst, realize(inst, realization_seed)
 
 
 def _run(config, name, inst, y, **overrides) -> DetectionResult:
@@ -252,31 +270,25 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     Aggregate rows are derived at emission time via
     :func:`aggregate_records`.
     """
-    config.validate()
-    _check_load(config)
     records: list[TrialRecord] = []
-    for snr_index, snr_db in enumerate(config.snr_grid_db):
-        for trial in range(config.trials):
-            channel_seed, inst, real = _seeded_draw(
-                config, snr_index, trial, snr_db, config.dims.n_antennas
-            )
-            for name in config.detectors:
-                start = time.perf_counter_ns()
-                run = _run(config, name, inst, real.received)
-                elapsed = time.perf_counter_ns() - start
-                records.append(
-                    TrialRecord(
-                        detector=name,
-                        snr_db=float(snr_db),
-                        trial=trial,
-                        seed=int(channel_seed),
-                        mse=float(mse(run.estimate, real.symbols)),
-                        iterations=run.iterations,
-                        flops=run.flops,
-                        terminated=run.terminated.value,
-                        wall_time_ns=elapsed if config.record_wall_time else 0,
-                    )
+    for point, trial, channel_seed, inst, real in _draws(config, "sweep"):
+        for name in config.detectors:
+            start = time.perf_counter_ns()
+            run = _run(config, name, inst, real.received)
+            elapsed = time.perf_counter_ns() - start
+            records.append(
+                TrialRecord(
+                    detector=name,
+                    snr_db=float(config.snr_grid_db[point]),
+                    trial=trial,
+                    seed=int(channel_seed),
+                    mse=float(mse(run.estimate, real.symbols)),
+                    iterations=run.iterations,
+                    flops=run.flops,
+                    terminated=run.terminated.value,
+                    wall_time_ns=elapsed if config.record_wall_time else 0,
                 )
+            )
     records.sort(key=lambda r: (r.detector, r.snr_db, r.trial))
     return records
 
@@ -314,16 +326,13 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
     is disabled) so traces align; rows average only iterations present in
     all trials.
     """
-    config.validate()
-    _check_load(config)
+    draws = _draws(config, "mset trace")
     if len(config.detectors) != 1 or config.detectors[0] not in ("gmpid", "sagmpid"):
         raise ConfigError("mset trace requires exactly one of: gmpid, sagmpid")
-    snr_db = config.single_snr("mset trace")
     var_traces: list[list[float]] = []
     mse_traces: list[list[float]] = []
-    for trial in range(config.trials):
-        _, inst, real = _seeded_draw(config, 0, trial, snr_db, config.dims.n_antennas)
-        name = config.detectors[0]
+    name = config.detectors[0]
+    for _, _, _, inst, real in draws:
         tr = _run(config, name, inst, real.received, eps=0.0, truth=real.symbols).trace
         var_traces.append(list(tr.mean_variance))
         mse_traces.append(list(tr.mse_to_truth))
@@ -365,41 +374,29 @@ def run_convergence_table(
     verdict is C when at least ``TABLE_PASS_FRACTION`` of trials converge,
     else D.
     """
-    config.validate()
-    snr_db = config.single_snr("table")
-    if not beta_list:
-        raise ConfigError("load list must be non-empty")
-    n_users, detectors = config.dims.n_users, config.detectors
-    for beta in beta_list:
-        if not 0.0 < beta < 1.0:
-            raise ConfigError("table loads must satisfy 0 < beta < 1")
-        if not round(n_users / beta) > n_users:  # its row would run load 1
-            raise ConfigError(f"load {beta} gives M = round(K / beta) = K = {n_users}")
+    converged: dict[tuple[int, int, str], int] = {}  # (point, M, detector) -> trials
+    for point, _, _, inst, real in _draws(config, "table", beta_list):
+        x_ref = mmse_detect(inst, real.received).estimate
+        denom = float(np.linalg.norm(x_ref))
+        for name in config.detectors:
+            run = _run(config, name, inst, real.received)
+            rel = float(np.linalg.norm(run.estimate - x_ref)) / denom
+            hit = bool(np.isfinite(rel) and rel < TABLE_TARGET_REL)
+            key = (point, inst.dims.n_antennas, name)
+            converged[key] = converged.get(key, 0) + hit
     rows: list[TableRecord] = []
-    for row_index, beta in enumerate(beta_list):
-        M = int(round(n_users / beta))
-        successes = {d: 0 for d in detectors}
-        for trial in range(config.trials):
-            _, inst, real = _seeded_draw(config, row_index, trial, snr_db, M)
-            x_ref = mmse_detect(inst, real.received).estimate
-            denom = float(np.linalg.norm(x_ref))
-            for name in detectors:
-                run = _run(config, name, inst, real.received)
-                rel = float(np.linalg.norm(run.estimate - x_ref)) / denom
-                if np.isfinite(rel) and rel < TABLE_TARGET_REL:
-                    successes[name] += 1
-        for name in detectors:
-            fraction = successes[name] / config.trials
-            rows.append(
-                TableRecord(
-                    beta=float(beta),
-                    n_users=n_users,
-                    n_antennas=M,
-                    detector=name,
-                    fraction_converged=fraction,
-                    verdict="C" if fraction >= TABLE_PASS_FRACTION else "D",
-                )
+    for (point, M, name), n in converged.items():
+        fraction = n / config.trials
+        rows.append(
+            TableRecord(
+                beta=float(beta_list[point]),
+                n_users=config.dims.n_users,
+                n_antennas=M,
+                detector=name,
+                fraction_converged=fraction,
+                verdict="C" if fraction >= TABLE_PASS_FRACTION else "D",
             )
+        )
     return rows
 
 
@@ -426,17 +423,14 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
     one-shot flop count; the ``complexity`` command defaults to w-mode
     ``beta`` so that relaxation search cost stays out of the comparison.
     """
-    config.validate()
-    _check_load(config)
-    snr_db = config.single_snr("complexity")
+    draws = _draws(config, "complexity")
     _check_detectors(
         config.detectors,
         DETECTORS - ONE_SHOT_DETECTORS,
         "complexity detectors must be iterative:",
     )
     out: list[ComplexityRecord] = []
-    for trial in range(config.trials):
-        _, inst, real = _seeded_draw(config, 0, trial, snr_db, config.dims.n_antennas)
+    for _, trial, _, inst, real in draws:
         ref = mmse_detect(inst, real.received)
         mmse_err = float(mse(ref.estimate, real.symbols))
         for name in config.detectors:

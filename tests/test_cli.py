@@ -122,6 +122,8 @@ def test_help_exits_zero():
          "--detectors", "if"],
         # M = round(10 / 0.99) = 10: that row would run load 1, not 0.99.
         ["table", "--users", "10", "--beta", "0.99", "--trials", "1", "--detectors", "if"],
+        # K / beta overflows to inf, which no M can be rounded from.
+        ["table", "--users", "10", "--beta", "1e-320", "--trials", "1", "--detectors", "if"],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):

@@ -6,12 +6,15 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmpdetect import (
     DetectionResult,
     SystemDims,
     Termination,
     build_instance,
+    harness,
     realize,
     variance_fixed_point,
 )
@@ -481,3 +484,60 @@ def test_runners_reject_detectors_that_cannot_run_at_the_load(overrides):
             runner(cfg)
     rows = run_convergence_table(replace(cfg, snr_grid_db=[40.0]), [0.5])
     assert rows[0].n_antennas == 2 * cfg.dims.n_users
+
+
+_RUNNERS = {
+    "sweep": lambda cfg, loads: run_experiment(cfg),
+    "mset": lambda cfg, loads: run_mset_trace(cfg),
+    "table": run_convergence_table,
+    "complexity": lambda cfg, loads: run_complexity(cfg),
+}
+_INF, _NAN = float("inf"), float("nan")
+# Three finite-noise branches to one of points whose noise variance is 0,
+# infinite or NaN, so that most grids get past validate() and draw.
+_SNR_POINTS = st.one_of(
+    *[st.sampled_from([0.0, 10.0, 40.0])] * 3,
+    st.sampled_from([_INF, -_INF, 4000.0, -4000.0, _NAN]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    runner=st.sampled_from(sorted(_RUNNERS)),
+    K=st.integers(1, 4),
+    M=st.integers(1, 12),
+    snr_grid_db=st.lists(_SNR_POINTS, min_size=1, max_size=2),
+    # 0.9 rounds M = K / 0.9 to K for every K <= 4; 1e-320 overflows K / beta.
+    loads=st.lists(st.sampled_from([0.25, 0.5, 0.9, 1.0, 1e-320, _NAN]), min_size=1, max_size=2),
+    detectors=st.one_of(  # any detectors, or iterative ones as mset and complexity take
+        st.lists(st.sampled_from(sorted(DETECTORS)), min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from(["gmpid", "sagmpid", "jacobi", "richardson"]),
+                 min_size=1, max_size=2, unique=True),
+    ),
+    w_mode=st.sampled_from(["auto", "beta", "manual:0.8", "manual:0"]),
+    max_iter=st.integers(1, 20),
+)
+@example(runner="sweep", K=3, M=3, snr_grid_db=[10.0], loads=[], detectors=["mmse", "sagmpid"],
+         w_mode="beta", max_iter=5)  # w-mode beta at K = M, behind a detector that runs
+@example(runner="mset", K=3, M=3, snr_grid_db=[10.0], loads=[], detectors=["sagmpid"],
+         w_mode="beta", max_iter=5)
+@example(runner="table", K=3, M=3, snr_grid_db=[10.0], loads=[0.5, 1e-320], detectors=["if"],
+         w_mode="auto", max_iter=5)  # the second row's K / beta overflows
+def test_runners_raise_config_errors_before_the_first_draw(
+    runner, K, M, snr_grid_db, loads, detectors, w_mode, max_iter
+):
+    # A runner raises ConfigError before it draws its first channel, or not at all.
+    cfg = _config(dims=SystemDims(K, M), snr_grid_db=snr_grid_db, detectors=tuple(detectors),
+                  w_mode=w_mode, max_iter=max_iter)
+    draws = []
+
+    def counting_build(*args, **kwargs):
+        draws.append(args)
+        return build_instance(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "build_instance", counting_build)
+        try:
+            _RUNNERS[runner](cfg, loads)
+        except ConfigError:
+            assert draws == []
