@@ -13,8 +13,7 @@ Three layers:
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +61,9 @@ class ConvergenceReport:
     closed_form_radius: float | None = None
     w: float | None = None                # relaxation factor reported on
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-class RmtMse(NamedTuple):
+@dataclass(frozen=True)
+class RmtMse:
     """Finite-size F-expression MSE and its large-system branch value."""
 
     exact: float

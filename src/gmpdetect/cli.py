@@ -24,15 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from .analysis import (
-    gmpid_mean_convergence_report,
-    rmt_mmse_mse,
-    sagmpid_convergence_report,
-)
-from .gmpid import variance_fixed_point
 from .harness import (
     ComplexityRecord,
     ConfigError,
@@ -43,14 +37,14 @@ from .harness import (
     aggregate_records,
     emit_csv,
     render_rows,
-    resolve_relaxation,
+    run_analysis,
     run_complexity,
     run_convergence_table,
     run_experiment,
     run_mset_trace,
     write_text,
 )
-from .model import SystemDims, build_instance
+from .model import SystemDims
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,14 +64,15 @@ def _parse_names(text: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: its help line, its default detectors and w-mode and,
-    for a command that writes rows, the runner of (config, parsed args) and
-    the record type it returns. A runner looks its harness function up in
-    this module when it runs, so a replaced module attribute is the one run."""
+    """One subcommand: its help line, its default detectors, its runner of
+    (config, parsed args), the record type of the rows it returns (None for
+    analyze's report) and its default w-mode. A runner looks its harness
+    function up in this module when it runs, so a replaced module attribute
+    is the one run."""
 
     help: str
     detectors: tuple[str, ...]
-    run: Callable[[ExperimentConfig, argparse.Namespace], list] | None = None
+    run: Callable[[ExperimentConfig, argparse.Namespace], Any]
     kind: type | None = None
     w_mode: str = "auto"
 
@@ -95,9 +90,10 @@ _COMMANDS = {
                            ("gmpid", "sagmpid", "jacobi", "richardson"),
                            lambda cfg, args: run_complexity(cfg), ComplexityRecord,
                            w_mode="beta"),
-    "analyze": _Command("convergence and MSE report", ("gmpid", "sagmpid")),
+    "analyze": _Command("convergence and MSE report", ("gmpid", "sagmpid"),
+                        lambda cfg, args: run_analysis(cfg)),
 }
-_ROWS = tuple(name for name, c in _COMMANDS.items() if c.run is not None)
+_ROWS = tuple(name for name, c in _COMMANDS.items() if c.kind is not None)
 
 
 @dataclass(frozen=True)
@@ -231,54 +227,23 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _emit_records(args: argparse.Namespace) -> None:
+def _run_and_write(args: argparse.Namespace) -> None:
+    """Run the command and write what it returns: analyze's report as JSON,
+    the sweep's CSV with its aggregate section, any other rows as rendered."""
     command = _COMMANDS[args.command]
-    records = command.run(_experiment_config(args), args)
-    if command.kind is TrialRecord and args.format == "csv":
-        emit_csv(records, args.out, aggregate_records(records))  # ends in '# aggregate'
+    result = command.run(_experiment_config(args), args)
+    if command.kind is None:
+        write_text(args.out, json.dumps(result, indent=1) + "\n")
+    elif command.kind is TrialRecord and args.format == "csv":
+        emit_csv(result, args.out, aggregate_records(result))  # ends in '# aggregate'
     else:
-        write_text(args.out, render_rows(records, command.kind, args.format))
-
-
-def _analyze(args: argparse.Namespace) -> None:
-    cfg = _experiment_config(args)
-    cfg.validate()
-    snr_db = cfg.single_snr("analyze")
-    if not cfg.dims.beta < 1:
-        raise ConfigError("analyze requires load beta < 1")
-    inst = build_instance(cfg.dims.n_users, cfg.dims.n_antennas, snr_db=snr_db,
-                          prior_var=cfg.prior_var, channel_seed=cfg.master_seed)
-    relax = resolve_relaxation(inst, cfg.w_mode)  # None means auto
-    fp = variance_fixed_point(inst)
-    pred = rmt_mmse_mse(
-        cfg.dims.n_users, cfg.dims.n_antennas, cfg.prior_var, inst.noise_var
-    )
-    report = {
-        "n_users": cfg.dims.n_users,
-        "n_antennas": cfg.dims.n_antennas,
-        "beta": cfg.dims.beta,
-        "snr_db": snr_db,
-        "seed": cfg.master_seed,
-        "variance_fixed_point": asdict(fp),
-        "mmse_mse_prediction": {
-            "exact": pred.exact,
-            "asymptote": pred.asymptote,
-            "regime": pred.regime,
-        },
-        "gmpid": gmpid_mean_convergence_report(inst).to_dict(),
-        "sagmpid": sagmpid_convergence_report(inst, relax).to_dict(),
-    }
-    write_text(args.out, json.dumps(report, indent=1) + "\n")
+        write_text(args.out, render_rows(result, command.kind, args.format))
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point. Returns the process exit code."""
     try:
-        args = _parse_args(argv)
-        if _COMMANDS[args.command].run is None:
-            _analyze(args)
-        else:
-            _emit_records(args)
+        _run_and_write(_parse_args(argv))
         return 0
     except ConfigError as exc:
         print(f"gmpdetect: config error: {exc}", file=sys.stderr)

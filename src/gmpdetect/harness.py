@@ -2,8 +2,8 @@
 
 Runs registered detectors over seeded (channel, symbols, noise)
 realizations and emits deterministic CSV/JSON data files: MSE-vs-SNR
-sweeps, per-iteration variance/MSE traces, convergence verdict tables, and
-flops-to-target complexity comparisons.
+sweeps, per-iteration variance/MSE traces, convergence verdict tables,
+flops-to-target complexity comparisons and one channel's analysis report.
 
 Seeding contract: every (experiment index, trial) pair derives a
 (channel_seed, realization_seed) pair from the master seed via
@@ -21,8 +21,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .analysis import (
+    gmpid_mean_convergence_report, rmt_mmse_mse, sagmpid_convergence_report,
+)
 from .classic import iterate, jacobi_for_mmse, richardson_for_mmse
-from .gmpid import gmpid_detect
+from .gmpid import gmpid_detect, variance_fixed_point
 from .model import (
     SystemDims, _noise_var, build_instance, derive_trial_seeds, mse, realize,
 )
@@ -92,14 +95,6 @@ class ExperimentConfig:
                 raise ConfigError(f"snr point {snr} dB gives noise variance {s}: it must be "
                                   "finite and positive (0 runs only detector if)")
         _parse_w_mode(self.w_mode)  # raises ConfigError on a bad mode or manual w
-
-    def single_snr(self, what: str) -> float:
-        """The one SNR point, of positive noise variance; else ConfigError naming ``what``."""
-        if len(self.snr_grid_db) != 1:
-            raise ConfigError(f"{what} requires a single SNR point")
-        if not _noise_var(self.snr_grid_db[0], self.prior_var) > 0:
-            raise ConfigError(f"{what} requires a positive noise variance")
-        return self.snr_grid_db[0]
 
 
 def _parse_w_mode(text: str) -> tuple[str, RelaxationChoice | None]:
@@ -207,26 +202,29 @@ def run_detector(
     return _REGISTRY[name](inst, y, w_mode, max_iter=max_iter, eps=eps, truth=truth)
 
 
-def _draws(config: ExperimentConfig, what: str, loads: list[float] | None = None):
-    """Check ``config`` and every point that runner ``what`` draws at, then
-    return the iterator over its draws. Every ConfigError comes here, before
-    the first draw: this is a plain function, not a generator, so that its
-    checks run when it is called.
+def _points(config: ExperimentConfig, what: str, loads: list[float] | None = None):
+    """Check ``config`` for runner ``what`` and return the ``(snr_db, M)``
+    points it draws at. Every ConfigError of a runner comes from here or
+    from its own detector rule, before its first draw.
 
     Every runner but ``sweep`` takes one SNR point of positive noise
-    variance. The points are the SNR grid at ``config.dims.n_antennas``
-    antennas or, given ``loads`` (the table), each load ``0 < beta < 1`` at
-    M = round(K / beta) > K antennas. At every point ``if`` needs K <= M and
-    ``sagmpid`` under w-mode ``beta`` needs K < M. The iterator yields
-    ``(point, trial, channel_seed, inst, realization)``; ``point`` indexes
-    the grid or ``loads`` and is the seeding contract's experiment index.
+    variance, and ``analyze`` a load K / M < 1. The points are the SNR grid
+    at ``config.dims.n_antennas`` antennas or, given ``loads`` (the table),
+    each load ``0 < beta < 1`` at M = round(K / beta) > K antennas, a size
+    :class:`SystemDims` takes. At every point ``if`` needs K <= M and
+    ``sagmpid`` under w-mode ``beta`` needs K < M.
     """
     config.validate()
-    K = config.dims.n_users
+    K, snr_grid = config.dims.n_users, config.snr_grid_db
     if what != "sweep":
-        config.single_snr(what)
+        if len(snr_grid) != 1:
+            raise ConfigError(f"{what} requires a single SNR point")
+        if not _noise_var(snr_grid[0], config.prior_var) > 0:
+            raise ConfigError(f"{what} requires a positive noise variance")
+    if what == "analyze" and not config.dims.beta < 1:
+        raise ConfigError("analyze requires load beta < 1")
     if loads is None:
-        points = [(snr_db, config.dims.n_antennas) for snr_db in config.snr_grid_db]
+        points = [(snr_db, config.dims.n_antennas) for snr_db in snr_grid]
     elif not loads:
         raise ConfigError("load list must be non-empty")
     else:
@@ -237,24 +235,29 @@ def _draws(config: ExperimentConfig, what: str, loads: list[float] | None = None
             M = round(K / beta)
             if not M > K:  # its row would run load 1
                 raise ConfigError(f"load {beta} gives M = round(K / beta) = K = {K}")
-            points.append((config.snr_grid_db[0], M))
+            try:
+                SystemDims(K, M)
+            except ValueError as exc:
+                raise ConfigError(f"load {beta}: {exc}") from exc
+            points.append((snr_grid[0], M))
     for _, M in points:
         if "if" in config.detectors and K > M:
             raise ConfigError("detector if requires users <= antennas")
         if "sagmpid" in config.detectors and config.w_mode == "beta" and not K < M:
             raise ConfigError("w-mode beta requires load beta < 1")
-    return (
-        (point, trial, channel_seed, inst, realize(inst, realization_seed))
-        for point, (snr_db, M) in enumerate(points)
-        for trial in range(config.trials)
-        for channel_seed, realization_seed in [
-            derive_trial_seeds(config.master_seed, point, trial)
-        ]
-        for inst in [
-            build_instance(K, M, snr_db=snr_db, prior_var=config.prior_var,
-                           channel_seed=channel_seed)
-        ]
-    )
+    return points
+
+
+def _draws(config: ExperimentConfig, points: list[tuple[float, int]]):
+    """Yield ``(point, trial, channel_seed, inst, realization)`` for every
+    trial at every point of :func:`_points`; ``point`` indexes ``points`` and
+    is the seeding contract's experiment index."""
+    for point, (snr_db, M) in enumerate(points):
+        for trial in range(config.trials):
+            channel_seed, realization_seed = derive_trial_seeds(config.master_seed, point, trial)
+            inst = build_instance(config.dims.n_users, M, snr_db=snr_db,
+                                  prior_var=config.prior_var, channel_seed=channel_seed)
+            yield point, trial, channel_seed, inst, realize(inst, realization_seed)
 
 
 def _run(config, name, inst, y, **overrides) -> DetectionResult:
@@ -271,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     :func:`aggregate_records`.
     """
     records: list[TrialRecord] = []
-    for point, trial, channel_seed, inst, real in _draws(config, "sweep"):
+    for point, trial, channel_seed, inst, real in _draws(config, _points(config, "sweep")):
         for name in config.detectors:
             start = time.perf_counter_ns()
             run = _run(config, name, inst, real.received)
@@ -326,13 +329,13 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
     is disabled) so traces align; rows average only iterations present in
     all trials.
     """
-    draws = _draws(config, "mset trace")
+    points = _points(config, "mset trace")
     if len(config.detectors) != 1 or config.detectors[0] not in ("gmpid", "sagmpid"):
         raise ConfigError("mset trace requires exactly one of: gmpid, sagmpid")
     var_traces: list[list[float]] = []
     mse_traces: list[list[float]] = []
     name = config.detectors[0]
-    for _, _, _, inst, real in draws:
+    for _, _, _, inst, real in _draws(config, points):
         tr = _run(config, name, inst, real.received, eps=0.0, truth=real.symbols).trace
         var_traces.append(list(tr.mean_variance))
         mse_traces.append(list(tr.mse_to_truth))
@@ -375,7 +378,7 @@ def run_convergence_table(
     else D.
     """
     converged: dict[tuple[int, int, str], int] = {}  # (point, M, detector) -> trials
-    for point, _, _, inst, real in _draws(config, "table", beta_list):
+    for point, _, _, inst, real in _draws(config, _points(config, "table", beta_list)):
         x_ref = mmse_detect(inst, real.received).estimate
         denom = float(np.linalg.norm(x_ref))
         for name in config.detectors:
@@ -423,14 +426,14 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
     one-shot flop count; the ``complexity`` command defaults to w-mode
     ``beta`` so that relaxation search cost stays out of the comparison.
     """
-    draws = _draws(config, "complexity")
+    points = _points(config, "complexity")
     _check_detectors(
         config.detectors,
         DETECTORS - ONE_SHOT_DETECTORS,
         "complexity detectors must be iterative:",
     )
     out: list[ComplexityRecord] = []
-    for _, trial, _, inst, real in draws:
+    for _, trial, _, inst, real in _draws(config, points):
         ref = mmse_detect(inst, real.received)
         mmse_err = float(mse(ref.estimate, real.symbols))
         for name in config.detectors:
@@ -455,6 +458,29 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
                 )
             )
     return out
+
+
+def run_analysis(config: ExperimentConfig) -> dict:
+    """The ``analyze`` report on one channel, drawn at the config's one SNR
+    point with ``config.master_seed`` as its channel seed: the variances'
+    fixed point, the MMSE MSE prediction and both mean-convergence reports,
+    ``sagmpid``'s at the relaxation of ``config.w_mode``. It needs K < M."""
+    [(snr_db, M)] = _points(config, "analyze")
+    K = config.dims.n_users
+    inst = build_instance(K, M, snr_db=snr_db, prior_var=config.prior_var,
+                          channel_seed=config.master_seed)
+    relax = resolve_relaxation(inst, config.w_mode)  # None means auto
+    return {
+        "n_users": K,
+        "n_antennas": M,
+        "beta": config.dims.beta,
+        "snr_db": snr_db,
+        "seed": config.master_seed,
+        "variance_fixed_point": asdict(variance_fixed_point(inst)),
+        "mmse_mse_prediction": asdict(rmt_mmse_mse(K, M, config.prior_var, inst.noise_var)),
+        "gmpid": asdict(gmpid_mean_convergence_report(inst)),
+        "sagmpid": asdict(sagmpid_convergence_report(inst, relax)),
+    }
 
 
 def write_text(path: str, text: str) -> None:

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a``; ``a`` itself stays writeable."""
     v = a.view()
@@ -30,7 +33,8 @@ def _require_finite(v: np.ndarray, name: str = "y", length: int | None = None):
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Problem dimensions: K transmitting users, M receive antennas."""
+    """Problem dimensions: K transmitting users, M receive antennas, such that
+    numpy can index an M x K float64 array (M K 8 bytes within ``np.intp``)."""
 
     n_users: int
     n_antennas: int
@@ -38,6 +42,8 @@ class SystemDims:
     def __post_init__(self) -> None:
         if self.n_users < 1 or self.n_antennas < 1:
             raise ValueError("both dimensions must be at least 1")
+        if self.n_users * self.n_antennas * 8 > _INTP_MAX:
+            raise ValueError("an M x K float64 channel exceeds the largest array numpy can index")
 
     @property
     def beta(self) -> float:

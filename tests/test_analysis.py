@@ -1,6 +1,8 @@
 """Tests for the convergence-analysis layer: load threshold, asymptotic
 spectral radii, closed-form MSE prediction, and convergence reports."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -317,7 +319,7 @@ def test_relaxed_report_respects_supplied_choice():
 
 def test_report_serializes_to_plain_dict():
     inst = build_instance(20, 100, snr_db=20.0, channel_seed=2)
-    d = gmpid_mean_convergence_report(inst).to_dict()
+    d = asdict(gmpid_mean_convergence_report(inst))
     for key in (
         "diag_dominant",
         "spectral_radius",

@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 
 from gmpdetect import (
+    ExperimentConfig,
+    SystemDims,
     auto_relaxation,
     build_instance,
     cli,
+    run_analysis,
     sagmpid_convergence_report,
 )
 from gmpdetect.cli import main
 from gmpdetect.harness import CSV_HEADER
 
 _SMALL = ["--users", "8", "--antennas", "32", "--trials", "1", "--seed", "0"]
+_M31 = "1" + "0" * 30  # a 31-digit antenna count
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +128,12 @@ def test_help_exits_zero():
         ["table", "--users", "10", "--beta", "0.99", "--trials", "1", "--detectors", "if"],
         # K / beta overflows to inf, which no M can be rounded from.
         ["table", "--users", "10", "--beta", "1e-320", "--trials", "1", "--detectors", "if"],
+        # Sizes numpy cannot index: M K 8 bytes beyond np.intp. A size it can
+        # index but memory cannot hold is a runtime error, and is not run here.
+        ["table", "--users", "10", "--beta", "1e-300", "--trials", "1", "--detectors", "if"],
+        ["sweep", "--users", "2", "--antennas", _M31, "--trials", "1", "--detectors", "mmse"],
+        ["mset", "--users", "2", "--antennas", _M31, "--trials", "1"],
+        ["analyze", "--users", "2", "--antennas", _M31],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):
@@ -485,6 +495,14 @@ def test_analyze_report_keys(tmp_path):
     for detector in ("gmpid", "sagmpid"):
         assert 0 < report[detector]["closed_form_radius"] < 1
     assert report["gmpid"]["w"] == 1.0
+
+
+def test_analyze_writes_the_runner_report(capsys):
+    argv = ["--users", "100", "--antennas", "600", "--snr-db", "20", "--seed", "3"]
+    assert main(["analyze", *argv]) == 0
+    config = ExperimentConfig(dims=SystemDims(100, 600), snr_grid_db=[20.0], master_seed=3,
+                              detectors=("gmpid", "sagmpid"))
+    assert run_analysis(config) == json.loads(capsys.readouterr().out)
 
 
 def _run_module_sweep(out, args, **env):

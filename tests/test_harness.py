@@ -30,6 +30,7 @@ from gmpdetect.harness import (
     render_csv,
     render_rows,
     resolve_relaxation,
+    run_analysis,
     run_complexity,
     run_convergence_table,
     run_detector,
@@ -491,6 +492,7 @@ _RUNNERS = {
     "mset": lambda cfg, loads: run_mset_trace(cfg),
     "table": run_convergence_table,
     "complexity": lambda cfg, loads: run_complexity(cfg),
+    "analyze": lambda cfg, loads: run_analysis(cfg),
 }
 _INF, _NAN = float("inf"), float("nan")
 # Three finite-noise branches to one of points whose noise variance is 0,
@@ -507,8 +509,10 @@ _SNR_POINTS = st.one_of(
     K=st.integers(1, 4),
     M=st.integers(1, 12),
     snr_grid_db=st.lists(_SNR_POINTS, min_size=1, max_size=2),
-    # 0.9 rounds M = K / 0.9 to K for every K <= 4; 1e-320 overflows K / beta.
-    loads=st.lists(st.sampled_from([0.25, 0.5, 0.9, 1.0, 1e-320, _NAN]), min_size=1, max_size=2),
+    # 0.9 rounds M = K / 0.9 to K for every K <= 4; 1e-320 overflows K / beta;
+    # 1e-300 gives a finite M beyond any array numpy can index.
+    loads=st.lists(st.sampled_from([0.25, 0.5, 0.9, 1.0, 1e-320, 1e-300, _NAN]),
+                   min_size=1, max_size=2),
     detectors=st.one_of(  # any detectors, or iterative ones as mset and complexity take
         st.lists(st.sampled_from(sorted(DETECTORS)), min_size=1, max_size=3, unique=True),
         st.lists(st.sampled_from(["gmpid", "sagmpid", "jacobi", "richardson"]),
@@ -523,6 +527,8 @@ _SNR_POINTS = st.one_of(
          w_mode="beta", max_iter=5)
 @example(runner="table", K=3, M=3, snr_grid_db=[10.0], loads=[0.5, 1e-320], detectors=["if"],
          w_mode="auto", max_iter=5)  # the second row's K / beta overflows
+@example(runner="table", K=3, M=3, snr_grid_db=[10.0], loads=[0.5, 1e-300], detectors=["if"],
+         w_mode="auto", max_iter=5)  # the second row's M is beyond any array
 def test_runners_raise_config_errors_before_the_first_draw(
     runner, K, M, snr_grid_db, loads, detectors, w_mode, max_iter
 ):

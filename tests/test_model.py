@@ -34,6 +34,15 @@ def test_dims_reject_nonpositive():
         SystemDims(n_users=10, n_antennas=-1)
 
 
+def test_dims_reject_a_channel_numpy_cannot_index():
+    # M K 8 bytes must fit in np.intp; one more antenna crosses the bound.
+    limit = int(np.iinfo(np.intp).max) // 8
+    assert SystemDims(n_users=1, n_antennas=limit).n_antennas == limit
+    for K, M in [(1, limit + 1), (2, 10**30), (10**30, 2)]:
+        with pytest.raises(ValueError, match="numpy can index"):
+            SystemDims(n_users=K, n_antennas=M)
+
+
 # ---------------------------------------------------------------------------
 # Source prior
 # ---------------------------------------------------------------------------
