@@ -161,9 +161,7 @@ def _mean_iteration_report(
     row_abs_sums, mu, vv = _measured_spectrum(inst)
     lam = inst._cached(
         "closed_form_spectrum",
-        lambda inst: _read_only(
-            np.linalg.eigvalsh(relaxation_system_matrix(inst, gamma))
-        ),
+        lambda inst: _read_only(np.linalg.eigvalsh(relaxation_system_matrix(inst))),
     )
     rho = float(np.max(np.abs(1.0 - w * mu)))
     # Max absolute row sum of I - w Mt, whose diagonal is exactly 1 - w.

@@ -48,12 +48,12 @@ class AffineIteration:
 
 def iterate(
     iteration: AffineIteration,
-    x0: np.ndarray | None = None,
     eps: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     truth: np.ndarray | None = None,
 ) -> DetectionResult:
-    """Run ``x(t) = B x(t-1) + c`` until the step change is below ``eps``.
+    """Run ``x(t) = B x(t-1) + c`` from ``x(0) = 0`` until the step change
+    is below ``eps``.
 
     Terminates Converged when the max-norm step change drops below ``eps``
     (default ``1e-8 * (1 + ||c||_inf)``), Diverged when the iterate grows
@@ -68,9 +68,7 @@ def iterate(
     B, c = iteration.matrix, iteration.offset
     _require_finite(c, "offset")
     K = c.shape[0]
-    x = np.zeros(K) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (K,):
-        raise ValueError("x0 has the wrong length")
+    x = np.zeros(K)
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
     stop = _stop_rule(c, eps, first=1)
@@ -129,24 +127,18 @@ def jacobi_for_mmse(inst: SystemInstance, y: np.ndarray) -> AffineIteration:
     return AffineIteration(matrix=B, offset=b / d, setup_flops=flops)
 
 
-def richardson_for_mmse(
-    inst: SystemInstance, y: np.ndarray, omega: float | None = None
-) -> tuple[AffineIteration, float]:
+def richardson_for_mmse(inst: SystemInstance, y: np.ndarray) -> AffineIteration:
     """Richardson splitting of the MMSE normal equations.
 
-    ``B = I - omega*A``, ``c = omega*b``; ``omega=None`` selects the
-    radius-minimizing ``2/(lambda_min + lambda_max)`` of the system matrix.
-    Returns the iteration together with the omega actually used. Set-up is
-    the normal equations, the eigenvalue solve when it picks omega and the
+    ``B = I - omega*A``, ``c = omega*b`` at the radius-minimizing
+    ``omega = 2/(lambda_min + lambda_max)`` of the system matrix. Set-up is
+    the normal equations, the eigenvalue solve that picks omega and the
     K x K matrix and offset.
     """
     A, b, flops = _normal_equations(inst, y)
-    if omega is None:
-        evals = np.linalg.eigvalsh(A)
-        omega = 2.0 / (float(evals[0]) + float(evals[-1]))
-        flops += (8 * len(b) ** 3) // 3  # symmetric eigenvalues only
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    evals = np.linalg.eigvalsh(A)
+    omega = 2.0 / (float(evals[0]) + float(evals[-1]))
+    flops += (8 * len(b) ** 3) // 3  # symmetric eigenvalues only
     B = -omega * A
     B[np.diag_indices_from(B)] += 1.0
-    return AffineIteration(matrix=B, offset=omega * b, setup_flops=flops), float(omega)
+    return AffineIteration(matrix=B, offset=omega * b, setup_flops=flops)

@@ -35,7 +35,7 @@ from .reference import (
     matched_filter_detect,
     mmse_detect,
 )
-from .results import DetectionResult
+from .results import DEFAULT_MAX_ITER, DetectionResult
 from .sagmpid import RelaxationChoice, sagmpid_detect
 
 # A table trial converges when its estimate is within TABLE_TARGET_REL
@@ -170,9 +170,7 @@ _REGISTRY = {
         inst, y, resolve_relaxation(inst, w_mode), **run
     ),
     "jacobi": lambda inst, y, w_mode, **run: iterate(jacobi_for_mmse(inst, y), **run),
-    "richardson": lambda inst, y, w_mode, **run: iterate(
-        richardson_for_mmse(inst, y)[0], **run
-    ),
+    "richardson": lambda inst, y, w_mode, **run: iterate(richardson_for_mmse(inst, y), **run),
 }
 DETECTORS = frozenset(_REGISTRY)
 ONE_SHOT_DETECTORS = frozenset(_ONE_SHOT)
@@ -192,12 +190,13 @@ def run_detector(
     inst,
     y: np.ndarray,
     *,
-    max_iter: int = 200,
+    max_iter: int = DEFAULT_MAX_ITER,
     eps: float | None = None,
     w_mode: str = "auto",
     truth: np.ndarray | None = None,
 ) -> DetectionResult:
-    """Run one registered detector on one realization."""
+    """Run one registered detector on one realization, with the defaults of
+    the library call it registers."""
     _check_detectors((name,))
     return _REGISTRY[name](inst, y, w_mode, max_iter=max_iter, eps=eps, truth=truth)
 
@@ -423,8 +422,11 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
     on the same realization.
 
     Only iterative detectors qualify. The MMSE reference cost is its
-    one-shot flop count; the ``complexity`` command defaults to w-mode
-    ``beta`` so that relaxation search cost stays out of the comparison.
+    one-shot flop count. The ``complexity`` command defaults to w-mode
+    ``beta``, the paper's ``w = 1/(1+beta)``, which costs nothing to
+    choose. Auto ``w``'s measurement (``A^T H`` and a symmetric eigenvalue
+    solve) is not charged either: ``sagmpid`` reports equal flops under
+    auto and given ``w``, so ``--w-mode auto`` undercounts it.
     """
     points = _points(config, "complexity")
     _check_detectors(

@@ -131,11 +131,6 @@ class SystemInstance:
         """``H^T H``, formed once per instance (read-only)."""
         return self._cached("gram", lambda inst: _read_only(inst.channel.T @ inst.channel))
 
-    @property
-    def snr(self) -> float:
-        """Mean prior variance over noise variance."""
-        return float(np.mean(self.prior.variances)) / self.noise_var
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -160,17 +155,6 @@ def realize(inst: SystemInstance, seed: int) -> Realization:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(inst.dims.n_users) * np.sqrt(inst.prior.variances)
     n = rng.standard_normal(inst.dims.n_antennas) * np.sqrt(inst.noise_var)
-    return Realization(symbols=x, noise=n, received=inst.channel @ x + n)
-
-
-def assemble_realization(
-    inst: SystemInstance, symbols: np.ndarray, noise: np.ndarray
-) -> Realization:
-    """Build a realization from externally supplied source and noise vectors."""
-    x = np.asarray(symbols, dtype=float)
-    n = np.asarray(noise, dtype=float)
-    if x.shape != (inst.dims.n_users,) or n.shape != (inst.dims.n_antennas,):
-        raise ValueError("symbol/noise vector lengths do not match dims")
     return Realization(symbols=x, noise=n, received=inst.channel @ x + n)
 
 

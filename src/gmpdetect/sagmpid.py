@@ -28,17 +28,14 @@ from .model import SystemInstance, _read_only
 from .results import DEFAULT_MAX_ITER, DetectionResult, RelaxationChoice
 
 
-def relaxation_system_matrix(
-    inst: SystemInstance, gamma: float | None = None
-) -> np.ndarray:
+def relaxation_system_matrix(inst: SystemInstance) -> np.ndarray:
     """The closed-form K x K system matrix ``gamma*(H^T H - D) + I``.
 
-    Uses the exact per-user diagonal of H^T H (not its expectation), so the
-    diagonal of the result is exactly 1. ``gamma`` defaults to the converged
-    variance ratio from :func:`variance_fixed_point`.
+    ``gamma`` is the converged variance ratio from
+    :func:`variance_fixed_point`. Uses the exact per-user diagonal of H^T H
+    (not its expectation), so the diagonal of the result is exactly 1.
     """
-    if gamma is None:
-        gamma = variance_fixed_point(inst).gamma
+    gamma = variance_fixed_point(inst).gamma
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     A = gamma * inst._gram()

@@ -2,7 +2,7 @@
 emission, variance traces, verdict tables, and complexity accounting."""
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,14 @@ from gmpdetect import (
     SystemDims,
     Termination,
     build_instance,
+    derive_trial_seeds,
+    gmpid_detect,
     harness,
+    iterate,
+    jacobi_for_mmse,
     realize,
+    richardson_for_mmse,
+    sagmpid_detect,
     variance_fixed_point,
 )
 from gmpdetect.harness import (
@@ -122,6 +128,44 @@ def test_iterative_entries_share_one_run_contract(name):
     untraced = run_detector(name, inst, real.received, max_iter=50)
     assert untraced.trace.mse_to_truth is None
     assert untraced.trace.cum_flops == run.trace.cum_flops
+
+
+def _assert_same_result(got, want):
+    """Every field of two results equal, arrays and trace columns bit for bit."""
+    for f in fields(DetectionResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "trace":
+            for column in fields(a):
+                x, y = getattr(a, column.name), getattr(b, column.name)
+                assert (x is None) == (y is None), column.name
+                if x is not None:
+                    np.testing.assert_array_equal(x, y, err_msg=column.name)
+        elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+def test_run_detector_defaults_are_the_library_calls():
+    # The 20x22, 80 dB channel of `table --users 20 --beta 0.5,0.9 --snr-db 80
+    # --trials 1` (load 0.9 is the table's second point): richardson needs
+    # 1,515 iterations and sagmpid 1,106, so both run out the library's
+    # budget, well past the CLI's 200.
+    channel_seed, realization_seed = derive_trial_seeds(0, 1, 0)
+    inst = build_instance(20, 22, snr_db=80.0, channel_seed=channel_seed)
+    y = realize(inst, realization_seed).received
+    direct = {
+        "gmpid": lambda: gmpid_detect(inst, y),
+        "sagmpid": lambda: sagmpid_detect(inst, y),
+        "jacobi": lambda: iterate(jacobi_for_mmse(inst, y)),
+        "richardson": lambda: iterate(richardson_for_mmse(inst, y)),
+    }
+    assert set(direct) == DETECTORS - ONE_SHOT_DETECTORS
+    for name, call in direct.items():
+        want = call()
+        if name in ("richardson", "sagmpid"):
+            assert want.iterations > 200
+        _assert_same_result(run_detector(name, inst, y), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

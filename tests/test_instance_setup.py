@@ -110,8 +110,8 @@ def _consume(name, inst, y, w, max_iter, truth):
         it = jacobi_for_mmse(inst, y)
         return [it.matrix, it.offset]
     if name == "richardson":
-        it, omega = richardson_for_mmse(inst, y)
-        return [it.matrix, it.offset, omega]
+        it = richardson_for_mmse(inst, y)
+        return [it.matrix, it.offset]
     if name in ("mmse", "mf", "if"):
         detect = {"mmse": mmse_detect, "mf": matched_filter_detect, "if": inverse_filter_detect}
         return _result_fields(detect[name](inst, y))

@@ -67,22 +67,19 @@ def test_system_matrix_hand_arithmetic():
         prior=SourcePrior.homogeneous(2, 1.0),
         noise_var=0.1,
     )
-    A = relaxation_system_matrix(inst, gamma=0.5)
-    np.testing.assert_allclose(A, np.array([[1.0, 0.5], [0.5, 1.0]]))
-
-
-def test_system_matrix_default_gamma_is_variance_limit_ratio():
-    inst = build_instance(10, 40, snr_db=10.0, channel_seed=6)
-    np.testing.assert_allclose(
-        relaxation_system_matrix(inst),
-        relaxation_system_matrix(inst, gamma=variance_fixed_point(inst).gamma),
-    )
+    # K = M = 2, noise 0.1, unit prior: b = 0.1, sigma_hat^2 =
+    # (sqrt(0.01 + 0.8) - 0.1) / 4 = 0.2, sigma_tilde^2 = 2 * 0.2 + 0.1 = 0.5,
+    # so gamma = 0.4 scales the off-diagonal of H^T H = [[1, 1], [1, 1]].
+    A = relaxation_system_matrix(inst)
+    np.testing.assert_allclose(A, np.array([[1.0, 0.4], [0.4, 1.0]]))
+    assert A[0, 1] == A[1, 0] == variance_fixed_point(inst).gamma
 
 
 def test_system_matrix_rejects_nonpositive_gamma():
-    inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
-    with pytest.raises(ValueError):
-        relaxation_system_matrix(inst, gamma=0.0)
+    # At zero noise the closed-form gamma is 0 / 0.
+    inst = build_instance(4, 8, noise_var=0.0, channel_seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="gamma must be positive"):
+        relaxation_system_matrix(inst)
 
 
 def test_system_matrix_eigenvalues_inside_asymptotic_band():
