@@ -111,23 +111,28 @@ def rmt_mmse_mse(
     ``exact`` evaluates the finite-size expression
     ``sigma_x^2 * (1 - F(snr*M, beta) / (4*snr*K))`` with
     ``F(x, z) = (sqrt(x*(1+sqrt(z))^2 + 1) - sqrt(x*(1-sqrt(z))^2 + 1))^2``
-    and ``snr = sigma_x^2/sigma_n^2``. ``asymptote`` is the large-system
-    branch for the load regime: ``sigma_n^2/(M-K)`` underloaded,
-    ``sqrt(sigma_x^2*sigma_n^2/K)`` at K=M, ``(1-M/K)*sigma_x^2``
-    overloaded.
+    and ``snr = sigma_x^2/sigma_n^2``, rewritten to subtract no two nearly
+    equal numbers, which at high SNR would cancel its digits. It equals
+    :func:`~gmpdetect.gmpid.variance_fixed_point`'s ``sigma_hat_sq``.
+    ``asymptote`` is the large-system branch for the load regime:
+    ``sigma_n^2/(M-K)`` underloaded, ``sqrt(sigma_x^2*sigma_n^2/K)`` at
+    K=M, ``(1-M/K)*sigma_x^2`` overloaded.
     """
     if min(n_users, n_antennas) < 1 or sigma_x_sq <= 0 or sigma_n_sq <= 0:
         raise ValueError("rmt_mmse_mse requires positive sizes and variances")
     K, M = n_users, n_antennas
-    beta = K / M
-    snr = sigma_x_sq / sigma_n_sq
-    x = snr * M
+    x = sigma_x_sq / sigma_n_sq * M
+    beta, one_minus_beta = K / M, (M - K) / M
     root_b = np.sqrt(beta)
-    F = (
-        np.sqrt(x * (1.0 + root_b) ** 2 + 1.0)
-        - np.sqrt(x * (1.0 - root_b) ** 2 + 1.0)
-    ) ** 2
-    exact = sigma_x_sq * (1.0 - F / (4.0 * snr * K))
+    # With a and c the two square roots of F, 1 - F/(4 snr K) is
+    # 2 (g + 1) / (a + c)^2 where g = a c - x (1 - beta), rationalized at K <= M.
+    a = np.sqrt(x * (1.0 + root_b) ** 2 + 1.0)
+    c = np.sqrt(x * (one_minus_beta / (1.0 + root_b)) ** 2 + 1.0)
+    if K <= M:
+        g = (2.0 * x * (1.0 + beta) + 1.0) / (a * c + x * one_minus_beta)
+    else:
+        g = a * c - x * one_minus_beta
+    exact = sigma_x_sq * 2.0 * (g + 1.0) / (a + c) ** 2
     if K < M:
         asymptote = sigma_n_sq / (M - K)
         regime = "underloaded"
@@ -157,8 +162,8 @@ def _mean_iteration_report(
     instance too, so every report on it shares one symmetric eigenvalue
     solve.
     """
+    row_abs_sums, mu, vv = _measured_spectrum(inst)  # first: its checks guard gamma
     gamma = variance_fixed_point(inst).gamma
-    row_abs_sums, mu, vv = _measured_spectrum(inst)
     lam = inst._cached(
         "closed_form_spectrum",
         lambda inst: _read_only(np.linalg.eigvalsh(relaxation_system_matrix(inst))),

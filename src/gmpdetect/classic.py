@@ -56,7 +56,8 @@ def iterate(
     is below ``eps``.
 
     Terminates Converged when the max-norm step change drops below ``eps``
-    (default ``1e-8 * (1 + ||c||_inf)``), Diverged when the iterate grows
+    (default ``1e-8 * (1 + ||c||_inf)``; ``eps=0`` turns the stop off, a
+    negative or NaN ``eps`` raises ValueError), Diverged when the iterate grows
     past ``1e12 * (1 + ||c||_inf)`` or turns non-finite, otherwise
     MaxIterations. The flop count starts at ``iteration.setup_flops``, so
     ``trace.cum_flops[t-1]`` is the cost of a standalone run stopped after
@@ -69,8 +70,6 @@ def iterate(
     _require_finite(c, "offset")
     K = c.shape[0]
     x = np.zeros(K)
-    if eps is not None and not eps > 0:
-        raise ValueError("eps must be positive")
     stop = _stop_rule(c, eps, first=1)
 
     trace = IterationTrace()
@@ -81,7 +80,7 @@ def iterate(
         change, verdict = stop(t, x_new - x, x_new)
         x = x_new
         flops += 2 * K * K + 3 * K
-        trace.append(t, change, flops, x, truth=truth)
+        trace.append(change, flops, x, truth=truth)
         if verdict is not None:
             terminated = verdict
             break

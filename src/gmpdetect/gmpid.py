@@ -182,8 +182,11 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
     s = inst.noise_var
     K, M = inst.dims.n_users, inst.dims.n_antennas
 
-    b = s / sx + M - K
-    sigma_hat_sq = (np.sqrt(b * b + 4.0 * (K / sx) * s) - b) / (2.0 * K / sx)
+    # The positive root of (K/sx) v^2 + b v - s = 0, in the form that adds
+    # two terms of one sign for either sign of b; M - K first keeps s at K = M.
+    b = (M - K) + s / sx
+    root = np.sqrt(b * b + 4.0 * (K / sx) * s)
+    sigma_hat_sq = 2.0 * s / (b + root) if b > 0 else (root - b) / (2.0 * K / sx)
     sigma_tilde_sq = K * sigma_hat_sq + s
     gamma = sigma_hat_sq / sigma_tilde_sq
 
@@ -241,10 +244,14 @@ class _VarianceSchedule:
     one (M, K) buffer ``A``: every sweep writes its step's ``A`` there, so
     once the schedule settles it holds the settled ``A`` (read-only from
     then on), which the engine's frozen phase and the measured spectrum
-    read in place.
+    read in place. Zero noise or a non-finite prior raises ValueError for
+    every reader.
     """
 
     def __init__(self, inst: SystemInstance):
+        if not inst.noise_var > 0:
+            raise ValueError("message passing requires positive noise variance")
+        _require_finite(inst.prior.variances, "message passing: prior variances")
         self.H = inst.channel
         self.A = np.zeros(inst.channel.shape)  # the last swept step's A
         self.s, self.px = inst.noise_var, inst.prior.precisions
@@ -372,7 +379,6 @@ def _run_message_passing(
     eps: float | None,
     max_iter: int,
     truth: np.ndarray | None = None,
-    oracle: np.ndarray | None = None,
 ) -> DetectionResult:
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
@@ -409,12 +415,8 @@ def _run_message_passing(
     w = 1.0 if relax is None else float(relax.w)
     H = inst.channel
     M, K = H.shape
-    if not inst.noise_var > 0:
-        raise ValueError("message passing requires positive noise variance")
-    _require_finite(inst.prior.variances, "message passing: prior variances")
+    schedule = _schedule(inst)
     _require_finite(y, length=inst.dims.n_antennas)
-    if eps is not None and not eps >= 0:  # eps = 0 turns the stop off
-        raise ValueError("eps must be non-negative")
 
     # The first sweep only installs the prior (means stay zero), so the
     # step-change test is armed from the second sweep onward.
@@ -425,7 +427,6 @@ def _run_message_passing(
     ev = np.zeros(K)
     ev_prev = None
     vv = np.full(K, np.inf)  # the uninformative state, returned if no iteration runs
-    schedule = _schedule(inst)
     block = schedule.block()
     A = None  # the schedule's settled A, once the run reaches it
     trace = IterationTrace()
@@ -449,9 +450,7 @@ def _run_message_passing(
         flops += 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)
         ev_prev, ev = ev, ev_new
 
-        trace.append(
-            t, change, flops, ev, oracle=oracle, truth=truth, mean_variance=mean_var
-        )
+        trace.append(change, flops, ev, truth=truth, mean_variance=mean_var)
         if verdict is not None:
             terminated = verdict
             break
@@ -475,7 +474,6 @@ def gmpid_detect(
     eps: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     truth: np.ndarray | None = None,
-    oracle: np.ndarray | None = None,
 ) -> DetectionResult:
     """Iterative Gaussian message-passing detection (plain, unrelaxed).
 
@@ -483,10 +481,8 @@ def gmpid_detect(
     ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
     NaN ``eps`` raises ValueError), the iteration budget runs out, or the
     estimate grows past the divergence threshold. A ``y`` that is not a
-    finite vector of length M raises ValueError. ``truth`` / ``oracle``
-    optionally enable per-iteration MSE / oracle-gap trace columns. The
+    finite vector of length M raises ValueError. ``truth``, any length-K
+    reference, enables the per-iteration ``mse_to_truth`` trace column. The
     result's ``relax`` is None.
     """
-    return _run_message_passing(
-        inst, y, None, eps=eps, max_iter=max_iter, truth=truth, oracle=oracle
-    )
+    return _run_message_passing(inst, y, None, eps=eps, max_iter=max_iter, truth=truth)

@@ -141,9 +141,6 @@ class TrialRecord:
     wall_time_ns: int
 
 
-CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
-
-
 @dataclass(frozen=True)
 class AggregateRecord:
     """Mean MSE of one detector at one SNR point."""
@@ -518,11 +515,9 @@ def render_rows(records: list, kind: type, fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(
-    records: list[TrialRecord],
-    aggregates: list[AggregateRecord] | None = None,
-) -> str:
-    """Render trial records as CSV with a trailing '# aggregate' section.
+def render_csv(records: list[TrialRecord], aggregates: list[AggregateRecord]) -> str:
+    """Render trial records as CSV with a trailing '# aggregate' section of
+    ``aggregates``, which :func:`aggregate_records` makes from ``records``.
 
     An empty record list renders as the header line only (no aggregate
     section).
@@ -530,15 +525,9 @@ def render_csv(
     text = render_rows(records, TrialRecord)
     if not records:
         return text
-    if aggregates is None:
-        aggregates = aggregate_records(records)
     return text + "# aggregate\n" + render_rows(aggregates, AggregateRecord)
 
 
-def emit_csv(
-    records: list[TrialRecord],
-    path: str,
-    aggregates: list[AggregateRecord] | None = None,
-) -> None:
+def emit_csv(records: list[TrialRecord], path: str, aggregates: list[AggregateRecord]) -> None:
     """Write trial records as CSV (see :func:`render_csv`)."""
     write_text(path, render_csv(records, aggregates))

@@ -134,11 +134,10 @@ class SystemInstance:
 
 @dataclass(frozen=True)
 class Realization:
-    """One transmitted vector, noise draw, and the resulting observation."""
+    """One transmitted vector and the observation it gives through one noise draw."""
 
     symbols: np.ndarray   # length K
-    noise: np.ndarray     # length M
-    received: np.ndarray  # length M; equals channel @ symbols + noise
+    received: np.ndarray  # length M; channel @ symbols plus the noise
 
 
 def generate_channel(dims: SystemDims, seed: int) -> np.ndarray:
@@ -155,7 +154,7 @@ def realize(inst: SystemInstance, seed: int) -> Realization:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(inst.dims.n_users) * np.sqrt(inst.prior.variances)
     n = rng.standard_normal(inst.dims.n_antennas) * np.sqrt(inst.noise_var)
-    return Realization(symbols=x, noise=n, received=inst.channel @ x + n)
+    return Realization(symbols=x, received=inst.channel @ x + n)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

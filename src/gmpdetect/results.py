@@ -24,8 +24,11 @@ def _stop_rule(ref: np.ndarray, eps: float | None, first: int):
     ``stop(t, d, x)``, for step ``t`` moving the iterate by ``d`` to ``x``,
     returns ``||d||_inf`` and Diverged once ``||x||_inf`` passes ``1e12 *
     scale`` or is NaN, Converged once that change is below ``eps`` (default
-    ``1e-8 * scale``; 0 never stops) at ``t >= first``, else None.
+    ``1e-8 * scale``; 0 never stops) at ``t >= first``, else None. A
+    negative or NaN ``eps`` raises ValueError.
     """
+    if eps is not None and not eps >= 0:
+        raise ValueError("eps must be non-negative")
     scale = 1.0 + float(np.max(np.abs(ref), initial=0.0))
     eps = 1e-8 * scale if eps is None else eps
     thresh = 1e12 * scale
@@ -47,35 +50,29 @@ def _stop_rule(ref: np.ndarray, eps: float | None, first: int):
 class IterationTrace:
     """Per-iteration progress of an iterative detector.
 
-    Column lists all share one length; ``iteration`` counts from 1. Optional
-    columns stay None unless the run was asked to record them.
+    Column lists all share one length, the iterations run. Optional columns
+    stay None unless the run was asked to record them.
     """
 
-    iteration: list[int] = field(default_factory=list)
     step_change: list[float] = field(default_factory=list)   # ||x(t)-x(t-1)||_inf
     cum_flops: list[int] = field(default_factory=list)  # cost to t, set-up included
-    oracle_gap: list[float] | None = None        # ||x(t) - x*||_2 vs a supplied oracle
     mean_variance: list[float] | None = None     # message-passing only: avg posterior variance
     mse_to_truth: list[float] | None = None      # mean((x(t) - truth)^2) when truth supplied
 
     def append(
         self,
-        t: int,
         step_change: float,
         cum_flops: int,
         x: np.ndarray,
         *,
-        oracle: np.ndarray | None = None,
         truth: np.ndarray | None = None,
         mean_variance: float | None = None,
     ) -> None:
-        """Record iteration ``t`` with iterate ``x``; ``oracle`` / ``truth``
-        fill the gap and MSE columns from it."""
-        self.iteration.append(t)
+        """Record the next iteration, with iterate ``x``. ``truth``, any
+        length-K reference (the symbols sent, the MMSE estimate), fills the
+        MSE column; the 2-norm distance is ``sqrt(K * mse_to_truth)``."""
         self.step_change.append(float(step_change))
         self.cum_flops.append(int(cum_flops))
-        if oracle is not None:
-            self._column("oracle_gap").append(float(np.linalg.norm(x - oracle)))
         if mean_variance is not None:
             self._column("mean_variance").append(float(mean_variance))
         if truth is not None:
@@ -88,7 +85,7 @@ class IterationTrace:
         return getattr(self, name)
 
     def __len__(self) -> int:
-        return len(self.iteration)
+        return len(self.step_change)
 
 
 @dataclass(frozen=True)

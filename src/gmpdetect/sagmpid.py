@@ -142,7 +142,6 @@ def sagmpid_detect(
     eps: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     truth: np.ndarray | None = None,
-    oracle: np.ndarray | None = None,
 ) -> DetectionResult:
     """Relaxed Gaussian message-passing detection.
 
@@ -154,6 +153,4 @@ def sagmpid_detect(
     """
     if relax is None:
         relax = auto_relaxation(inst)
-    return _run_message_passing(
-        inst, y, relax, eps=eps, max_iter=max_iter, truth=truth, oracle=oracle
-    )
+    return _run_message_passing(inst, y, relax, eps=eps, max_iter=max_iter, truth=truth)

@@ -2,6 +2,7 @@
 spectral radii, closed-form MSE prediction, and convergence reports."""
 
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gmpdetect import (
     sagmpid_convergence_report,
     sagmpid_detect,
     spectral_radius,
+    variance_fixed_point,
     variance_recursion,
 )
 
@@ -55,6 +57,39 @@ def test_relaxed_radius_beats_plain_radius_everywhere():
 # ---------------------------------------------------------------------------
 # Closed-form MSE prediction
 # ---------------------------------------------------------------------------
+
+
+def _textbook_closed_forms(K, M, sx, s):
+    """The fixed-point root and the F-expression MSE as written, in 80-digit
+    decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        K, M, sx, s = map(Decimal, (K, M, sx, s))
+        b = s / sx + M - K
+        root = ((b * b + 4 * (K / sx) * s).sqrt() - b) / (2 * K / sx)
+        snr, rb = sx / s, (K / M).sqrt()
+        x = snr * M
+        F = ((x * (1 + rb) ** 2 + 1).sqrt() - (x * (1 - rb) ** 2 + 1).sqrt()) ** 2
+        return root, sx * (1 - F / (4 * snr * K))
+
+
+@pytest.mark.parametrize("prior_var", [1.0, 0.3])
+def test_closed_forms_match_a_decimal_reference_and_each_other(prior_var):
+    # Below, at and above load 1, up to 300 dB, where the textbook forms
+    # cancel every digit in double precision. The two closed forms are one
+    # quantity: the message-passing variance limit is the MMSE error.
+    shapes = [(1, 1), (1, 2), (2, 1), (3, 5), (4, 12), (8, 32), (20, 20), (50, 10),
+              (100, 101), (100, 105), (101, 100), (100, 600), (200, 201), (600, 100)]
+    for K, M in shapes:
+        for snr_db in (-10, 0, 10, 20, 40, 60, 80, 100, 120, 140, 160, 200, 250, 300):
+            inst = build_instance(K, M, snr_db=snr_db, prior_var=prior_var)
+            fixed = variance_fixed_point(inst).sigma_hat_sq
+            exact = rmt_mmse_mse(K, M, prior_var, inst.noise_var).exact
+            ref_fixed, ref_exact = _textbook_closed_forms(K, M, prior_var, inst.noise_var)
+            at = (K, M, snr_db)
+            assert abs(Decimal(fixed) - ref_fixed) <= Decimal(2e-15) * ref_fixed, at
+            assert abs(Decimal(exact) - ref_exact) <= Decimal(2e-15) * ref_exact, at
+            assert abs(fixed - exact) <= 2e-15 * fixed, at
 
 
 def test_mse_prediction_underloaded_branch_value():

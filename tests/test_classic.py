@@ -82,8 +82,12 @@ def test_per_step_cost_is_quadratic_in_users(K):
 
 def test_iterate_validates_inputs():
     it = AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(2))
-    with pytest.raises(ValueError):
-        iterate(it, eps=0.0)
+    # eps = 0 never stops, as in message passing: the run takes its budget.
+    out = iterate(it, eps=0.0, max_iter=9)
+    assert (out.iterations, out.terminated) == (9, Termination.MAX_ITERATIONS)
+    for eps in (-1.0, np.nan):
+        with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
+            iterate(it, eps=eps)
     with pytest.raises(ValueError):
         AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(3))
 
@@ -98,13 +102,6 @@ def test_iterate_rejects_a_non_finite_offset(bad):
 def test_empty_iteration_is_rejected():
     with pytest.raises(ValueError, match=r"^AffineIteration is empty"):
         AffineIteration(matrix=np.zeros((0, 0)), offset=np.zeros(0))
-
-
-def test_trace_iterations_strictly_increasing_from_one():
-    it = AffineIteration(matrix=0.5 * np.eye(2), offset=np.ones(2))
-    out = iterate(it, eps=1e-10, max_iter=50)
-    assert out.trace.iteration[0] == 1
-    assert all(np.diff(out.trace.iteration) == 1)
 
 
 # ---------------------------------------------------------------------------

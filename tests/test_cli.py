@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from gmpdetect import (
     sagmpid_convergence_report,
 )
 from gmpdetect.cli import main
-from gmpdetect.harness import CSV_HEADER
+from gmpdetect.harness import TrialRecord
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 _SMALL = ["--users", "8", "--antennas", "32", "--trials", "1", "--seed", "0"]
 _M31 = "1" + "0" * 30  # a 31-digit antenna count
@@ -498,11 +501,17 @@ def test_analyze_report_keys(tmp_path):
 
 
 def test_analyze_writes_the_runner_report(capsys):
-    argv = ["--users", "100", "--antennas", "600", "--snr-db", "20", "--seed", "3"]
-    assert main(["analyze", *argv]) == 0
-    config = ExperimentConfig(dims=SystemDims(100, 600), snr_grid_db=[20.0], master_seed=3,
-                              detectors=("gmpid", "sagmpid"))
-    assert run_analysis(config) == json.loads(capsys.readouterr().out)
+    # At 140 dB too, where the closed forms keep their digits: the variance
+    # limit equals the MMSE error prediction, and gamma stays positive.
+    for snr_db in (20.0, 140.0):
+        argv = ["--users", "100", "--antennas", "600", "--snr-db", str(snr_db), "--seed", "3"]
+        assert main(["analyze", *argv]) == 0
+        config = ExperimentConfig(dims=SystemDims(100, 600), snr_grid_db=[snr_db],
+                                  master_seed=3, detectors=("gmpid", "sagmpid"))
+        report = json.loads(capsys.readouterr().out)
+        assert run_analysis(config) == report
+        fixed = report["variance_fixed_point"]["sigma_hat_sq"]
+        assert report["mmse_mse_prediction"]["exact"] == pytest.approx(fixed, rel=2e-15, abs=0)
 
 
 def _run_module_sweep(out, args, **env):

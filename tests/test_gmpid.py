@@ -4,6 +4,7 @@ update operations, the closed-form variance limit, and the detection loop."""
 import contextlib
 import gc
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import fields
 from unittest import mock
@@ -24,11 +25,13 @@ from gmpdetect import (
     auto_relaxation,
     build_instance,
     gmpid_detect,
+    gmpid_mean_convergence_report,
     matched_filter_detect,
     message_state,
     mmse_detect,
     realize,
     run_detector,
+    sagmpid_convergence_report,
     sagmpid_detect,
     sum_node_update,
     variable_node_update,
@@ -320,6 +323,30 @@ def test_variance_limit_rejects_heterogeneous_or_flat_prior():
     )
     with pytest.raises(ValueError):
         variance_fixed_point(flat)
+
+
+def test_every_schedule_reader_rejects_zero_noise_and_a_flat_prior():
+    # The schedule checks its instance for every reader, before any
+    # arithmetic: no 0/0 warning, no NaN variances, no LinAlgError.
+    noiseless = build_instance(4, 12, noise_var=0.0)
+    flat = SystemInstance(
+        dims=noiseless.dims,
+        channel=noiseless.channel,
+        prior=SourcePrior(variances=np.full(4, np.inf)),
+        noise_var=0.1,
+    )
+    readers = (
+        variance_recursion,
+        auto_relaxation,
+        gmpid_mean_convergence_report,
+        sagmpid_convergence_report,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst in (noiseless, flat):
+            for reader in readers:
+                with pytest.raises(ValueError, match="^message passing"):
+                    reader(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +840,10 @@ def test_detect_per_iteration_cost_within_twice_nominal():
 def test_detect_trace_records_requested_diagnostics():
     inst = build_instance(5, 20, snr_db=10.0, channel_seed=8)
     real = realize(inst, 9)
-    ref = mmse_detect(inst, real.received).estimate
-    out = gmpid_detect(
-        inst, real.received, eps=0.0, max_iter=7, truth=real.symbols, oracle=ref
-    )
+    out = gmpid_detect(inst, real.received, eps=0.0, max_iter=7, truth=real.symbols)
     tr = out.trace
     assert len(tr) == 7
-    assert len(tr.oracle_gap) == 7 and len(tr.mse_to_truth) == 7
+    assert len(tr.mse_to_truth) == 7
     assert all(np.isfinite(tr.mean_variance))
     assert tr.mean_variance == sorted(tr.mean_variance, reverse=True)
 

@@ -25,7 +25,6 @@ from gmpdetect import (
     variance_fixed_point,
 )
 from gmpdetect.harness import (
-    CSV_HEADER,
     DETECTORS,
     ONE_SHOT_DETECTORS,
     ConfigError,
@@ -43,6 +42,8 @@ from gmpdetect.harness import (
     run_experiment,
     run_mset_trace,
 )
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 def _config(**overrides):
@@ -195,8 +196,8 @@ def test_every_detector_rejects_an_observation_of_the_wrong_shape(name, cut):
 
 def test_rerun_with_identical_config_is_byte_identical():
     cfg = _config(dims=SystemDims(8, 32), trials=3, detectors=("mmse", "gmpid"))
-    first = render_csv(run_experiment(cfg))
-    second = render_csv(run_experiment(cfg))
+    runs = [run_experiment(cfg) for _ in range(2)]
+    first, second = (render_csv(r, aggregate_records(r)) for r in runs)
     assert first == second
 
 
@@ -296,6 +297,19 @@ def test_resolve_relaxation_modes():
             resolve_relaxation(inst, removed)
 
 
+def test_every_iterative_detector_takes_one_eps_rule():
+    # results._stop_rule checks eps for every iterative detector: a
+    # negative or NaN eps raises one ValueError, and eps = 0 never stops.
+    inst = build_instance(4, 40, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    for name in sorted(DETECTORS - ONE_SHOT_DETECTORS):
+        for eps in (-1.0, np.nan):
+            with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
+                run_detector(name, inst, y, eps=eps)
+        out = run_detector(name, inst, y, eps=0.0, max_iter=25)
+        assert (out.iterations, out.terminated) == (25, Termination.MAX_ITERATIONS), name
+
+
 def test_run_detector_rejects_unknown_name():
     inst = build_instance(4, 8, snr_db=10.0, channel_seed=0)
     with pytest.raises(ConfigError):
@@ -308,13 +322,13 @@ def test_run_detector_rejects_unknown_name():
 
 
 def test_empty_record_list_renders_header_only():
-    assert render_csv([]) == CSV_HEADER + "\n"
+    assert render_csv([], []) == CSV_HEADER + "\n"
 
 
 def test_csv_shape_with_three_records():
     cfg = _config(trials=3)
     records = run_experiment(cfg)
-    lines = render_csv(records).splitlines()
+    lines = render_csv(records, aggregate_records(records)).splitlines()
     assert lines[0] == CSV_HEADER
     assert len(records) == 3
     assert lines[4] == "# aggregate"
@@ -325,7 +339,7 @@ def test_csv_shape_with_three_records():
 def test_csv_emitted_to_file(tmp_path):
     records = run_experiment(_config())
     path = tmp_path / "out.csv"
-    emit_csv(records, str(path))
+    emit_csv(records, str(path), aggregate_records(records))
     text = path.read_text()
     assert text.startswith(CSV_HEADER)
     assert "# aggregate" in text

@@ -82,7 +82,7 @@ def _result_fields(r):
     fields = [r.estimate, r.posterior_var, r.iterations, r.flops, r.terminated]
     if r.trace is not None:
         tr = r.trace
-        fields += [tr.iteration, tr.step_change, tr.cum_flops, tr.mean_variance, tr.mse_to_truth]
+        fields += [tr.step_change, tr.cum_flops, tr.mean_variance, tr.mse_to_truth]
     return fields
 
 

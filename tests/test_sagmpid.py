@@ -293,20 +293,23 @@ def test_w1_is_bitwise_plain_detector_on_small_shapes(
 def _assert_w1_is_plain(K, extra, snr_db, seed, hetero, max_iter):
     inst, x, y = _small_instance(K, extra, snr_db, seed, hetero)
     oracle = mmse_detect(inst, y).estimate
-    runs = dict(max_iter=max_iter, truth=x, oracle=oracle)
-    plain = gmpid_detect(inst, y, **runs)
     relax = RelaxationChoice(w=1.0)
-    relaxed = sagmpid_detect(inst, y, relax, **runs)
-    np.testing.assert_array_equal(relaxed.estimate, plain.estimate)
-    np.testing.assert_array_equal(relaxed.posterior_var, plain.posterior_var)
-    assert (relaxed.iterations, relaxed.flops) == (plain.iterations, plain.flops)
-    assert relaxed.terminated is plain.terminated
-    for column in fields(IterationTrace):
-        np.testing.assert_array_equal(
-            getattr(relaxed.trace, column.name),
-            getattr(plain.trace, column.name),
-            err_msg=column.name,
-        )
+    # Once against the symbols sent, once against MMSE: every trace column,
+    # the per-iteration distance to each reference included, is bitwise equal.
+    for truth in (x, oracle):
+        runs = dict(max_iter=max_iter, truth=truth)
+        plain = gmpid_detect(inst, y, **runs)
+        relaxed = sagmpid_detect(inst, y, relax, **runs)
+        np.testing.assert_array_equal(relaxed.estimate, plain.estimate)
+        np.testing.assert_array_equal(relaxed.posterior_var, plain.posterior_var)
+        assert (relaxed.iterations, relaxed.flops) == (plain.iterations, plain.flops)
+        assert relaxed.terminated is plain.terminated
+        for column in fields(IterationTrace):
+            np.testing.assert_array_equal(
+                getattr(relaxed.trace, column.name),
+                getattr(plain.trace, column.name),
+                err_msg=column.name,
+            )
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -400,16 +403,16 @@ def test_relaxed_reaches_target_in_fewer_iterations():
     nrm = float(np.linalg.norm(ref))
 
     def first_hit(out):
-        for i, gap in enumerate(out.trace.oracle_gap):
-            if gap / nrm < 1e-3:
+        for i, mse in enumerate(out.trace.mse_to_truth):
+            if np.sqrt(inst.dims.n_users * mse) / nrm < 1e-3:
                 return i + 1
         return None
 
     plain_hit = first_hit(
-        gmpid_detect(inst, real.received, eps=0.0, max_iter=20, oracle=ref)
+        gmpid_detect(inst, real.received, eps=0.0, max_iter=20, truth=ref)
     )
     relaxed_hit = first_hit(
-        sagmpid_detect(inst, real.received, eps=0.0, max_iter=20, oracle=ref)
+        sagmpid_detect(inst, real.received, eps=0.0, max_iter=20, truth=ref)
     )
     assert relaxed_hit is not None and plain_hit is not None
     assert relaxed_hit < plain_hit
@@ -498,9 +501,10 @@ def test_error_decay_rate_tracks_iteration_matrix_radius():
             RelaxationChoice(w=w),
             eps=0.0,
             max_iter=60,
-            oracle=ref,
+            truth=ref,
         )
-        log_gap = np.log(np.asarray(out.trace.oracle_gap[9:60]))
+        gap = np.sqrt(inst.dims.n_users * np.asarray(out.trace.mse_to_truth[9:60]))
+        log_gap = np.log(gap)
         slope = np.polyfit(np.arange(len(log_gap)), log_gap, 1)[0]
         fitted_rate = float(np.exp(slope))
         assert abs(fitted_rate - rho) / rho < 0.15
