@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .model import SystemDims, SystemInstance, _require_finite
 from .results import (
     DEFAULT_MAX_ITER, DetectionResult, IterationTrace, RelaxationChoice, Termination,
@@ -231,14 +232,19 @@ class _VarianceSchedule:
 
     :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
     (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache.
-    Each block squares its own rows of ``H`` (``H[rows] * H[rows]`` is
-    ``H^2[rows]`` bit for bit) and, while in cache, also feeds its share of
-    the engine's ``A^T r`` and, in a sweep, of ``c`` and ``u``; the block
-    shares of ``A^T r`` and ``u`` are summed in block order. Only a step
-    past the recorded end runs the gemv for ``c``, the reduction and the
-    settle test; a recorded step is replayed by the same statements, so it
-    is the swept step bit for bit. Where one block covers the channel
-    (``M K <= _BLOCK_ENTRIES``) every sum is the unblocked one.
+    Each block forms its rows of ``A`` from its own rows of ``H`` (``H[rows]
+    * H[rows]`` is ``H^2[rows]`` bit for bit) and, while in cache, also
+    feeds its share of the engine's ``A^T r`` and, in a sweep, of ``c`` and
+    ``u``; the block shares of ``A^T r`` and ``u`` are summed in block
+    order. Only a step past the recorded end runs the square and gemv for
+    ``c``, the reduction and the settle test; a recorded step is replayed
+    by the same statements, so it is the swept step bit for bit. Where one
+    block covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
+    unblocked one. On a C-contiguous float64 channel, and where
+    :func:`_native.load` gives the compiled loop, a block's ``A`` is formed
+    by that one loop instead of the four element-wise passes of
+    :meth:`variances` and the division: the same operations in the same
+    order, so the same bits.
 
     The schedule keeps a reference to the channel, not a copy of it, and
     one (M, K) buffer ``A``: every sweep writes its step's ``A`` there, so
@@ -258,17 +264,29 @@ class _VarianceSchedule:
         self.u, self.vv, self.c = [], [], [None]
         self.settle: int | None = None  # index of the settled step, once reached
         self._rtol = inst.dims.n_antennas * 2.0**-53  # rounding bound of u's sum
-        self._seen = set()  # the bytes of every user-weight vector so far
+        self._seen: dict[int, list[int]] = {}  # the steps, by the hash of their user weights
+        # The compiled loop reads arrays by address, each taken once: those of
+        # H and A, for a C-contiguous float64 channel only, and per step t
+        # those of c[t] and vv[t - 1].
+        H = self.H
+        native = H.flags.c_contiguous and H.dtype == np.float64
+        self._base = (H.ctypes.data, self.A.ctypes.data) if native else None
+        self._at = [None]
         self._pw = np.inf  # the last step's user weights
         self._record(np.zeros(inst.dims.n_users))
 
     def _record(self, u: np.ndarray) -> None:
         pw = u + self.px
-        settled = pw.tobytes() in self._seen or (abs(pw - self._pw) <= self._rtol * pw).all()
+        bits = pw.tobytes()
+        steps = self._seen.setdefault(hash(bits), [])
+        # A hash match is a repeat only if the weights, rebuilt from u, match bitwise.
+        settled = any((self.u[i] + self.px).tobytes() == bits for i in steps) or (
+            abs(pw - self._pw) <= self._rtol * pw
+        ).all()
         if settled or len(self.u) == VARIANCE_SWEEP_CAP - 1:
             self.settle = len(self.u)
             self.A.flags.writeable = False
-        self._seen.add(pw.tobytes())
+        steps.append(len(self.u))
         self._pw = pw
         vv = 1.0 / pw
         u.flags.writeable = vv.flags.writeable = False
@@ -302,13 +320,19 @@ class _VarianceSchedule:
         if t == 0:
             out.fill(np.inf)
             return out
-        H, vv, c = self.H[rows], self.vv[t - 1], self.c[t][rows]
+        self._square(t, out, rows, sweep)
+        out *= self.vv[t - 1]
+        return np.subtract(self.c[t][rows, None], out, out=out)
+
+    def _square(self, t: int, out: np.ndarray, rows: slice, sweep: bool) -> None:
+        """Write ``H[rows]^2`` into ``out``; with ``sweep``, then record
+        ``c[t][rows]`` from it."""
+        H = self.H[rows]
         np.multiply(H, H, out=out)
         if sweep:
-            np.matmul(out, vv, out=c)
+            c = self.c[t][rows]
+            np.matmul(out, self.vv[t - 1], out=c)
             c += self.s
-        out *= vv
-        return np.subtract(c[:, None], out, out=out)
 
     def step(
         self, t: int, r: np.ndarray | None = None, out: np.ndarray | None = None
@@ -332,11 +356,23 @@ class _VarianceSchedule:
         if sweep:
             self.c.append(np.empty(M))
             u = np.empty((len(starts), K))
+            if self._base is not None:
+                self._at.append((self.c[t].ctypes.data, self.vv[t - 1].ctypes.data))
         kept = t == self.settle  # the buffer holds this step's A
+        kernel = None if kept or self._base is None else _native.load()
+        if kernel is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
+            H0, A0 = self._base
+            c0, vv0 = self._at[t]
+            out0 = None if sweep else out.ctypes.data
         for i, lo in enumerate(starts):
             rows = slice(lo, lo + n)
             A = self.A[rows] if sweep or kept else out[: min(n, M - lo)]
-            if not kept:
+            if kernel is not None:
+                if sweep:
+                    self._square(t, A, rows, sweep)
+                at = A0 + 8 * lo * K if sweep else out0
+                kernel(H0 + 8 * lo * K, c0 + 8 * lo, vv0, at, len(A), K)
+            elif not kept:
                 np.divide(self.H[rows], self.variances(t, A, rows, sweep=sweep), out=A)
             if r is not None:
                 np.matmul(A.T, r[rows], out=Ar[i])

@@ -119,6 +119,11 @@ class SystemInstance:
             raise ValueError("noise_var must be finite and non-negative")
         object.__setattr__(self, "channel", _read_only(H))
 
+    def __getstate__(self) -> dict:
+        """A copy or a pickle starts with no kept set-up: the variance schedule
+        holds the addresses of its own arrays and hashes of this process."""
+        return {**self.__dict__, "_setup": {}}
+
     def _cached(self, key: str, build):
         """``build(self)``, computed on first request and kept with the instance."""
         try:

@@ -38,7 +38,7 @@ from gmpdetect import (
     variance_fixed_point,
     variance_recursion,
 )
-from gmpdetect import gmpid
+from gmpdetect import _native, gmpid
 from gmpdetect.gmpid import VARIANCE_SWEEP_CAP
 from gmpdetect.harness import DETECTORS
 
@@ -526,6 +526,37 @@ def test_schedule_settles_at_the_sweep_cap():
     steps = np.diff(out.trace.cum_flops)
     assert steps[VARIANCE_SWEEP_CAP - 2] > steps[-1]
     assert (steps[VARIANCE_SWEEP_CAP - 1:] == 4 * K * M + M + 5 * K).all()
+
+
+@pytest.mark.parametrize(
+    "K, M, snr_db, channel_seed, settle",
+    [(100, 600, 10.0, s, 24) for s in range(4)] + [(100, 105, 80.0, 1016, 610)],
+)
+def test_schedule_settles_where_it_did(K, M, snr_db, channel_seed, settle):
+    # The sweep counts that CI's job summary tracks.
+    inst = build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
+    assert variance_recursion(inst)[2] == settle
+
+
+def test_the_repeat_test_keeps_no_copy_of_the_user_weights():
+    # Per sweep the schedule keeps u, vv and c, and for the repeat test only
+    # the hash of the user weights with the steps that gave it: about 880
+    # bytes besides the three arrays' data, with the array headers and the
+    # two addresses the compiled loop reads. The bytes of every sweep's
+    # weights, kept as well, came to 2,058 bytes a sweep here (3.4 of the
+    # 14.5 MiB traced).
+    inst = build_instance(200, 201, snr_db=80.0, channel_seed=0)
+    _native.load()  # built once per process, and not the schedule's
+    tracemalloc.start()
+    try:
+        vv, A, sweeps = variance_recursion(inst)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    schedule = gmpid._schedule(inst)
+    records = sum(a.nbytes for a in schedule.u + schedule.vv + schedule.c[1:])
+    assert sweeps == 2167
+    assert held < A.nbytes + records + 1024 * sweeps
 
 
 def test_variance_recursion_is_the_engine_recursion():

@@ -1,0 +1,208 @@
+"""Tests for the compiled sum-node loop: it gives the numpy statements' bits
+on every schedule step and every run, it loads wherever ``cc`` runs, and
+only a schedule step on a C-contiguous float64 channel reaches it."""
+
+import copy
+import glob
+import importlib.util
+import os
+import pickle
+import shutil
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from gmpdetect import (
+    RelaxationChoice,
+    SystemInstance,
+    build_instance,
+    gmpid_detect,
+    realize,
+    sagmpid_detect,
+)
+from gmpdetect import _native, gmpid
+from gmpdetect.cli import main
+
+
+def _numpy_statements():
+    """Run the schedule's numpy statements: the loader finds no kernel."""
+    return mock.patch.object(_native, "load", lambda: None)
+
+
+def _refused():
+    """A loader that fails the test if anything calls it."""
+    def load():
+        raise AssertionError("the compiled kernel was requested")
+    return mock.patch.object(_native, "load", load)
+
+
+def _runs(inst, y, truth):
+    return (
+        gmpid_detect(inst, y, max_iter=3000, truth=truth),
+        sagmpid_detect(inst, y, RelaxationChoice(w=0.8), max_iter=3000, truth=truth),
+        sagmpid_detect(inst, y, max_iter=3000, truth=truth),  # auto w, 1 at K = 1
+    )
+
+
+def _assert_bitwise(a, b):
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
+def _assert_same_runs(got, want):
+    for a, b in zip(got, want, strict=True):
+        for field in ("estimate", "posterior_var", "previous_estimate"):
+            _assert_bitwise(getattr(a, field), getattr(b, field))
+        assert (a.iterations, a.flops, a.terminated, a.relax) == (
+            b.iterations, b.flops, b.terminated, b.relax
+        )
+        assert a.trace == b.trace
+
+
+def test_the_kernel_loads_wherever_cc_is_on_path():
+    # A runner with a C compiler must run the compiled loop: a build or load
+    # that failed there would fall back to the numpy statements unnoticed.
+    assert (_native.load() is not None) == (shutil.which("cc") is not None)
+
+
+@pytest.mark.parametrize(
+    "K, M, snr_db, channel_seed",
+    [
+        (100, 600, 10.0, 0),  # one block covers the channel
+        (300, 400, 10.0, 0),  # two blocks of 218 and 182 rows
+        (1, 12, 80.0, 0),  # K = 1
+        (1, 2, 20.0, 7),  # settles on a bitwise repeat of its user weights
+        (100, 111, 80.0, 0),  # near load 1: hundreds of sweeps
+    ],
+)
+def test_kernel_and_numpy_statements_agree_bitwise(K, M, snr_db, channel_seed):
+    def build():
+        return build_instance(K, M, snr_db=snr_db, channel_seed=channel_seed)
+
+    fast, slow = build(), build()
+    real = realize(fast, 1)
+    got = _runs(fast, real.received, real.symbols)
+    with _numpy_statements():
+        want = _runs(slow, real.received, real.symbols)
+    _assert_same_runs(got, want)
+
+    # The schedules recorded the same steps and hold the same settled A.
+    ours, theirs = gmpid._schedule(fast), gmpid._schedule(slow)
+    assert ours.settle == theirs.settle == len(ours.u) - 1
+    for name in ("u", "vv", "c"):
+        for a, b in zip(getattr(ours, name)[1:], getattr(theirs, name)[1:], strict=True):
+            _assert_bitwise(a, b)
+    _assert_bitwise(ours.A, theirs.A)
+    if (K, M) == (1, 2):
+        pw = [(u + ours.px).tobytes() for u in ours.u]
+        assert pw[-1] in pw[:-1]
+
+    # Every replayed step's A in full (a block as large as the channel), and
+    # its A^T r and last block through the run's own blocks.
+    r = realize(fast, 2).received
+    full = np.empty((M, K)), np.empty((M, K))
+    blocks = ours.block(), theirs.block()
+    for t in range(1, ours.settle):
+        with mock.patch.object(gmpid, "_BLOCK_ENTRIES", M * K):
+            ours.step(t, None, full[0])
+            with _numpy_statements():
+                theirs.step(t, None, full[1])
+        _assert_bitwise(*full)
+        Ar = ours.step(t, r, blocks[0])[1]
+        with _numpy_statements():
+            _assert_bitwise(Ar, theirs.step(t, r, blocks[1])[1])
+        _assert_bitwise(*blocks)
+
+
+def test_a_sweep_of_one_shot_detectors_never_requests_the_kernel(capsys):
+    # mmse-sweep's detectors never step a variance schedule, so its process
+    # builds and loads nothing; a message-passing sweep asks for the kernel.
+    args = ["sweep", "--users", "8", "--antennas", "32", "--trials", "2", "--no-wall-time"]
+    with _refused():
+        assert main([*args, "--detectors", "mmse,mf,if,gmp"]) == 0
+    calls = []
+    with mock.patch.object(_native, "load", lambda: calls.append(1)):
+        assert main([*args, "--detectors", "gmpid"]) == 0
+    assert calls
+    capsys.readouterr()
+
+
+def test_an_f_ordered_channel_takes_the_numpy_statements():
+    def build():
+        inst = build_instance(300, 400, snr_db=10.0, channel_seed=0)
+        return SystemInstance(
+            dims=inst.dims,
+            channel=np.asfortranarray(inst.channel),
+            prior=inst.prior,
+            noise_var=inst.noise_var,
+        )
+
+    inst = build()
+    assert not inst.channel.flags.c_contiguous
+    real = realize(inst, 1)
+    with _refused():
+        got = _runs(inst, real.received, real.symbols)
+    with _numpy_statements():
+        want = _runs(build(), real.received, real.symbols)
+    _assert_same_runs(got, want)
+
+
+def test_a_copied_instance_builds_its_own_set_up():
+    # The schedule holds the addresses of its own arrays: a deep copy or a
+    # pickle that kept it would sweep into the original's buffers.
+    def build():
+        return build_instance(20, 60, snr_db=10.0, channel_seed=1)
+
+    inst = build()
+    y = realize(inst, 1).received
+    gmpid_detect(inst, y, max_iter=3)  # records part of the schedule
+    want = gmpid_detect(build(), y)
+    for twin in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert twin._setup == {}
+        _assert_same_runs([gmpid_detect(twin, y)], [want])
+
+
+def test_the_library_is_cached_in_the_bytecode_directory():
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    _native.load()
+    directory = os.path.dirname(importlib.util.cache_from_source(_native.__file__))
+    assert glob.glob(os.path.join(directory, "_native-*.so"))
+
+
+def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
+    # A bytecode directory under a plain file cannot be made: the library is
+    # built, loaded and removed in a temporary directory, and it works.
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(
+        importlib.util, "cache_from_source", lambda path: str(blocker / "cache" / "x.pyc")
+    )
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    library = _native._open(shutil.which("cc"))
+    kernel = library.sum_node_block
+    kernel.argtypes = [_native.ctypes.c_void_p] * 4 + [_native.ctypes.c_ssize_t] * 2
+    H, c, vv, A = np.array([[2.0]]), np.array([5.0]), np.array([0.5]), np.empty((1, 1))
+    kernel(H.ctypes.data, c.ctypes.data, vv.ctypes.data, A.ctypes.data, 1, 1)
+    assert A[0, 0] == 2.0 / (5.0 - 4.0 * 0.5)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("fault", ["no cc", "build fails"])
+def test_the_loader_returns_none_when_it_cannot_build(fault, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        importlib.util, "cache_from_source", lambda path: str(tmp_path / "x.pyc")
+    )
+    if fault == "no cc":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+    else:
+        monkeypatch.setattr(_native, "_SOURCE", "this is not C")
+    assert _native.load.__wrapped__() is None
+    assert list(tmp_path.iterdir()) == []
