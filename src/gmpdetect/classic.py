@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemInstance, _require_finite
+from .reference import _normal_matrix
 from .results import (
     DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination, _stop_rule,
 )
@@ -104,8 +105,7 @@ def _normal_equations(
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var
-    A = inst._gram() / s
-    A[np.diag_indices_from(A)] += inst.prior.precisions
+    A = _normal_matrix(inst)
     b = H.T @ y / s
     return A, b, (2 * M * K * K + K * K + K + 2 * M * K + K) + (K * K + K)
 

@@ -59,6 +59,19 @@ def _inverse_factor(L: np.ndarray) -> tuple[np.ndarray, int]:
     return X, K**3 // 3 + K**3
 
 
+def _normal_matrix(inst: SystemInstance) -> np.ndarray:
+    """A fresh ``H^T H / s + diag(1/prior)``, the user-side normal matrix,
+    over the kept Gram: one K x K buffer, no ``diag(1/prior)`` array.
+
+    MMSE's factor, the Jacobi and Richardson splittings and the block
+    detector all read this matrix, so theirs are the same bits.
+    """
+    K = inst.dims.n_users
+    W = np.divide(inst._gram(), inst.noise_var)
+    W.reshape(-1)[:: K + 1] += inst.prior.precisions  # its diagonal, in place
+    return W
+
+
 def _mmse_cholesky(inst: SystemInstance) -> np.ndarray:
     """Cholesky factor of ``H^T H / s + diag(1/prior)`` (K <= M) or of
     ``H diag(prior) H^T + s I`` (M < K).
@@ -68,13 +81,11 @@ def _mmse_cholesky(inst: SystemInstance) -> np.ndarray:
     """
     H = inst.channel
     M, K = H.shape
-    s = inst.noise_var
     if K <= M:
-        W = np.divide(inst._gram(), s)  # one K x K buffer, no diag(1/prior) array
-        W.reshape(-1)[:: K + 1] += inst.prior.precisions  # its diagonal, in place
+        W = _normal_matrix(inst)
     else:
         W = (H * inst.prior.variances[None, :]) @ H.T
-        W[np.diag_indices_from(W)] += s
+        W[np.diag_indices_from(W)] += inst.noise_var
     return np.linalg.cholesky(W)
 
 
@@ -181,7 +192,10 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     combines it with the Gaussian prior in precision form. The combining
     step makes the output identical (up to rounding) to the MMSE estimate
     for positive noise; with an infinite-variance (flat) prior the output is
-    the plain decorrelator. Requires K <= M and a full-column-rank channel.
+    the plain decorrelator. Requires K <= M and a full-column-rank channel:
+    a column-rank-deficient one usually makes ``np.linalg.cholesky`` raise
+    ``numpy.linalg.LinAlgError``, but where rounding leaves a tiny positive
+    pivot it factors and the estimate is finite. No rank check is made.
     """
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
@@ -192,7 +206,6 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
 
     G = inst._gram()
     flops = 2 * M * K * K
-    # np.linalg.cholesky raises if H is column-rank deficient.
     Lginv, f = _inverse_factor(np.linalg.cholesky(G))
     flops += f
     z0 = H.T @ y
@@ -223,11 +236,12 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     (1/sigma_n^2) I, pushes it through the channel, and combines with the
     prior in information form (plain inversion of the K x K posterior
     precision). Algebraically identical to MMSE; kept as an independent
-    code path for cross-validation. The weight is applied as the scalar
-    ``1/s``, which gives the bits of the dense product ``(I/s) @ H`` (its
-    off-diagonal terms add exact zeros) without an M x M array. ``flops``
-    is the block formulation's analytic cost, dense M x M products
-    included.
+    code path for cross-validation: the inverse is ``np.linalg.inv``'s,
+    not MMSE's Cholesky factor and triangle inverse. The posterior
+    precision is MMSE's user-side matrix, bit for bit, read from the
+    instance's kept Gram ``H^T H``; for K > M that K x K Gram is larger
+    than the M x K array ``H / s`` it replaces. ``flops`` stays the block
+    formulation's analytic cost, dense M x M products included.
     """
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
@@ -236,13 +250,10 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     if not s > 0:
         raise ValueError("gmp_block_detect requires positive noise variance")
 
-    w_in = 1.0 / s
-    W_msg = H.T @ (H * w_in)
-    pre = H.T @ (y * w_in)
+    pre = H.T @ (y * (1.0 / s))
     flops = M + 2 * M * M * K + 2 * M * K * K + 2 * M * M + 2 * M * K
 
-    W_post = W_msg + np.diag(inst.prior.precisions)
-    V = np.linalg.inv(W_post)
+    V = np.linalg.inv(_normal_matrix(inst))
     x_hat = V @ pre
     flops += K + 2 * K**3 + 2 * K * K
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from gmpdetect import (
     SystemInstance,
     Termination,
     build_instance,
+    classic,
     gmp_block_detect,
     inverse_filter_detect,
+    jacobi_for_mmse,
     matched_filter_detect,
     mmse_detect,
     mse,
     realize,
     reference,
+    richardson_for_mmse,
 )
 from gmpdetect.reference import _inverse_factor, _mmse_setup
 
@@ -327,15 +331,81 @@ def _dense_weight_block_detect(inst, y):
     [(1, 1, 10.0), (1, 7, 0.0), (5, 5, 10.0), (6, 4, 20.0), (20, 60, 80.0), (30, 90, 10.0)],
 )
 def test_gmp_block_scalar_weight_matches_dense_weight_bitwise(K, M, snr_db):
-    # The off-diagonal terms of (I/s) @ H add exact zeros, so scaling by the
-    # scalar 1/s gives the dense product's bits.
+    # The weight on y is the scalar 1/s: the off-diagonal terms of
+    # (I/s) @ y add exact zeros, so the estimate is bit for bit the Gram
+    # route's statements with the dense weight on y. The whole dense
+    # formulation, (I/s) @ H included, sums the matrix in another order:
+    # over these shapes and seeds its estimate differed by at most 1.4e-13
+    # of its largest entry and its variances by at most 1.2e-13 relative
+    # (6x4, 20 dB), so the bound is 1e-12. K = 1 matched it exactly.
     for seed in range(3):
         inst = build_instance(K, M, snr_db=snr_db, channel_seed=seed)
         y = realize(inst, 10 + seed).received
-        x_ref, var_ref = _dense_weight_block_detect(inst, y)
+        H, s = inst.channel, inst.noise_var
+        V = np.linalg.inv(H.T @ H / s + np.diag(inst.prior.precisions))
         r = gmp_block_detect(inst, y)
-        np.testing.assert_array_equal(r.estimate, x_ref)
-        np.testing.assert_array_equal(r.posterior_var, var_ref)
+        np.testing.assert_array_equal(r.estimate, V @ (H.T @ ((np.eye(M) / s) @ y)))
+        np.testing.assert_array_equal(r.posterior_var, np.diag(V))
+        x_ref, var_ref = _dense_weight_block_detect(inst, y)
+        np.testing.assert_allclose(r.estimate, x_ref, rtol=0, atol=1e-12 * np.abs(x_ref).max())
+        np.testing.assert_allclose(r.posterior_var, var_ref, rtol=1e-12)
+
+
+def test_gmp_block_allocates_no_channel_sized_array():
+    # Over the kept Gram the largest array is one K x K matrix or the
+    # M-vector y / s: no M x K array such as H / s.
+    K, M = 20, 2000
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=3)
+    y = realize(inst, 4).received
+    inst._gram()
+    tracemalloc.start()
+    try:
+        gmp_block_detect(inst, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < M * K * 8 / 2
+
+
+def test_gmp_and_the_splittings_read_mmses_matrix_bitwise():
+    # The matrix gmp inverts and the ones the splittings are built from are
+    # the one MMSE factors, bit for bit.
+    inst = build_instance(30, 90, snr_db=10.0, channel_seed=5)
+    y = realize(inst, 6).received
+    seen = {}
+
+    def spy(name, f):
+        def record(a, *args, **kwargs):
+            seen[name] = a.copy()
+            return f(a, *args, **kwargs)
+        return record
+
+    with mock.patch.object(np.linalg, "cholesky", spy("mmse", np.linalg.cholesky)):
+        mmse_detect(inst, y)
+    with mock.patch.object(np.linalg, "inv", spy("gmp", np.linalg.inv)):
+        gmp_block_detect(inst, y)
+    W = seen["mmse"]
+    np.testing.assert_array_equal(seen["gmp"], W)
+    np.testing.assert_array_equal(classic._normal_equations(inst, y)[0], W)
+
+    B = -W / np.diag(W)[:, None]
+    np.fill_diagonal(B, 0.0)
+    np.testing.assert_array_equal(jacobi_for_mmse(inst, y).matrix, B)
+    evals = np.linalg.eigvalsh(W)
+    B = -(2.0 / (evals[0] + evals[-1])) * W
+    B[np.diag_indices_from(B)] += 1.0
+    np.testing.assert_array_equal(richardson_for_mmse(inst, y).matrix, B)
+
+
+def test_gmp_block_bits_do_not_depend_on_who_kept_the_gram():
+    fresh = build_instance(30, 90, snr_db=10.0, channel_seed=7)
+    kept = build_instance(30, 90, snr_db=10.0, channel_seed=7)
+    y = realize(fresh, 8).received
+    mmse_detect(kept, y)
+    a, b = gmp_block_detect(fresh, y), gmp_block_detect(kept, y)
+    np.testing.assert_array_equal(a.estimate, b.estimate)
+    np.testing.assert_array_equal(a.posterior_var, b.posterior_var)
+    assert a.flops == b.flops
 
 
 def test_gmp_block_allocates_no_antenna_square_array():
