@@ -118,8 +118,8 @@ def rmt_mmse_mse(
     ``sigma_n^2/(M-K)`` underloaded, ``sqrt(sigma_x^2*sigma_n^2/K)`` at
     K=M, ``(1-M/K)*sigma_x^2`` overloaded.
     """
-    if min(n_users, n_antennas) < 1 or sigma_x_sq <= 0 or sigma_n_sq <= 0:
-        raise ValueError("rmt_mmse_mse requires positive sizes and variances")
+    if min(n_users, n_antennas) < 1 or not all(0 < v < np.inf for v in (sigma_x_sq, sigma_n_sq)):
+        raise ValueError("rmt_mmse_mse requires positive sizes and finite, positive variances")
     K, M = n_users, n_antennas
     x = sigma_x_sq / sigma_n_sq * M
     beta, one_minus_beta = K / M, (M - K) / M

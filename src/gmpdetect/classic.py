@@ -118,9 +118,7 @@ def jacobi_for_mmse(inst: SystemInstance, y: np.ndarray) -> AffineIteration:
     the K x K matrix and offset.
     """
     A, b, flops = _normal_equations(inst, y)
-    d = np.diag(A).copy()
-    if np.any(d == 0.0):
-        raise ValueError("zero diagonal entry in the system matrix")
+    d = np.diag(A).copy()  # ||h_k||^2 / s + 1/prior_k > 0
     B = -A / d[:, None]
     np.fill_diagonal(B, 0.0)
     return AffineIteration(matrix=B, offset=b / d, setup_flops=flops)

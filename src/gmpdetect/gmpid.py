@@ -173,14 +173,15 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
 
     Solves the scalar quadratic satisfied by the limiting output variance
     and reports the companion sum-node variance, their ratio, and the
-    large-system asymptote for the instance's load regime.
+    large-system asymptote for the instance's load regime. Zero noise
+    raises ValueError, as it does for every reader of the variance schedule.
     """
     if not inst.prior.is_homogeneous:
         raise ValueError("variance_fixed_point requires a homogeneous prior")
-    sx = float(inst.prior.variances[0])
-    if not np.isfinite(sx):
-        raise ValueError("variance_fixed_point requires a finite prior")
     s = inst.noise_var
+    if not s > 0:
+        raise ValueError("variance_fixed_point requires positive noise variance")
+    sx = float(inst.prior.variances[0])
     K, M = inst.dims.n_users, inst.dims.n_antennas
 
     # The positive root of (K/sx) v^2 + b v - s = 0, in the form that adds
@@ -240,24 +241,21 @@ class _VarianceSchedule:
     ``c``, the reduction and the settle test; a recorded step is replayed
     by the same statements, so it is the swept step bit for bit. Where one
     block covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
-    unblocked one. On a C-contiguous float64 channel, and where
-    :func:`_native.load` gives the compiled loop, a block's ``A`` is formed
-    by that one loop instead of the four element-wise passes of
-    :meth:`variances` and the division: the same operations in the same
-    order, so the same bits.
+    unblocked one. Where :func:`_native.load` gives the compiled loop, a
+    block's ``A`` is formed by that one loop instead of the four
+    element-wise passes of :meth:`variances` and the division: the same
+    operations in the same order, so the same bits.
 
     The schedule keeps a reference to the channel, not a copy of it, and
     one (M, K) buffer ``A``: every sweep writes its step's ``A`` there, so
     once the schedule settles it holds the settled ``A`` (read-only from
     then on), which the engine's frozen phase and the measured spectrum
-    read in place. Zero noise or a non-finite prior raises ValueError for
-    every reader.
+    read in place. Zero noise raises ValueError for every reader.
     """
 
     def __init__(self, inst: SystemInstance):
         if not inst.noise_var > 0:
             raise ValueError("message passing requires positive noise variance")
-        _require_finite(inst.prior.variances, "message passing: prior variances")
         self.H = inst.channel
         self.A = np.zeros(inst.channel.shape)  # the last swept step's A
         self.s, self.px = inst.noise_var, inst.prior.precisions
@@ -266,11 +264,9 @@ class _VarianceSchedule:
         self._rtol = inst.dims.n_antennas * 2.0**-53  # rounding bound of u's sum
         self._seen: dict[int, list[int]] = {}  # the steps, by the hash of their user weights
         # The compiled loop reads arrays by address, each taken once: those of
-        # H and A, for a C-contiguous float64 channel only, and per step t
-        # those of c[t] and vv[t - 1].
-        H = self.H
-        native = H.flags.c_contiguous and H.dtype == np.float64
-        self._base = (H.ctypes.data, self.A.ctypes.data) if native else None
+        # H (C-contiguous float64, as every instance stores it) and A, and per
+        # step t those of c[t] and vv[t - 1].
+        self._base = (self.H.ctypes.data, self.A.ctypes.data)
         self._at = [None]
         self._pw = np.inf  # the last step's user weights
         self._record(np.zeros(inst.dims.n_users))
@@ -356,10 +352,9 @@ class _VarianceSchedule:
         if sweep:
             self.c.append(np.empty(M))
             u = np.empty((len(starts), K))
-            if self._base is not None:
-                self._at.append((self.c[t].ctypes.data, self.vv[t - 1].ctypes.data))
+            self._at.append((self.c[t].ctypes.data, self.vv[t - 1].ctypes.data))
         kept = t == self.settle  # the buffer holds this step's A
-        kernel = None if kept or self._base is None else _native.load()
+        kernel = None if kept else _native.load()
         if kernel is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
             H0, A0 = self._base
             c0, vv0 = self._at[t]

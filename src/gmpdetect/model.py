@@ -55,9 +55,8 @@ class SystemDims:
 class SourcePrior:
     """Independent zero-mean Gaussian source prior, one variance per user.
 
-    Entries must be positive; ``+inf`` marks an (improper) flat prior and is
-    honoured only by detectors that can combine in precision form.
-    ``variances`` is a read-only view of the array passed in.
+    Entries must be finite and positive, so every detector reads the same
+    proper prior. ``variances`` is a read-only view of the array passed in.
     """
 
     variances: np.ndarray
@@ -66,8 +65,8 @@ class SourcePrior:
         v = np.asarray(self.variances, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("variances must be a non-empty 1-D vector")
-        if not np.all(v > 0):
-            raise ValueError("all prior variances must be positive")
+        if not np.all((v > 0) & (v < np.inf)):
+            raise ValueError("all prior variances must be finite and positive")
         object.__setattr__(self, "variances", _read_only(v))
 
     @classmethod
@@ -76,9 +75,8 @@ class SourcePrior:
 
     @property
     def precisions(self) -> np.ndarray:
-        """1/variance per user; a flat (+inf variance) prior has precision 0."""
-        with np.errstate(divide="ignore"):
-            return np.where(np.isinf(self.variances), 0.0, 1.0 / self.variances)
+        """1/variance per user."""
+        return 1.0 / self.variances
 
     @property
     def is_homogeneous(self) -> bool:
@@ -94,10 +92,12 @@ class SystemInstance:
     noiseless decorrelator edge case, and detectors that require positive
     noise raise.
 
-    ``channel`` is a read-only view of the array passed in, so the set-up
-    the detectors keep per instance (the Gram matrix, the MMSE factor, the
-    message-variance schedule, the measured spectrum) cannot go stale
-    through it.
+    ``channel`` must be finite. It is a read-only view of the array passed
+    in, or of a C-contiguous float64 copy of it when it is not one, so the
+    set-up the detectors keep per instance (the Gram matrix, the MMSE
+    factor, the message-variance schedule, the measured spectrum) cannot go
+    stale through it, and every channel has the layout the compiled
+    sum-node loop reads.
     """
 
     dims: SystemDims
@@ -107,12 +107,13 @@ class SystemInstance:
     _setup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        H = np.asarray(self.channel, dtype=float)
+        H = np.ascontiguousarray(self.channel, dtype=float)
         if H.shape != (self.dims.n_antennas, self.dims.n_users):
             raise ValueError(
                 f"channel shape {H.shape} does not match dims "
                 f"({self.dims.n_antennas}, {self.dims.n_users})"
             )
+        _require_finite(H, "channel")
         if self.prior.variances.size != self.dims.n_users:
             raise ValueError("prior length does not match number of users")
         if not 0 <= self.noise_var < np.inf:

@@ -141,7 +141,6 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     if not s > 0:
         raise ValueError("mmse_detect requires positive noise variance")
     vx = inst.prior.variances
-    _require_finite(vx, "mmse_detect: prior variances")
 
     Linv, post_var, f = _mmse_setup(inst)
     if K <= M:
@@ -191,9 +190,10 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     First computes the unbiased estimate x_tilde = (H^T H)^{-1} H^T y, then
     combines it with the Gaussian prior in precision form. The combining
     step makes the output identical (up to rounding) to the MMSE estimate
-    for positive noise; with an infinite-variance (flat) prior the output is
-    the plain decorrelator. Requires K <= M and a full-column-rank channel:
-    a column-rank-deficient one usually makes ``np.linalg.cholesky`` raise
+    for positive noise; at zero noise the output is the plain decorrelator,
+    the pseudo-inverse estimate, with zero posterior variances. Requires
+    K <= M and a full-column-rank channel: a column-rank-deficient one
+    usually makes ``np.linalg.cholesky`` raise
     ``numpy.linalg.LinAlgError``, but where rounding leaves a tiny positive
     pivot it factors and the estimate is finite. No rank check is made.
     """
@@ -218,7 +218,7 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
         return _exact(x_tilde, np.zeros(K), flops)
 
     # Precision-form combine of the decorrelator output (covariance
-    # s * G^{-1}) with the prior; flat-prior users contribute precision 0.
+    # s * G^{-1}) with the prior.
     # The combined matrix G/s + diag(1/prior) is MMSE's: its factor is shared.
     Lwinv, post_var, f = _mmse_setup(inst)
     flops += K * K + K + f

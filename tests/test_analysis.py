@@ -117,6 +117,24 @@ def test_mse_prediction_no_information_limit_is_prior_variance():
     assert pred.exact == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 600, 1.0, 0.01),
+        (100, 0, 1.0, 0.01),
+        (100, 600, 0.0, 0.01),
+        (100, 600, 1.0, -0.01),
+        (100, 600, np.nan, 0.01),
+        (100, 600, np.inf, 0.01),
+        (100, 600, 1.0, np.nan),
+        (100, 600, 1.0, np.inf),
+    ],
+)
+def test_mse_prediction_rejects_bad_sizes_and_variances(args):
+    with pytest.raises(ValueError, match="finite, positive variances"):
+        rmt_mmse_mse(*args)
+
+
 def test_mse_prediction_matches_monte_carlo_trace_average():
     K, M, s = 100, 600, 0.01
     samples = []

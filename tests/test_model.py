@@ -53,16 +53,17 @@ def test_prior_scalar_broadcasts_to_all_users():
     assert prior.is_homogeneous
 
 
-def test_prior_infinite_variance_gives_zero_precision():
-    prior = SourcePrior(variances=np.array([1.0, np.inf]))
-    np.testing.assert_allclose(prior.precisions, np.array([1.0, 0.0]))
+def test_prior_precisions_are_reciprocal_variances():
+    v = np.array([1.0, 4.0, 0.3])
+    assert SourcePrior(variances=v).precisions.tobytes() == (1.0 / v).tobytes()
 
 
 def test_prior_rejects_nonpositive_variance():
-    with pytest.raises(ValueError):
-        SourcePrior(variances=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        SourcePrior(variances=np.array([-1.0]))
+    # A prior is proper: an infinite (flat) or NaN variance is rejected
+    # where the prior is built, not by each detector that reads it.
+    for bad in ([1.0, 0.0], [-1.0], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SourcePrior(variances=np.array(bad))
 
 
 def test_instance_rejects_negative_noise_var():
@@ -78,6 +79,19 @@ def test_instance_rejects_channel_shape_mismatch():
     prior = SourcePrior.homogeneous(2, 1.0)
     with pytest.raises(ValueError):
         SystemInstance(dims=dims, channel=np.zeros((2, 3)), prior=prior, noise_var=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instance_rejects_a_non_finite_channel(bad):
+    H = generate_channel(SystemDims(n_users=3, n_antennas=12), seed=0)
+    H[2, 1] = bad
+    with pytest.raises(ValueError, match="^channel must be finite"):
+        SystemInstance(
+            dims=SystemDims(n_users=3, n_antennas=12),
+            channel=H,
+            prior=SourcePrior.homogeneous(3, 1.0),
+            noise_var=0.1,
+        )
 
 
 def test_instance_channel_and_prior_are_read_only_views():

@@ -1,6 +1,6 @@
 """Tests for the compiled sum-node loop: it gives the numpy statements' bits
 on every schedule step and every run, it loads wherever ``cc`` runs, and
-only a schedule step on a C-contiguous float64 channel reaches it."""
+every channel reaches it, whatever the layout of the array passed in."""
 
 import copy
 import glob
@@ -132,24 +132,33 @@ def test_a_sweep_of_one_shot_detectors_never_requests_the_kernel(capsys):
     capsys.readouterr()
 
 
-def test_an_f_ordered_channel_takes_the_numpy_statements():
-    def build():
-        inst = build_instance(300, 400, snr_db=10.0, channel_seed=0)
-        return SystemInstance(
-            dims=inst.dims,
-            channel=np.asfortranarray(inst.channel),
-            prior=inst.prior,
-            noise_var=inst.noise_var,
-        )
+@pytest.mark.parametrize("K, M", [(300, 400), (100, 600)])  # two blocks, then one
+@pytest.mark.parametrize("layout", ["F-ordered", "column-strided"])
+def test_every_channel_layout_requests_the_kernel_and_gives_the_c_bits(K, M, layout):
+    # The instance stores a C-contiguous float64 copy of any other layout,
+    # so the schedule never chooses its path by the caller's array.
+    c_order = build_instance(K, M, snr_db=10.0, channel_seed=0)
+    if layout == "F-ordered":
+        channel = np.asfortranarray(c_order.channel)
+    else:
+        channel = np.zeros((M, 2 * K))[:, ::2]
+        channel[...] = c_order.channel
+    assert not channel.flags.c_contiguous
+    inst = SystemInstance(
+        dims=c_order.dims, channel=channel, prior=c_order.prior, noise_var=c_order.noise_var
+    )
+    assert inst.channel.flags.c_contiguous
+    real = realize(c_order, 1)
+    kernel, calls = _native.load(), []
 
-    inst = build()
-    assert not inst.channel.flags.c_contiguous
-    real = realize(inst, 1)
-    with _refused():
+    def load():
+        calls.append(1)
+        return kernel
+
+    with mock.patch.object(_native, "load", load):
         got = _runs(inst, real.received, real.symbols)
-    with _numpy_statements():
-        want = _runs(build(), real.received, real.symbols)
-    _assert_same_runs(got, want)
+    assert calls
+    _assert_same_runs(got, _runs(c_order, real.received, real.symbols))
 
 
 def test_a_copied_instance_builds_its_own_set_up():

@@ -98,13 +98,10 @@ def test_mmse_flops_scale_with_user_cubed_plus_setup():
     assert 2 * M * K * K < r.flops < 2 * M * K * K + 3 * K**3
 
 
-def test_mmse_rejects_zero_noise_and_flat_prior():
+def test_mmse_rejects_zero_noise():
     inst = _instance(np.eye(2), noise_var=0.0)
     with pytest.raises(ValueError):
         mmse_detect(inst, np.zeros(2))
-    flat = _instance(np.eye(2), noise_var=1.0, prior_var=np.inf)
-    with pytest.raises(ValueError):
-        mmse_detect(flat, np.zeros(2))
 
 
 def test_mmse_setup_frees_the_matrix_before_the_triangular_inverse():
@@ -261,30 +258,22 @@ def test_inverse_filter_matches_mmse_for_positive_noise():
     np.testing.assert_allclose(r_if.posterior_var, r_mmse.posterior_var, rtol=1e-10)
 
 
-def test_inverse_filter_noiseless_flat_prior_inverts_scalar_channel():
-    inst = _instance([[2.0]], noise_var=0.0, prior_var=np.inf)
+def test_inverse_filter_noiseless_inverts_scalar_channel():
+    inst = _instance([[2.0]], noise_var=0.0)
     r = inverse_filter_detect(inst, np.array([3.0]))
     assert r.estimate[0] == pytest.approx(1.5)
     assert r.posterior_var[0] == 0.0
 
 
-def test_inverse_filter_flat_prior_equals_pseudoinverse():
+def test_inverse_filter_at_zero_noise_equals_pseudoinverse():
+    # At zero noise no prior moves the decorrelator's estimate: it is the
+    # least-squares solution, with zero posterior variances.
     inst = build_instance(2, 4, snr_db=10.0, channel_seed=11)
-    flat = SystemInstance(
-        dims=inst.dims,
-        channel=inst.channel,
-        prior=SourcePrior(variances=np.full(2, np.inf)),
-        noise_var=0.3,
-    )
-    y = realize(inst, 12).received  # draw from the finite-prior instance
-    r = inverse_filter_detect(flat, y)
-    x_ref = np.linalg.pinv(flat.channel) @ y
-    assert np.all(np.isfinite(r.estimate))
-    np.testing.assert_allclose(r.estimate, x_ref, rtol=1e-10)
-    G = flat.channel.T @ flat.channel
-    np.testing.assert_allclose(
-        r.posterior_var, np.diag(0.3 * np.linalg.inv(G)), rtol=1e-10
-    )
+    noiseless = build_instance(2, 4, noise_var=0.0, channel_seed=11)
+    y = realize(inst, 12).received  # a y off the channel's column space
+    r = inverse_filter_detect(noiseless, y)
+    np.testing.assert_allclose(r.estimate, np.linalg.pinv(noiseless.channel) @ y, rtol=1e-10)
+    assert r.posterior_var.tobytes() == np.zeros(2).tobytes()
 
 
 def test_inverse_filter_requires_at_least_as_many_antennas_as_users():

@@ -76,9 +76,11 @@ def test_system_matrix_hand_arithmetic():
 
 
 def test_system_matrix_rejects_nonpositive_gamma():
-    # At zero noise the closed-form gamma is 0 / 0.
-    inst = build_instance(4, 8, noise_var=0.0, channel_seed=0)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="gamma must be positive"):
+    # At the least subnormal noise variance sigma_hat_sq = 2 s / (b + root)
+    # underflows to 0, and so does gamma.
+    inst = build_instance(4, 8, noise_var=5e-324, channel_seed=0)
+    assert variance_fixed_point(inst).gamma == 0.0
+    with pytest.raises(ValueError, match="gamma must be positive"):
         relaxation_system_matrix(inst)
 
 
