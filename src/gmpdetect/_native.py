@@ -1,13 +1,18 @@
-"""One compiled loop for the sum-node step of the variance schedule.
+"""Compiled loops for the element-wise passes of the variance schedule.
 
 ``sum_node_block`` forms ``A = H / (c - (H o H) vv)`` for a block of rows of
 ``H`` in one pass, where numpy needs four (square, scale, subtract,
 divide). It computes each entry by the statements numpy runs, in the same
 order: ``h*h``, times ``vv[k]``, subtracted from ``c[i]``, divided into
-``h``. Compiled without contraction or fast-math, every operation is one
-correctly rounded IEEE operation, so ``A`` is numpy's bit for bit. The
-sums, whose order fixes their bits, stay with the callers in BLAS and
-numpy.
+``h``. ``sum_node_sweep`` is the same loop that also adds each entry's
+``h*a`` into a per-block row ``u``, row after row: the order in which
+``np.einsum("mk,mk->k", H, A)`` sums at K >= 2 (at K = 1 einsum sums in
+another order, so the sweep keeps einsum there). ``square`` writes
+``h*h`` for a block, which the sweep's ``c`` gemv reads. Compiled without
+contraction or fast-math, every operation is one correctly rounded IEEE
+operation, so ``A``, ``u`` and the square are numpy's bit for bit. The
+sums whose order C cannot reproduce (the BLAS gemv behind ``c`` and
+``A^T r``) stay with the callers.
 
 The library is compiled by ``cc`` on the first call to :func:`load`, never
 at import, and cached in the package's bytecode directory under a hash of
@@ -46,20 +51,51 @@ void sum_node_block(const double *restrict H, const double *restrict c,
         }
     }
 }
+
+void sum_node_sweep(const double *restrict H, const double *restrict c,
+                    const double *restrict vv, double *restrict A,
+                    double *restrict u, ptrdiff_t n, ptrdiff_t K)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double *h = H + i * K;
+        double *a = A + i * K;
+        for (ptrdiff_t k = 0; k < K; k++) {
+            double t = h[k] * h[k];
+            t = t * vv[k];
+            t = c[i] - t;
+            a[k] = h[k] / t;
+            t = h[k] * a[k];
+            u[k] = u[k] + t;
+        }
+    }
+}
+
+void square(const double *restrict H, double *restrict out, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = H[i] * H[i];
+}
 """
-# Baseline -O3 vectorizes the loop (-O2 does not); no -march, so the
+# Baseline -O3 vectorizes the loops (-O2 does not); no -march, so the
 # library runs on any machine of the platform.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 
 @functools.cache
 def load():
-    """The compiled ``sum_node_block(H, c, vv, A, n, K)``, or None.
+    """The compiled library, or None.
 
-    The arguments are the integer addresses of the first row of a
-    C-contiguous float64 block of ``H`` (n, K), of its ``c`` (n,), of ``vv``
-    (K,) and of the output block ``A`` (n, K), then ``n`` and ``K``. None
-    when ``cc`` is not on PATH or the library does not build or load.
+    Its functions take the integer addresses of C-contiguous float64
+    arrays, then their sizes:
+
+    - ``sum_node_block(H, c, vv, A, n, K)``: the first row of a block of
+      ``H`` (n, K), its ``c`` (n,), ``vv`` (K,) and the output block ``A``
+      (n, K);
+    - ``sum_node_sweep(H, c, vv, A, u, n, K)``: the same, adding into the
+      row ``u`` (K,);
+    - ``square(H, out, n)``: ``out[i] = H[i] * H[i]`` for ``n`` entries.
+
+    None when ``cc`` is not on PATH or the library does not build or load.
     Built at most once per process.
     """
     cc = shutil.which("cc")
@@ -71,10 +107,16 @@ def load():
         library = _open(cc)
     except (OSError, subprocess.SubprocessError):
         return None
-    kernel = library.sum_node_block
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 2
-    kernel.restype = None
-    return kernel
+    address, size = ctypes.c_void_p, ctypes.c_ssize_t
+    for name, argtypes in (
+        ("sum_node_block", [address] * 4 + [size] * 2),
+        ("sum_node_sweep", [address] * 5 + [size] * 2),
+        ("square", [address] * 2 + [size]),
+    ):
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = None
+    return library
 
 
 def _open(cc: str) -> ctypes.CDLL:

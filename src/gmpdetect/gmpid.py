@@ -211,6 +211,15 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
     )
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of ``a``'s first entry, for the compiled loops.
+
+    Read from the array interface: each ``a.ctypes`` leaves a few bytes
+    behind in the traced memory the schedule is measured by.
+    """
+    return a.__array_interface__["data"][0]
+
+
 class _VarianceSchedule:
     """The message-variance recursion of one instance, recorded as far as stepped.
 
@@ -232,7 +241,8 @@ class _VarianceSchedule:
     recorded.
 
     :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
-    (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache.
+    (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache,
+    each written in turn into a row-block buffer that the caller owns.
     Each block forms its rows of ``A`` from its own rows of ``H`` (``H[rows]
     * H[rows]`` is ``H^2[rows]`` bit for bit) and, while in cache, also
     feeds its share of the engine's ``A^T r`` and, in a sweep, of ``c`` and
@@ -241,32 +251,36 @@ class _VarianceSchedule:
     ``c``, the reduction and the settle test; a recorded step is replayed
     by the same statements, so it is the swept step bit for bit. Where one
     block covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
-    unblocked one. Where :func:`_native.load` gives the compiled loop, a
-    block's ``A`` is formed by that one loop instead of the four
-    element-wise passes of :meth:`variances` and the division: the same
-    operations in the same order, so the same bits.
+    unblocked one. Where :func:`_native.load` gives the compiled loops, a
+    block's ``A`` is formed by one loop instead of the four element-wise
+    passes of :meth:`variances` and the division, a sweep's square by
+    another, and at K >= 2 the sweep's loop also sums ``u`` row after row,
+    the order of the einsum it stands in for (at K = 1 einsum sums in
+    another order and keeps ``u``): the same operations in the same order,
+    so the same bits.
 
     The schedule keeps a reference to the channel, not a copy of it, and
-    one (M, K) buffer ``A``: every sweep writes its step's ``A`` there, so
-    once the schedule settles it holds the settled ``A`` (read-only from
-    then on), which the engine's frozen phase and the measured spectrum
-    read in place. Zero noise raises ValueError for every reader.
+    one (M, K) buffer ``A``, which has one writer: the settle pass, run
+    right after the sweep that settles, writes the settled step's ``A``
+    there block by block, by the statements of that sweep, and makes it
+    read-only. The engine's frozen phase and the measured spectrum read it
+    in place. Zero noise raises ValueError for every reader.
     """
 
     def __init__(self, inst: SystemInstance):
         if not inst.noise_var > 0:
             raise ValueError("message passing requires positive noise variance")
         self.H = inst.channel
-        self.A = np.zeros(inst.channel.shape)  # the last swept step's A
+        self.A = np.zeros(inst.channel.shape)  # the settled step's A, once settled
         self.s, self.px = inst.noise_var, inst.prior.precisions
         self.u, self.vv, self.c = [], [], [None]
         self.settle: int | None = None  # index of the settled step, once reached
         self._rtol = inst.dims.n_antennas * 2.0**-53  # rounding bound of u's sum
         self._seen: dict[int, list[int]] = {}  # the steps, by the hash of their user weights
-        # The compiled loop reads arrays by address, each taken once: those of
+        # The compiled loops read arrays by address, each taken once: those of
         # H (C-contiguous float64, as every instance stores it) and A, and per
         # step t those of c[t] and vv[t - 1].
-        self._base = (self.H.ctypes.data, self.A.ctypes.data)
+        self._base = (_address(self.H), _address(self.A))
         self._at = [None]
         self._pw = np.inf  # the last step's user weights
         self._record(np.zeros(inst.dims.n_users))
@@ -281,7 +295,6 @@ class _VarianceSchedule:
         ).all()
         if settled or len(self.u) == VARIANCE_SWEEP_CAP - 1:
             self.settle = len(self.u)
-            self.A.flags.writeable = False
         steps.append(len(self.u))
         self._pw = pw
         vv = 1.0 / pw
@@ -293,15 +306,16 @@ class _VarianceSchedule:
         return max(1, _BLOCK_ENTRIES // self.H.shape[1])
 
     def block(self) -> np.ndarray:
-        """A new buffer of one row block, for the replayed steps of one run."""
+        """A new buffer of one row block, for the computed steps of one run."""
         M, K = self.H.shape
         return np.empty((min(M, self._rows()), K))
 
     def reach(self, t: int) -> int:
         """Sweep until step ``t`` is recorded or the schedule settles; return
         ``t``, or the settled step if that comes first."""
+        block = self.block()
         while self.settle is None and len(self.u) <= t:
-            self.step(len(self.u))
+            self.step(len(self.u), None, block)
         return min(t, len(self.u) - 1)
 
     def variances(
@@ -316,31 +330,30 @@ class _VarianceSchedule:
         if t == 0:
             out.fill(np.inf)
             return out
-        self._square(t, out, rows, sweep)
-        out *= self.vv[t - 1]
-        return np.subtract(self.c[t][rows, None], out, out=out)
-
-    def _square(self, t: int, out: np.ndarray, rows: slice, sweep: bool) -> None:
-        """Write ``H[rows]^2`` into ``out``; with ``sweep``, then record
-        ``c[t][rows]`` from it."""
         H = self.H[rows]
         np.multiply(H, H, out=out)
         if sweep:
-            c = self.c[t][rows]
-            np.matmul(out, self.vv[t - 1], out=c)
-            c += self.s
+            self._total(t, out, rows)
+        out *= self.vv[t - 1]
+        return np.subtract(self.c[t][rows, None], out, out=out)
+
+    def _total(self, t: int, square: np.ndarray, rows: slice) -> None:
+        """Record ``c[t][rows]`` from the block's square ``H[rows]^2``."""
+        c = self.c[t][rows]
+        np.matmul(square, self.vv[t - 1], out=c)
+        c += self.s
 
     def step(
-        self, t: int, r: np.ndarray | None = None, out: np.ndarray | None = None
+        self, t: int, r: np.ndarray | None, out: np.ndarray
     ) -> tuple[bool, np.ndarray | None]:
         """Compute ``A = H / V`` of step ``t``, replaying a recorded step or
         sweeping and recording step ``len(self.u)``.
 
         Returns whether ``t`` is the settled step and, given ``r`` (M,),
-        ``A^T r`` (K,). A sweep writes all of ``A`` into ``self.A``; the
-        settled step is read from there. Any other replayed step writes
+        ``A^T r`` (K,). Every computed step, swept or replayed, writes
         each block in turn into the leading rows of ``out``, a buffer from
-        :meth:`block`. Step 0 writes nothing: its ``A`` is 0.
+        :meth:`block`; the settled step is read from ``self.A``. Step 0
+        writes nothing: its ``A`` is 0.
         """
         sweep = t == len(self.u)
         M, K = self.H.shape
@@ -351,31 +364,58 @@ class _VarianceSchedule:
         Ar = None if r is None else np.empty((len(starts), K))
         if sweep:
             self.c.append(np.empty(M))
-            u = np.empty((len(starts), K))
-            self._at.append((self.c[t].ctypes.data, self.vv[t - 1].ctypes.data))
-        kept = t == self.settle  # the buffer holds this step's A
-        kernel = None if kept else _native.load()
-        if kernel is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
-            H0, A0 = self._base
+            u = np.zeros((len(starts), K))
+            self._at.append((_address(self.c[t]), _address(self.vv[t - 1])))
+        kept = t == self.settle  # self.A holds this step's A
+        native = None if kept else _native.load()
+        # The loop sums u row after row, einsum's order from K = 2 (not at K = 1).
+        fused = sweep and native is not None and K > 1
+        if native is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
+            H0 = self._base[0]
             c0, vv0 = self._at[t]
-            out0 = None if sweep else out.ctypes.data
+            out0 = _address(out)
+            u0 = _address(u) if fused else None
         for i, lo in enumerate(starts):
             rows = slice(lo, lo + n)
-            A = self.A[rows] if sweep or kept else out[: min(n, M - lo)]
-            if kernel is not None:
+            A = self.A[rows] if kept else out[: min(n, M - lo)]
+            if native is not None:
+                h, c = H0 + 8 * lo * K, c0 + 8 * lo
                 if sweep:
-                    self._square(t, A, rows, sweep)
-                at = A0 + 8 * lo * K if sweep else out0
-                kernel(H0 + 8 * lo * K, c0 + 8 * lo, vv0, at, len(A), K)
+                    native.square(h, out0, A.size)
+                    self._total(t, A, rows)
+                if fused:
+                    native.sum_node_sweep(h, c, vv0, out0, u0 + 8 * i * K, len(A), K)
+                else:
+                    native.sum_node_block(h, c, vv0, out0, len(A), K)
             elif not kept:
                 np.divide(self.H[rows], self.variances(t, A, rows, sweep=sweep), out=A)
             if r is not None:
                 np.matmul(A.T, r[rows], out=Ar[i])
-            if sweep:
+            if sweep and not fused:
                 np.einsum("mk,mk->k", self.H[rows], A, out=u[i])
         if sweep:
             self._record(u.sum(axis=0))
+            if t == self.settle:
+                self._settle(t)
         return t == self.settle, None if r is None else Ar.sum(axis=0)
+
+    def _settle(self, t: int) -> None:
+        """Write the settled step ``t``'s ``A`` into ``self.A``, block by block
+        by the statements of its sweep, and make it read-only."""
+        M, K = self.H.shape
+        n = self._rows()
+        native = _native.load()
+        H0, A0 = self._base
+        c0, vv0 = self._at[t]
+        for lo in range(0, M, n):
+            rows = slice(lo, lo + n)
+            A = self.A[rows]
+            if native is None:
+                np.divide(self.H[rows], self.variances(t, A, rows), out=A)
+            else:
+                h, c = H0 + 8 * lo * K, c0 + 8 * lo
+                native.sum_node_block(h, c, vv0, A0 + 8 * lo * K, len(A), K)
+        self.A.flags.writeable = False
 
 
 def _schedule(inst: SystemInstance) -> _VarianceSchedule:
@@ -392,10 +432,12 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     sweeps, whichever comes first; the first sweep only installs the
     prior. Returns the user variances (K,), the matrix ``A = H / V``
     (M, K) of the sum-node variances ``V`` behind them, and the sweeps
-    run. ``A`` is read-only: the schedule's own settled buffer, which
-    detector runs on the instance also read, so no new (M, K) array is
-    built. The sweeps are recorded on the instance, so later calls and
-    detector runs on it replay them instead of sweeping again.
+    run. ``A`` is read-only: the schedule's own settled buffer, written
+    once when the sweeps settle and read by detector runs on the instance
+    too, so no new (M, K) array is built; the sweeps themselves run
+    through one row block. The sweeps are recorded on the instance, so
+    later calls and detector runs on it replay them instead of sweeping
+    again.
     """
     schedule = _schedule(inst)
     t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
@@ -427,14 +469,14 @@ def _run_message_passing(
 
     Iteration ``t`` replays (or sweeps and records) step ``t - 1`` of the
     instance's variance schedule, which also returns ``A^T r`` summed over
-    its cache-sized row blocks of ``A = H / V``. A replayed step cycles
-    its blocks through one row-block buffer of the run's own; a swept step
-    writes the schedule's (M, K) buffer, and the settled step is read from
-    there, not computed again. Once the sweeps settle, the schedule's
-    ``A`` and ``u`` are reused, and an iteration is two full gemv calls
-    plus O(K) work. A channel of more than one block sums ``A^T r`` in a
-    different order before the weights settle than after, so its estimates
-    move in the last digits against an unblocked engine. The weights
+    its cache-sized row blocks of ``A = H / V``. A replayed or swept step
+    cycles its blocks through one row-block buffer of the run's own; the
+    settled step is read from the schedule's (M, K) buffer, not computed
+    again. Once the sweeps settle, the schedule's ``A`` and ``u`` are
+    reused, and an iteration is two full gemv calls plus O(K) work. A
+    channel of more than one block sums ``A^T r`` in a different order
+    before the weights settle than after, so its estimates move in the
+    last digits against an unblocked engine. The weights
     settle within the rounding error of their own sums, so the run stays
     within rounding of sweeping on (about 1e-13 relative at 100x105,
     80 dB, where the recursion contracts slowest).

@@ -69,6 +69,10 @@ class SourcePrior:
             raise ValueError("all prior variances must be finite and positive")
         object.__setattr__(self, "variances", _read_only(v))
 
+    def __setstate__(self, state: dict) -> None:
+        """A copy or an unpickled prior is read-only too."""
+        self.__dict__.update(state, variances=_read_only(state["variances"]))
+
     @classmethod
     def homogeneous(cls, n_users: int, variance: float) -> "SourcePrior":
         return cls(np.full(n_users, float(variance)))
@@ -124,6 +128,10 @@ class SystemInstance:
         """A copy or a pickle starts with no kept set-up: the variance schedule
         holds the addresses of its own arrays and hashes of this process."""
         return {**self.__dict__, "_setup": {}}
+
+    def __setstate__(self, state: dict) -> None:
+        """A copy or an unpickled instance reads its channel read-only too."""
+        self.__dict__.update(state, channel=_read_only(state["channel"]))
 
     def _cached(self, key: str, build):
         """``build(self)``, computed on first request and kept with the instance."""

@@ -1,6 +1,9 @@
 """Tests for the system model: dimensions, priors, channel generation,
 trial realization, seed derivation, and the MSE metric."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from gmpdetect import (
     build_instance,
     derive_trial_seeds,
     generate_channel,
+    mmse_detect,
     mse,
     realize,
 )
@@ -116,6 +120,30 @@ def test_instance_channel_and_prior_are_read_only_views():
     v[1] = 3.0
     assert H.flags.writeable and v.flags.writeable
     assert inst.channel[0, 0] == 7.0 and inst.prior.variances[1] == 3.0  # views, not copies
+
+
+@pytest.mark.parametrize("twin", ["deepcopy", "pickle"])
+def test_a_copied_instance_is_read_only_too(twin):
+    # A copy keeps no set-up of its own yet, but once a detector has kept
+    # some, a write through the copy's channel would mix the new channel
+    # with the factor of the old one.
+    def duplicate(obj):
+        return copy.deepcopy(obj) if twin == "deepcopy" else pickle.loads(pickle.dumps(obj))
+
+    inst = build_instance(3, 5, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    t = duplicate(inst)
+    mmse_detect(t, y)
+    with pytest.raises(ValueError):
+        t.channel[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        t.prior.variances[0] = 5.0
+    prior = duplicate(inst.prior)
+    with pytest.raises(ValueError):
+        prior.variances[0] = 5.0
+    np.testing.assert_array_equal(t.channel, inst.channel)
+    assert t.channel.flags.c_contiguous
+    np.testing.assert_array_equal(mmse_detect(t, y).estimate, mmse_detect(inst, y).estimate)
 
 
 # ---------------------------------------------------------------------------

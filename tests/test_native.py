@@ -1,7 +1,9 @@
-"""Tests for the compiled sum-node loop: it gives the numpy statements' bits
-on every schedule step and every run, it loads wherever ``cc`` runs, and
-every channel reaches it, whatever the layout of the array passed in."""
+"""Tests for the compiled sum-node loops: they give the numpy statements'
+bits on every schedule step and every run, they load wherever ``cc`` runs,
+every channel reaches them, whatever the layout of the array passed in,
+and only the settle pass writes the schedule's (M, K) buffer."""
 
+import contextlib
 import copy
 import glob
 import importlib.util
@@ -21,6 +23,7 @@ from gmpdetect import (
     gmpid_detect,
     realize,
     sagmpid_detect,
+    variance_recursion,
 )
 from gmpdetect import _native, gmpid
 from gmpdetect.cli import main
@@ -117,6 +120,63 @@ def test_kernel_and_numpy_statements_agree_bitwise(K, M, snr_db, channel_seed):
         with _numpy_statements():
             _assert_bitwise(Ar, theirs.step(t, r, blocks[1])[1])
         _assert_bitwise(*blocks)
+
+
+@pytest.mark.parametrize("path", ["loop", "numpy"])
+@pytest.mark.parametrize(
+    "K, M, snr_db",
+    [
+        (300, 400, 10.0),  # two blocks, settled by the rounding bound
+        (2, 1, 200.0),  # settled at VARIANCE_SWEEP_CAP
+    ],
+)
+def test_only_the_settle_pass_writes_the_schedules_buffer(K, M, snr_db, path):
+    # Sweeps form A in the caller's row block; the settled step's A is
+    # written into the schedule's (M, K) buffer once, by the statements of
+    # its sweep, so it is H / V of that step bit for bit.
+    inst = build_instance(K, M, snr_db=snr_db, channel_seed=0)
+    with _numpy_statements() if path == "numpy" else contextlib.nullcontext():
+        schedule = gmpid._schedule(inst)
+        assert schedule.reach(3) == 3 and schedule.settle is None
+        assert not schedule.A.any()
+        vv, A, sweeps = variance_recursion(inst)
+    assert A is schedule.A and sweeps == schedule.settle + 1
+    assert not A.flags.writeable
+    V = schedule.variances(schedule.settle, np.empty((M, K)))
+    _assert_bitwise(A, inst.channel / V)
+
+
+def _row_order_sum(H, A):
+    """``sum_m H[m] * A[m]``, adding one row after another from zero."""
+    u = np.zeros(H.shape[1])
+    for h, a in zip(H, A):
+        u = u + h * a
+    return u
+
+
+@pytest.mark.parametrize("K, M", [(300, 400), (100, 600), (2, 7)])
+def test_einsum_sums_rows_in_order_from_two_users(K, M):
+    # The compiled sweep adds u[k] + h*a row after row where the numpy
+    # statements call einsum. A numpy whose einsum sums in another order
+    # fails here, not by splitting the loop's bits from the fallback's.
+    inst = build_instance(K, M, snr_db=10.0, channel_seed=0)
+    H, A = inst.channel, variance_recursion(inst)[1]
+    rows = max(1, gmpid._BLOCK_ENTRIES // K)
+    for lo in range(0, M, rows):
+        h, a = H[lo : lo + rows], A[lo : lo + rows]
+        _assert_bitwise(np.einsum("mk,mk->k", h, a), _row_order_sum(h, a))
+
+
+def test_einsum_at_one_user_is_not_a_row_order_sum():
+    # At K = 1 einsum sums in another order, so there the compiled sweep
+    # leaves u to einsum (test_kernel_and_numpy_statements_agree_bitwise
+    # holds the bits at 1x12 and 1x2).
+    rng = np.random.default_rng(0)
+    differ = 0
+    for _ in range(100):
+        H, A = rng.standard_normal((2, int(rng.integers(8, 200)), 1))
+        differ += np.einsum("mk,mk->k", H, A).tobytes() != _row_order_sum(H, A).tobytes()
+    assert differ > 0
 
 
 def test_a_sweep_of_one_shot_detectors_never_requests_the_kernel(capsys):
