@@ -261,8 +261,8 @@ class _VarianceSchedule:
 
     The schedule keeps a reference to the channel, not a copy of it, and
     one (M, K) buffer ``A``, which has one writer: the settle pass, run
-    right after the sweep that settles, writes the settled step's ``A``
-    there block by block, by the statements of that sweep, and makes it
+    right after the sweep that settles, replays the settled step through
+    :meth:`step` into it, each block into its own rows, and makes it
     read-only. The engine's frozen phase and the measured spectrum read it
     in place. Zero noise raises ValueError for every reader.
     """
@@ -277,10 +277,10 @@ class _VarianceSchedule:
         self.settle: int | None = None  # index of the settled step, once reached
         self._rtol = inst.dims.n_antennas * 2.0**-53  # rounding bound of u's sum
         self._seen: dict[int, list[int]] = {}  # the steps, by the hash of their user weights
-        # The compiled loops read arrays by address, each taken once: those of
-        # H (C-contiguous float64, as every instance stores it) and A, and per
-        # step t those of c[t] and vv[t - 1].
-        self._base = (_address(self.H), _address(self.A))
+        # The compiled loops read arrays by address, each taken once: that of
+        # H (C-contiguous float64, as every instance stores it), and per step
+        # t those of c[t] and vv[t - 1].
+        self._base = _address(self.H)
         self._at = [None]
         self._pw = np.inf  # the last step's user weights
         self._record(np.zeros(inst.dims.n_users))
@@ -318,30 +318,17 @@ class _VarianceSchedule:
             self.step(len(self.u), None, block)
         return min(t, len(self.u) - 1)
 
-    def variances(
-        self, t: int, out: np.ndarray, rows: slice = slice(None), *, sweep: bool = False
-    ) -> np.ndarray:
+    def variances(self, t: int, out: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """Write the sum-node variances ``V`` of step ``t`` (its rows ``rows``)
-        into ``out``.
-
-        With ``sweep``, ``t`` is the step being swept, and its
-        ``c[t][rows]`` is first taken from the squared block.
-        """
+        into ``out``. For the step being swept, ``out`` already holds the
+        square ``H[rows]^2`` that the sweep's ``c[t][rows]`` was taken from."""
         if t == 0:
             out.fill(np.inf)
             return out
-        H = self.H[rows]
-        np.multiply(H, H, out=out)
-        if sweep:
-            self._total(t, out, rows)
+        if t < len(self.u):
+            np.multiply(self.H[rows], self.H[rows], out=out)
         out *= self.vv[t - 1]
         return np.subtract(self.c[t][rows, None], out, out=out)
-
-    def _total(self, t: int, square: np.ndarray, rows: slice) -> None:
-        """Record ``c[t][rows]`` from the block's square ``H[rows]^2``."""
-        c = self.c[t][rows]
-        np.matmul(square, self.vv[t - 1], out=c)
-        c += self.s
 
     def step(
         self, t: int, r: np.ndarray | None, out: np.ndarray
@@ -350,10 +337,12 @@ class _VarianceSchedule:
         sweeping and recording step ``len(self.u)``.
 
         Returns whether ``t`` is the settled step and, given ``r`` (M,),
-        ``A^T r`` (K,). Every computed step, swept or replayed, writes
-        each block in turn into the leading rows of ``out``, a buffer from
-        :meth:`block`; the settled step is read from ``self.A``. Step 0
-        writes nothing: its ``A`` is 0.
+        ``A^T r`` (K,). Every computed step writes each block in turn into
+        the leading rows of ``out``, a buffer from :meth:`block`, or into
+        its own rows where ``out`` is ``self.A``: the settle pass, which
+        replays the settled step there. Otherwise the settled step is read
+        from ``self.A``, not computed again. Step 0 writes nothing: its
+        ``A`` is 0.
         """
         sweep = t == len(self.u)
         M, K = self.H.shape
@@ -366,56 +355,46 @@ class _VarianceSchedule:
             self.c.append(np.empty(M))
             u = np.zeros((len(starts), K))
             self._at.append((_address(self.c[t]), _address(self.vv[t - 1])))
-        kept = t == self.settle  # self.A holds this step's A
+        kept = t == self.settle and out is not self.A  # read from self.A, not formed again
+        if kept:
+            out = self.A
         native = None if kept else _native.load()
         # The loop sums u row after row, einsum's order from K = 2 (not at K = 1).
         fused = sweep and native is not None and K > 1
         if native is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
-            H0 = self._base[0]
             c0, vv0 = self._at[t]
             out0 = _address(out)
             u0 = _address(u) if fused else None
         for i, lo in enumerate(starts):
             rows = slice(lo, lo + n)
-            A = self.A[rows] if kept else out[: min(n, M - lo)]
+            at = lo if out is self.A else 0
+            A = out[at : at + min(n, M - lo)]
             if native is not None:
-                h, c = H0 + 8 * lo * K, c0 + 8 * lo
-                if sweep:
-                    native.square(h, out0, A.size)
-                    self._total(t, A, rows)
-                if fused:
-                    native.sum_node_sweep(h, c, vv0, out0, u0 + 8 * i * K, len(A), K)
+                h, c, a = self._base + 8 * lo * K, c0 + 8 * lo, out0 + 8 * at * K
+            if sweep:  # c[t][rows] from the block's square H[rows]^2
+                if native is None:
+                    np.multiply(self.H[rows], self.H[rows], out=A)
                 else:
-                    native.sum_node_block(h, c, vv0, out0, len(A), K)
+                    native.square(h, a, A.size)
+                total = np.matmul(A, self.vv[t - 1], out=self.c[t][rows])
+                total += self.s
+            if native is not None:
+                if fused:
+                    native.sum_node_sweep(h, c, vv0, a, u0 + 8 * i * K, len(A), K)
+                else:
+                    native.sum_node_block(h, c, vv0, a, len(A), K)
             elif not kept:
-                np.divide(self.H[rows], self.variances(t, A, rows, sweep=sweep), out=A)
+                np.divide(self.H[rows], self.variances(t, A, rows), out=A)
             if r is not None:
                 np.matmul(A.T, r[rows], out=Ar[i])
             if sweep and not fused:
                 np.einsum("mk,mk->k", self.H[rows], A, out=u[i])
         if sweep:
             self._record(u.sum(axis=0))
-            if t == self.settle:
-                self._settle(t)
+            if t == self.settle:  # the settle pass
+                self.step(t, None, self.A)
+                self.A.flags.writeable = False
         return t == self.settle, None if r is None else Ar.sum(axis=0)
-
-    def _settle(self, t: int) -> None:
-        """Write the settled step ``t``'s ``A`` into ``self.A``, block by block
-        by the statements of its sweep, and make it read-only."""
-        M, K = self.H.shape
-        n = self._rows()
-        native = _native.load()
-        H0, A0 = self._base
-        c0, vv0 = self._at[t]
-        for lo in range(0, M, n):
-            rows = slice(lo, lo + n)
-            A = self.A[rows]
-            if native is None:
-                np.divide(self.H[rows], self.variances(t, A, rows), out=A)
-            else:
-                h, c = H0 + 8 * lo * K, c0 + 8 * lo
-                native.sum_node_block(h, c, vv0, A0 + 8 * lo * K, len(A), K)
-        self.A.flags.writeable = False
 
 
 def _schedule(inst: SystemInstance) -> _VarianceSchedule:

@@ -121,6 +121,15 @@ def test_kernel_and_numpy_statements_agree_bitwise(K, M, snr_db, channel_seed):
             _assert_bitwise(Ar, theirs.step(t, r, blocks[1])[1])
         _assert_bitwise(*blocks)
 
+    # The settled step is read from the schedule's buffer, not formed again:
+    # its A^T r has the same bits on both paths, and the caller's block is
+    # left untouched.
+    nan = np.full_like(blocks[0], np.nan), np.full_like(blocks[1], np.nan)
+    settled, Ar = ours.step(ours.settle, r, nan[0])
+    with _numpy_statements():
+        _assert_bitwise(Ar, theirs.step(theirs.settle, r, nan[1])[1])
+    assert settled and np.isnan(nan).all()
+
 
 @pytest.mark.parametrize("path", ["loop", "numpy"])
 @pytest.mark.parametrize(
