@@ -65,11 +65,14 @@ def iterate(
     ``t`` steps, as for message passing. ``truth`` adds the per-iteration
     ``mse_to_truth`` column (diagnostic only, not counted as detector
     work). The final iterate is the result's ``estimate``;
-    ``posterior_var`` stays None. A non-finite offset raises ValueError.
+    ``posterior_var`` stays None. A non-finite offset, or a ``truth`` not
+    a finite vector of length K, raises ValueError before the first step.
     """
     B, c = iteration.matrix, iteration.offset
     _require_finite(c, "offset")
     K = c.shape[0]
+    if truth is not None:
+        _require_finite(truth, "truth", length=K)
     x = np.zeros(K)
     stop = _stop_rule(c, eps, first=1)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .model import SystemDims, SystemInstance, _require_finite
+from .model import SystemDims, SystemInstance, _read_only, _require_finite
 from .results import (
     DEFAULT_MAX_ITER, DetectionResult, IterationTrace, RelaxationChoice, Termination,
     _stop_rule,
@@ -225,20 +225,21 @@ class _VarianceSchedule:
 
     The variances depend on neither ``y``, the means nor the relaxation
     factor, so one schedule serves every consumer of the instance. Step
-    ``t`` holds the user weight sums ``u[t] = sum_m H o A``, the user
-    variances ``vv[t] = 1/(u[t] + 1/prior)`` and the sum-node totals
-    ``c[t] = H^2 vv[t-1] + noise_var`` (M,), which fix the step's sum-node
+    ``t`` records ``K + M`` floats: the user weight sums ``u[t] = sum_m H
+    o A`` and the sum-node totals ``c[t] = H^2 vv[t-1] + noise_var`` (M,).
+    Each reader forms the user variances ``vv[t] = 1/(u[t] + 1/prior)``
+    from ``u[t]``. ``c[t]`` and ``vv[t-1]`` fix the step's sum-node
     variances ``V = c[t] - H^2 o vv[t-1]`` and the engine's matrix
     ``A = H / V``. Step 0 is the all-infinite start, ``A == 0``. The
     schedule settles at the first step whose user weights
     ``pw = u + 1/prior`` each moved from the step before by at most
     ``M 2^-53 pw``, the worst-case rounding error of the M-term sum behind
-    ``u``, or repeat bitwise those of any earlier step. The repeat test
-    catches rounding cycles wider than that bound (at M <= 2, mostly):
-    a sweep reads only the user weights, so repeated weights cycle
-    forever. A schedule that neither test settles settles at step
-    ``VARIANCE_SWEEP_CAP - 1``. That step is ``settle``, the last one
-    recorded.
+    ``u``, or repeat bitwise those of any earlier step, found by a hash of
+    each step's weights. The repeat test catches rounding cycles wider
+    than that bound (at M <= 2, mostly): a sweep reads only the user
+    weights, so repeated weights cycle forever. A schedule that neither
+    test settles settles at step ``VARIANCE_SWEEP_CAP - 1``. That step is
+    ``settle``, the last one recorded.
 
     :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
     (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache,
@@ -252,8 +253,8 @@ class _VarianceSchedule:
     by the same statements, so it is the swept step bit for bit. Where one
     block covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
     unblocked one. Where :func:`_native.load` gives the compiled loops, a
-    block's ``A`` is formed by one loop instead of the four element-wise
-    passes of :meth:`variances` and the division, a sweep's square by
+    block's ``A`` is formed by one loop instead of four element-wise numpy
+    passes (square, scale, subtract, divide), a sweep's square by
     another, and at K >= 2 the sweep's loop also sums ``u`` row after row,
     the order of the einsum it stands in for (at K = 1 einsum sums in
     another order and keeps ``u``): the same operations in the same order,
@@ -273,34 +274,27 @@ class _VarianceSchedule:
         self.H = inst.channel
         self.A = np.zeros(inst.channel.shape)  # the settled step's A, once settled
         self.s, self.px = inst.noise_var, inst.prior.precisions
-        self.u, self.vv, self.c = [], [], [None]
+        self.u, self.c = [], [None]
         self.settle: int | None = None  # index of the settled step, once reached
         self._rtol = inst.dims.n_antennas * 2.0**-53  # rounding bound of u's sum
         self._seen: dict[int, list[int]] = {}  # the steps, by the hash of their user weights
-        # The compiled loops read arrays by address, each taken once: that of
-        # H (C-contiguous float64, as every instance stores it), and per step
-        # t those of c[t] and vv[t - 1].
-        self._base = _address(self.H)
-        self._at = [None]
-        self._pw = np.inf  # the last step's user weights
+        self._base = _address(self.H)  # for the compiled loops: C-contiguous float64
         self._record(np.zeros(inst.dims.n_users))
 
     def _record(self, u: np.ndarray) -> None:
         pw = u + self.px
         bits = pw.tobytes()
         steps = self._seen.setdefault(hash(bits), [])
+        last = self.u[-1] + self.px if self.u else np.inf  # the last step's user weights
         # A hash match is a repeat only if the weights, rebuilt from u, match bitwise.
         settled = any((self.u[i] + self.px).tobytes() == bits for i in steps) or (
-            abs(pw - self._pw) <= self._rtol * pw
+            abs(pw - last) <= self._rtol * pw
         ).all()
         if settled or len(self.u) == VARIANCE_SWEEP_CAP - 1:
             self.settle = len(self.u)
         steps.append(len(self.u))
-        self._pw = pw
-        vv = 1.0 / pw
-        u.flags.writeable = vv.flags.writeable = False
+        u.flags.writeable = False
         self.u.append(u)
-        self.vv.append(vv)
 
     def _rows(self) -> int:
         return max(1, _BLOCK_ENTRIES // self.H.shape[1])
@@ -318,17 +312,15 @@ class _VarianceSchedule:
             self.step(len(self.u), None, block)
         return min(t, len(self.u) - 1)
 
-    def variances(self, t: int, out: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Write the sum-node variances ``V`` of step ``t`` (its rows ``rows``)
-        into ``out``. For the step being swept, ``out`` already holds the
-        square ``H[rows]^2`` that the sweep's ``c[t][rows]`` was taken from."""
+    def variances(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Write the sum-node variances ``V`` (M, K) of recorded step ``t`` into
+        ``out``, by the numpy statements that :meth:`step` runs on a block."""
         if t == 0:
             out.fill(np.inf)
             return out
-        if t < len(self.u):
-            np.multiply(self.H[rows], self.H[rows], out=out)
-        out *= self.vv[t - 1]
-        return np.subtract(self.c[t][rows, None], out, out=out)
+        np.multiply(self.H, self.H, out=out)
+        out *= 1.0 / (self.u[t - 1] + self.px)
+        return np.subtract(self.c[t][:, None], out, out=out)
 
     def step(
         self, t: int, r: np.ndarray | None, out: np.ndarray
@@ -351,10 +343,10 @@ class _VarianceSchedule:
         n = self._rows()
         starts = range(0, M, n)
         Ar = None if r is None else np.empty((len(starts), K))
+        vv = 1.0 / (self.u[t - 1] + self.px)  # formed once for every block
         if sweep:
             self.c.append(np.empty(M))
             u = np.zeros((len(starts), K))
-            self._at.append((_address(self.c[t]), _address(self.vv[t - 1])))
         kept = t == self.settle and out is not self.A  # read from self.A, not formed again
         if kept:
             out = self.A
@@ -362,8 +354,7 @@ class _VarianceSchedule:
         # The loop sums u row after row, einsum's order from K = 2 (not at K = 1).
         fused = sweep and native is not None and K > 1
         if native is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
-            c0, vv0 = self._at[t]
-            out0 = _address(out)
+            c0, vv0, out0 = _address(self.c[t]), _address(vv), _address(out)
             u0 = _address(u) if fused else None
         for i, lo in enumerate(starts):
             rows = slice(lo, lo + n)
@@ -371,20 +362,22 @@ class _VarianceSchedule:
             A = out[at : at + min(n, M - lo)]
             if native is not None:
                 h, c, a = self._base + 8 * lo * K, c0 + 8 * lo, out0 + 8 * at * K
-            if sweep:  # c[t][rows] from the block's square H[rows]^2
-                if native is None:
-                    np.multiply(self.H[rows], self.H[rows], out=A)
-                else:
-                    native.square(h, a, A.size)
-                total = np.matmul(A, self.vv[t - 1], out=self.c[t][rows])
+            if native is None and not kept:  # the square H[rows]^2, read by c[t] and V
+                np.multiply(self.H[rows], self.H[rows], out=A)
+            elif sweep:
+                native.square(h, a, A.size)
+            if sweep:  # c[t][rows] from the block's square
+                total = np.matmul(A, vv, out=self.c[t][rows])
                 total += self.s
             if native is not None:
                 if fused:
                     native.sum_node_sweep(h, c, vv0, a, u0 + 8 * i * K, len(A), K)
                 else:
                     native.sum_node_block(h, c, vv0, a, len(A), K)
-            elif not kept:
-                np.divide(self.H[rows], self.variances(t, A, rows), out=A)
+            elif not kept:  # V = c[t] - H^2 o vv[t-1], as variances() forms it, then H / V
+                A *= vv
+                np.subtract(self.c[t][rows, None], A, out=A)
+                np.divide(self.H[rows], A, out=A)
             if r is not None:
                 np.matmul(A.T, r[rows], out=Ar[i])
             if sweep and not fused:
@@ -420,7 +413,7 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     """
     schedule = _schedule(inst)
     t = schedule.reach(VARIANCE_SWEEP_CAP - 1)
-    return schedule.vv[t], schedule.A, t + 1
+    return _read_only(1.0 / (schedule.u[t] + schedule.px)), schedule.A, t + 1
 
 
 def _run_message_passing(
@@ -469,6 +462,8 @@ def _run_message_passing(
     M, K = H.shape
     schedule = _schedule(inst)
     _require_finite(y, length=inst.dims.n_antennas)
+    if truth is not None:
+        _require_finite(truth, "truth", length=K)
 
     # The first sweep only installs the prior (means stay zero), so the
     # step-change test is armed from the second sweep onward.
@@ -492,7 +487,8 @@ def _run_message_passing(
             settled, Ar = schedule.step(t - 1, r, block)
             if settled:
                 A = schedule.A
-            u, vv = schedule.u[t - 1], schedule.vv[t - 1]
+            u = schedule.u[t - 1]
+            vv = 1.0 / (u + schedule.px)
             vw = vv if w == 1.0 else w * vv
             mean_var = float(np.mean(vv))
             flops += (sweep_flops if t > 1 else 0) + (2 * K if w == 1.0 else 3 * K)
@@ -533,8 +529,8 @@ def gmpid_detect(
     ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
     NaN ``eps`` raises ValueError), the iteration budget runs out, or the
     estimate grows past the divergence threshold. A ``y`` that is not a
-    finite vector of length M raises ValueError. ``truth``, any length-K
-    reference, enables the per-iteration ``mse_to_truth`` trace column. The
-    result's ``relax`` is None.
+    finite vector of length M, or a ``truth`` not one of length K, raises
+    ValueError. ``truth`` enables the per-iteration ``mse_to_truth`` trace
+    column. The result's ``relax`` is None.
     """
     return _run_message_passing(inst, y, None, eps=eps, max_iter=max_iter, truth=truth)

@@ -194,6 +194,25 @@ def test_every_detector_rejects_an_observation_of_the_wrong_shape(name, cut):
         run_detector(name, inst, y[:, None] if cut == "column" else y[:-1])
 
 
+@pytest.mark.parametrize("bad", ["one", "long", "nan"])
+@pytest.mark.parametrize("name", sorted(DETECTORS - ONE_SHOT_DETECTORS))
+def test_every_iterative_detector_rejects_a_bad_truth(name, bad):
+    # One ValueError that names truth, before the first iteration: a
+    # length-1 truth used to broadcast into mse_to_truth, a longer one to
+    # raise numpy's broadcast error after the first iteration's work, and a
+    # NaN to fill the column with NaN.
+    inst = build_instance(8, 32, snr_db=10.0, channel_seed=0)
+    real = realize(inst, 1)
+    truth = {
+        "one": np.array([0.5]),
+        "long": np.zeros(9),
+        "nan": np.where(np.arange(8) == 3, np.nan, real.symbols),
+    }[bad]
+    message = r"^truth must be finite, with no NaN or infinite entry, in shape \(8,\)$"
+    with pytest.raises(ValueError, match=message):
+        run_detector(name, inst, real.received, truth=truth)
+
+
 def test_rerun_with_identical_config_is_byte_identical():
     cfg = _config(dims=SystemDims(8, 32), trials=3, detectors=("mmse", "gmpid"))
     runs = [run_experiment(cfg) for _ in range(2)]
