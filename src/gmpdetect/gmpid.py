@@ -15,12 +15,13 @@ uninformative start is an exact ``A = 0``.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
-from .model import SystemDims, SystemInstance, _read_only, _require_finite
+from .model import SystemInstance, _read_only, _require_finite
 from .results import (
     DEFAULT_MAX_ITER, DetectionResult, IterationTrace, RelaxationChoice, Termination,
     _stop_rule,
@@ -30,142 +31,24 @@ VARIANCE_SWEEP_CAP = 5000  # the variance schedule settles by this sweep at the 
 _BLOCK_ENTRIES = 2**16  # float64 entries per row block of a schedule step: 512 KiB
 
 
-@dataclass
-class MessageState:
-    """The four edge-message arrays of one message-passing iteration.
-
-    Variances are extended-positive: ``+inf`` entries are exact and mark
-    uninformative messages (the initial state). After the first user-side
-    update the user-to-sum rows are constant across antennas by
-    construction.
-    """
-
-    user_to_sum_mean: np.ndarray  # (K, M)
-    user_to_sum_var: np.ndarray   # (K, M), +inf allowed
-    sum_to_user_mean: np.ndarray  # (M, K)
-    sum_to_user_var: np.ndarray   # (M, K), >= noise variance when finite
-
-    @classmethod
-    def initial(cls, dims: SystemDims) -> "MessageState":
-        K, M = dims.n_users, dims.n_antennas
-        return cls(
-            user_to_sum_mean=np.zeros((K, M)),
-            user_to_sum_var=np.full((K, M), np.inf),
-            sum_to_user_mean=np.zeros((M, K)),
-            sum_to_user_var=np.full((M, K), np.inf),
-        )
-
-
 @dataclass(frozen=True)
 class VarianceFixedPoint:
     """Closed-form limit of the message variances (homogeneous prior).
 
     ``sigma_hat_sq`` is the limiting per-user output variance,
     ``sigma_tilde_sq`` the limiting sum-node message variance, and
-    ``gamma`` their ratio (bounded by 1/K). ``asymptote`` is the
-    large-system limit of sigma_hat_sq for the instance's load regime.
+    ``gamma`` their ratio (bounded by 1/K). ``slope`` is ``M K gamma^2``,
+    the factor by which the recursion, linearized at this limit, shrinks
+    the user weights' move each sweep. ``asymptote`` is the large-system
+    limit of sigma_hat_sq for the instance's load regime.
     """
 
     sigma_hat_sq: float
     sigma_tilde_sq: float
     gamma: float
+    slope: float
     asymptote: float
     asymptote_regime: str  # "underloaded" (K<M), "critical" (K=M), "overloaded"
-
-
-def message_state(
-    inst: SystemInstance, y: np.ndarray, result: DetectionResult
-) -> MessageState:
-    """The four edge-message arrays at the exit of the run ``result`` on ``y``.
-
-    ``inst`` is the run's instance or one built equal to it, whose schedule
-    is stepped forward to the run's last step if it has not recorded it.
-    The sum-node variances are that step's ``V``, by the statements the
-    engine ran before dividing the channel by them, so ``H / V`` is the
-    run's ``A`` bit for bit. The sum-to-user means are those of the system
-    scaled by sqrt(w) (the relaxed form of the messages).
-    """
-    ev_prev = result.previous_estimate
-    if ev_prev is None:  # no iteration ran
-        return MessageState.initial(inst.dims)
-    H = inst.channel
-    M, K = H.shape
-    w = 1.0 if result.relax is None else float(result.relax.w)
-    ev, post_var = result.estimate, result.posterior_var
-    Hp, yp = (H, y) if w == 1.0 else (np.sqrt(w) * H, np.sqrt(w) * y)
-    schedule = _schedule(inst)
-    t = schedule.reach(result.iterations - 1)  # the run's last step, unless settled first
-    return MessageState(
-        user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
-        user_to_sum_var=np.broadcast_to(post_var[:, None], (K, M)).copy(),
-        sum_to_user_mean=(yp - Hp @ ev_prev)[:, None] + Hp * ev_prev,
-        sum_to_user_var=schedule.variances(t, np.empty((M, K))),
-    )
-
-
-def sum_node_update(
-    state: MessageState, inst: SystemInstance, y: np.ndarray
-) -> MessageState:
-    """One antenna-side sweep: extrinsic means/variances toward every user.
-
-    For edge (m, k): mean ``y_m - sum_{i != k} h_mi E[i, m]`` and variance
-    ``sum_{i != k} h_mi^2 V[i, m] + noise_var``, computed for all K*M edges
-    in O(KM) via row totals minus the own term. Infinite incoming variances
-    are handled exactly: an edge's outgoing variance is +inf iff at least
-    one *other* user on that antenna is uninformative.
-    """
-    H = inst.channel
-    M, K = H.shape
-    s = inst.noise_var
-    E_us = state.user_to_sum_mean
-    V_us = state.user_to_sum_var
-
-    row_mean = (H * E_us.T).sum(axis=1)
-    E_su = (y - row_mean)[:, None] + H * E_us.T
-
-    mask = np.isinf(V_us)
-    fin = np.where(mask, 0.0, V_us)
-    H2 = H * H
-    row_var = (H2 * fin.T).sum(axis=1)
-    V_fin = (row_var + s)[:, None] - H2 * fin.T
-    n_inf_other = mask.T.sum(axis=1)[:, None] - mask.T  # inf contributors besides k
-    V_su = np.where(n_inf_other > 0, np.inf, V_fin)
-
-    return MessageState(
-        user_to_sum_mean=E_us,
-        user_to_sum_var=V_us,
-        sum_to_user_mean=E_su,
-        sum_to_user_var=V_su,
-    )
-
-
-def variable_node_update(state: MessageState, inst: SystemInstance) -> MessageState:
-    """One user-side sweep: combine all incoming messages with the prior.
-
-    The combine uses every antenna's message (full-information variant), so
-    the outgoing mean/variance of user k is the same on all M edges:
-    variance ``1/(sum_i h_ik^2 / V_su[i,k] + 1/prior_k)`` and mean
-    ``vv_k * sum_i h_ik E_su[i,k] / V_su[i,k]``. Infinite incoming variances
-    contribute exactly zero weight.
-    """
-    H = inst.channel
-    M, K = H.shape
-    px = inst.prior.precisions
-    E_su = state.sum_to_user_mean
-    V_su = state.sum_to_user_var
-
-    H2 = H * H
-    W = 1.0 / V_su  # +inf -> exact 0 weight
-    u = (H2 * W).sum(axis=0)
-    vv = 1.0 / (u + px)
-    ev = vv * (H * W * E_su).sum(axis=0)
-
-    return MessageState(
-        user_to_sum_mean=np.broadcast_to(ev[:, None], (K, M)).copy(),
-        user_to_sum_var=np.broadcast_to(vv[:, None], (K, M)).copy(),
-        sum_to_user_mean=E_su,
-        sum_to_user_var=V_su,
-    )
 
 
 def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
@@ -206,6 +89,7 @@ def variance_fixed_point(inst: SystemInstance) -> VarianceFixedPoint:
         sigma_hat_sq=float(sigma_hat_sq),
         sigma_tilde_sq=float(sigma_tilde_sq),
         gamma=float(gamma),
+        slope=float(M * K * gamma**2),
         asymptote=float(asymptote),
         asymptote_regime=regime,
     )
@@ -312,16 +196,6 @@ class _VarianceSchedule:
             self.step(len(self.u), None, block)
         return min(t, len(self.u) - 1)
 
-    def variances(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Write the sum-node variances ``V`` (M, K) of recorded step ``t`` into
-        ``out``, by the numpy statements that :meth:`step` runs on a block."""
-        if t == 0:
-            out.fill(np.inf)
-            return out
-        np.multiply(self.H, self.H, out=out)
-        out *= 1.0 / (self.u[t - 1] + self.px)
-        return np.subtract(self.c[t][:, None], out, out=out)
-
     def step(
         self, t: int, r: np.ndarray | None, out: np.ndarray
     ) -> tuple[bool, np.ndarray | None]:
@@ -374,7 +248,7 @@ class _VarianceSchedule:
                     native.sum_node_sweep(h, c, vv0, a, u0 + 8 * i * K, len(A), K)
                 else:
                     native.sum_node_block(h, c, vv0, a, len(A), K)
-            elif not kept:  # V = c[t] - H^2 o vv[t-1], as variances() forms it, then H / V
+            elif not kept:  # V = c[t] - H^2 o vv[t-1], then A = H / V
                 A *= vv
                 np.subtract(self.c[t][rows, None], A, out=A)
                 np.divide(self.H[rows], A, out=A)
@@ -419,7 +293,7 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
 def _run_message_passing(
     inst: SystemInstance,
     y: np.ndarray,
-    relax: RelaxationChoice | None,
+    relax: RelaxationChoice | Callable[[SystemInstance], RelaxationChoice] | None,
     *,
     eps: float | None,
     max_iter: int,
@@ -427,7 +301,9 @@ def _run_message_passing(
 ) -> DetectionResult:
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
-    ``relax`` is a checked relaxation choice, or None for the plain w = 1.
+    ``relax`` is a checked relaxation choice, None for the plain w = 1, or
+    a function that measures one on the instance (``auto_relaxation``),
+    called only once ``y``, ``truth`` and ``eps`` have passed their checks.
     Rank-1 fast path: user-side messages are edge-independent, so the state
     is one mean vector ``ev`` and one variance vector ``vv``. Relaxation
     scales the system by sqrt(w) in the mean updates and adds a
@@ -457,17 +333,18 @@ def _run_message_passing(
     variances itself and scales the system by sqrt(w): a replayed schedule
     is charged in full.
     """
-    w = 1.0 if relax is None else float(relax.w)
     H = inst.channel
     M, K = H.shape
-    schedule = _schedule(inst)
     _require_finite(y, length=inst.dims.n_antennas)
     if truth is not None:
         _require_finite(truth, "truth", length=K)
-
     # The first sweep only installs the prior (means stay zero), so the
     # step-change test is armed from the second sweep onward.
     stop = _stop_rule(y, eps, first=2)
+    if callable(relax):  # it sweeps the schedule: only for inputs that passed
+        relax = relax(inst)
+    w = 1.0 if relax is None else float(relax.w)
+    schedule = _schedule(inst)
     flops = K * M if w == 1.0 else 2 * K * M + M + 1
     sweep_flops = 8 * K * M + M + K  # a sweep, then A = W o sqrt(w) H
 

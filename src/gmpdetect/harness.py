@@ -25,7 +25,7 @@ from .analysis import (
     gmpid_mean_convergence_report, rmt_mmse_mse, sagmpid_convergence_report,
 )
 from .classic import iterate, jacobi_for_mmse, richardson_for_mmse
-from .gmpid import gmpid_detect, variance_fixed_point
+from .gmpid import gmpid_detect, variance_fixed_point, variance_recursion
 from .model import (
     SystemDims, _noise_var, build_instance, derive_trial_seeds, mse, realize,
 )
@@ -462,8 +462,9 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
 def run_analysis(config: ExperimentConfig) -> dict:
     """The ``analyze`` report on one channel, drawn at the config's one SNR
     point with ``config.master_seed`` as its channel seed: the variances'
-    fixed point, the MMSE MSE prediction and both mean-convergence reports,
-    ``sagmpid``'s at the relaxation of ``config.w_mode``. It needs K < M."""
+    fixed point, the MMSE MSE prediction, both mean-convergence reports,
+    ``sagmpid``'s at the relaxation of ``config.w_mode``, and the sweeps the
+    variance schedule ran before it settled. It needs K < M."""
     [(snr_db, M)] = _points(config, "analyze")
     K = config.dims.n_users
     inst = build_instance(K, M, snr_db=snr_db, prior_var=config.prior_var,
@@ -479,6 +480,7 @@ def run_analysis(config: ExperimentConfig) -> dict:
         "mmse_mse_prediction": asdict(rmt_mmse_mse(K, M, config.prior_var, inst.noise_var)),
         "gmpid": asdict(gmpid_mean_convergence_report(inst)),
         "sagmpid": asdict(sagmpid_convergence_report(inst, relax)),
+        "variance_sweeps": variance_recursion(inst)[2],  # read from the reports' schedule
     }
 
 

@@ -146,11 +146,12 @@ def sagmpid_detect(
     """Relaxed Gaussian message-passing detection.
 
     ``relax=None`` selects w automatically via :func:`auto_relaxation`
-    (source ``"auto"``).
+    (source ``"auto"``), which sweeps the variance schedule only once
+    ``y``, ``truth`` and ``eps`` have passed the checks of
+    :func:`gmpid.gmpid_detect`; a bad one raises ValueError first.
     With ``relax.w == 1`` the run is bit-identical to
     :func:`gmpid.gmpid_detect` on the same inputs. The returned result
     carries the relaxation choice used as ``relax``.
     """
-    if relax is None:
-        relax = auto_relaxation(inst)
+    relax = auto_relaxation if relax is None else relax  # measured by the engine
     return _run_message_passing(inst, y, relax, eps=eps, max_iter=max_iter, truth=truth)

@@ -16,7 +16,6 @@ from gmpdetect import (
     convergence_check,
     gmpid_detect,
     gmpid_mean_convergence_report,
-    message_state,
     realize,
     relaxation_system_matrix,
     rmt_mmse_mse,
@@ -26,6 +25,7 @@ from gmpdetect import (
     variance_fixed_point,
     variance_recursion,
 )
+from node_reference import message_state
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from gmpdetect import (
     cli,
     run_analysis,
     sagmpid_convergence_report,
+    variance_recursion,
 )
 from gmpdetect.cli import main
 from gmpdetect.harness import TrialRecord
@@ -498,6 +499,11 @@ def test_analyze_report_keys(tmp_path):
     for detector in ("gmpid", "sagmpid"):
         assert 0 < report[detector]["closed_form_radius"] < 1
     assert report["gmpid"]["w"] == 1.0
+    # The sweeps the schedule ran, and the per-sweep contraction M K gamma^2
+    # of the variance limit that predicts them.
+    assert report["variance_sweeps"] == variance_recursion(inst)[2] == 25
+    fixed = report["variance_fixed_point"]
+    assert fixed["slope"] == 600 * 100 * fixed["gamma"] ** 2
 
 
 def test_analyze_writes_the_runner_report(capsys):

@@ -1,5 +1,6 @@
 """Tests for the iterative Gaussian message-passing detector: the two edge
-update operations, the closed-form variance limit, and the detection loop."""
+updates of the node-level reference (``node_reference``), the closed-form
+variance limit, and the detection loop against that reference."""
 
 import contextlib
 import gc
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from gmpdetect import (
     DetectionResult,
-    MessageState,
     RelaxationChoice,
     SourcePrior,
     SystemDims,
@@ -27,20 +27,18 @@ from gmpdetect import (
     gmpid_detect,
     gmpid_mean_convergence_report,
     matched_filter_detect,
-    message_state,
     mmse_detect,
     realize,
     run_detector,
     sagmpid_convergence_report,
     sagmpid_detect,
-    sum_node_update,
-    variable_node_update,
     variance_fixed_point,
     variance_recursion,
 )
 from gmpdetect import _native, gmpid
 from gmpdetect.gmpid import VARIANCE_SWEEP_CAP
 from gmpdetect.harness import DETECTORS
+from node_reference import MessageState, message_state, sum_node_update, variable_node_update
 
 
 def _instance(H, noise_var, prior_var=1.0):
@@ -231,6 +229,29 @@ def test_variance_monotone_nonincreasing_across_sweeps():
             state = variable_node_update(state, inst)
             assert np.all(state.user_to_sum_var <= prev + 1e-12)
             prev = state.user_to_sum_var.copy()
+
+
+def test_reference_variances_are_monotone_and_the_engines_on_criterion_3_draws():
+    # Criterion 3 reads the engine's schedule; on its 20 draws the node-level
+    # pair's user-to-sum variances are non-increasing too, within the same
+    # 1e-12 slack, and the schedule's vv[t] is the reference's after t + 1
+    # sweeps (measured within 3.5e-15 relative), held once it settles.
+    for s in range(20):
+        inst = build_instance(40, 160, snr_db=10.0, channel_seed=7000 + s)
+        y = realize(inst, 8000 + s).received
+        schedule = gmpid._schedule(inst)
+        settle = schedule.reach(29)
+        state = MessageState.initial(inst.dims)
+        previous = None
+        for t in range(30):
+            state = sum_node_update(state, inst, y)
+            state = variable_node_update(state, inst)
+            current = np.asarray(state.user_to_sum_var, dtype=float)
+            if previous is not None:
+                assert not np.any(current > previous + 1e-12)
+            previous = current
+            engine = 1.0 / (schedule.u[min(t, settle)] + schedule.px)
+            np.testing.assert_allclose(current[:, 0], engine, rtol=1e-14, atol=0)
 
 
 def test_two_sweeps_from_initial_state_resemble_matched_filter():
@@ -566,7 +587,7 @@ def test_the_variance_phase_settles_at_the_linearized_rate(K, M, snr_db):
     moves = [np.max(np.abs(b - a) / b) for a, b in zip(pw, pw[1:])]
     ratios = [b / a for a, b in zip(moves, moves[1:])]
     rate = np.median(ratios[len(ratios) // 2 :])
-    slope = M * K * variance_fixed_point(inst).gamma ** 2
+    slope = variance_fixed_point(inst).slope
     assert abs(rate - slope) <= 0.04 * slope
     law = np.log(M * 2.0**-53) / np.log(slope)
     assert law <= sweeps <= 1.5 * law + 10

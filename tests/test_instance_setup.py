@@ -24,13 +24,13 @@ from gmpdetect import (
     inverse_filter_detect,
     jacobi_for_mmse,
     matched_filter_detect,
-    message_state,
     mmse_detect,
     richardson_for_mmse,
     sagmpid_convergence_report,
     sagmpid_detect,
     variance_recursion,
 )
+from node_reference import message_state, variances
 
 CONSUMERS = (
     "gmpid",
@@ -91,7 +91,7 @@ def _consume(name, inst, y, w, max_iter, truth):
     if name == "variance_recursion":
         vv, A, sweeps = variance_recursion(inst)
         schedule = gmpid._schedule(inst)
-        W = 1.0 / schedule.variances(sweeps - 1, np.empty(A.shape))
+        W = 1.0 / variances(schedule, sweeps - 1, np.empty(A.shape))
         return [vv, W, A, sweeps]
     if name == "auto_relaxation":
         relax = auto_relaxation(inst)

@@ -27,6 +27,7 @@ from gmpdetect import (
 )
 from gmpdetect import _native, gmpid
 from gmpdetect.cli import main
+from node_reference import variances
 
 
 def _numpy_statements():
@@ -151,7 +152,7 @@ def test_only_the_settle_pass_writes_the_schedules_buffer(K, M, snr_db, path):
         vv, A, sweeps = variance_recursion(inst)
     assert A is schedule.A and sweeps == schedule.settle + 1
     assert not A.flags.writeable and not vv.flags.writeable
-    V = schedule.variances(schedule.settle, np.empty((M, K)))
+    V = variances(schedule, schedule.settle, np.empty((M, K)))
     _assert_bitwise(A, inst.channel / V)
 
 

@@ -1,8 +1,9 @@
 """Tests for the relaxed (scaled-and-accelerated) message-passing detector:
 the K x K system/iteration matrices, relaxation-parameter selection, the
 w=1 reduction identity, and convergence behavior at high load. The
-small-shape property tests also cover the reference message updates that
-both detectors share."""
+small-shape property tests also cover the message updates of the
+node-level reference (``node_reference``), whose variances both detectors
+share."""
 
 from dataclasses import fields
 from unittest import mock
@@ -14,14 +15,12 @@ from hypothesis import strategies as st
 
 from gmpdetect import (
     IterationTrace,
-    MessageState,
     RelaxationChoice,
     Termination,
     auto_relaxation,
     build_instance,
     gmpid_detect,
     gmpid_mean_convergence_report,
-    message_state,
     mmse_detect,
     realize,
     relaxation_iteration_matrix,
@@ -29,15 +28,14 @@ from gmpdetect import (
     sagmpid_convergence_report,
     sagmpid_detect,
     spectral_radius,
-    sum_node_update,
-    variable_node_update,
     variance_fixed_point,
     variance_recursion,
 )
 from gmpdetect import SourcePrior, SystemDims, SystemInstance
 from gmpdetect import gmpid
-from gmpdetect.harness import resolve_relaxation
+from gmpdetect.harness import resolve_relaxation, run_detector
 from gmpdetect.sagmpid import _measured_matrix, _measured_spectrum
+from node_reference import MessageState, message_state, sum_node_update, variable_node_update
 
 
 def _orthogonal_instance(n_users=3, n_antennas=6, noise_var=0.1, seed=1):
@@ -141,6 +139,25 @@ def test_every_relaxation_names_its_source():
     assert RelaxationChoice(0.7).source == "manual"
     with pytest.raises(ValueError, match="source"):
         RelaxationChoice(0.7, "eigen")
+
+
+@pytest.mark.parametrize("via", ["sagmpid_detect", "run_detector"])
+@pytest.mark.parametrize("bad", ["y", "truth", "eps"])
+def test_auto_relaxation_waits_for_checked_inputs(via, bad):
+    # Auto w sweeps the whole variance schedule and solves for the measured
+    # spectrum, so a bad y, truth or eps must raise before either: the
+    # instance keeps neither the schedule nor the spectrum.
+    inst = build_instance(8, 32, snr_db=10.0, channel_seed=0)
+    real = realize(inst, 1)
+    run = {"y": real.received, "truth": real.symbols, "eps": None}
+    run[bad] = {"y": np.ones(3), "truth": np.ones(3), "eps": -1.0}[bad]
+    with pytest.raises(ValueError):
+        if via == "sagmpid_detect":
+            sagmpid_detect(inst, run["y"], eps=run["eps"], truth=run["truth"])
+        else:
+            run_detector("sagmpid", inst, run["y"], w_mode="auto", eps=run["eps"], truth=run["truth"])
+    assert "variance_schedule" not in inst._setup
+    assert "measured_spectrum" not in inst._setup
 
 
 def test_auto_relaxation_returns_positive_auto_choice():
