@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineIteration:
     """One affine fixed-point iteration: ``x_new = matrix @ x + offset``.
 
@@ -90,7 +90,6 @@ def iterate(
             break
     return DetectionResult(
         estimate=x,
-        iterations=len(trace),
         flops=flops,
         terminated=terminated,
         trace=trace,

@@ -383,7 +383,6 @@ def _run_message_passing(
     return DetectionResult(
         estimate=ev,
         posterior_var=vv,
-        iterations=len(trace),
         flops=flops,
         terminated=terminated,
         trace=trace,

@@ -51,7 +51,7 @@ class SystemDims:
         return self.n_users / self.n_antennas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourcePrior:
     """Independent zero-mean Gaussian source prior, one variance per user.
 
@@ -87,9 +87,12 @@ class SourcePrior:
         return bool(np.all(self.variances == self.variances[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemInstance:
     """One realized detection problem: channel, prior, and noise level.
+
+    ``dims`` is read from the channel's shape. Instances compare and hash by
+    identity, like the other types here that hold arrays.
 
     ``noise_var`` is positive and finite in every supported operating mode;
     a value of exactly 0 is tolerated at construction only for the
@@ -104,19 +107,17 @@ class SystemInstance:
     sum-node loop reads.
     """
 
-    dims: SystemDims
+    dims: SystemDims = field(init=False)
     channel: np.ndarray  # M x K
     prior: SourcePrior
     noise_var: float
-    _setup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _setup: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         H = np.ascontiguousarray(self.channel, dtype=float)
-        if H.shape != (self.dims.n_antennas, self.dims.n_users):
-            raise ValueError(
-                f"channel shape {H.shape} does not match dims "
-                f"({self.dims.n_antennas}, {self.dims.n_users})"
-            )
+        if H.ndim != 2:
+            raise ValueError(f"channel must be an M x K matrix, not of shape {H.shape}")
+        object.__setattr__(self, "dims", SystemDims(H.shape[1], H.shape[0]))
         _require_finite(H, "channel")
         if self.prior.variances.size != self.dims.n_users:
             raise ValueError("prior length does not match number of users")
@@ -146,7 +147,7 @@ class SystemInstance:
         return self._cached("gram", lambda inst: _read_only(inst.channel.T @ inst.channel))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """One transmitted vector and the observation it gives through one noise draw."""
 
@@ -204,25 +205,17 @@ def build_instance(
     n_users: int,
     n_antennas: int,
     *,
-    snr_db: float | None = None,
-    noise_var: float | None = None,
+    snr_db: float,
     prior_var: float = 1.0,
     channel_seed: int = 0,
 ) -> SystemInstance:
     """Convenience constructor for the common homogeneous case.
 
-    Exactly one of ``snr_db`` / ``noise_var`` must be given. The SNR
-    convention is prior_var / noise_var, i.e. noise_var =
+    The SNR convention is prior_var / noise_var, i.e. noise_var =
     prior_var * 10**(-snr_db/10).
     """
-    if (snr_db is None) == (noise_var is None):
-        raise ValueError("give exactly one of snr_db or noise_var")
-    if noise_var is None:
-        noise_var = _noise_var(snr_db, prior_var)
-    dims = SystemDims(n_users, n_antennas)
     return SystemInstance(
-        dims=dims,
-        channel=generate_channel(dims, channel_seed),
+        channel=generate_channel(SystemDims(n_users, n_antennas), channel_seed),
         prior=SourcePrior.homogeneous(n_users, prior_var),
-        noise_var=float(noise_var),
+        noise_var=float(_noise_var(snr_db, prior_var)),
     )

@@ -1,8 +1,8 @@
 """One-shot reference detectors: exact MMSE, matched filter, decorrelator,
 and the block-message formulation that is algebraically equivalent to MMSE.
 
-All four return a :class:`~gmpdetect.results.DetectionResult` with
-``iterations=0`` and ``terminated=Termination.EXACT``, and raise ValueError
+All four return a :class:`~gmpdetect.results.DetectionResult` with no
+trace, so 0 iterations, and ``terminated=Termination.EXACT``, and raise ValueError
 unless ``y`` is a finite vector of length M. Flop counts follow the dense-linear-algebra route of
 a standalone call, counting one multiply or add as one flop (a
 multiply-accumulate is two); set-up that an instance keeps (the Gram
@@ -120,7 +120,6 @@ def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
 def _exact(x: np.ndarray, var: np.ndarray, flops: int) -> DetectionResult:
     return DetectionResult(
         estimate=x,
-        iterations=0,
         flops=flops,
         terminated=Termination.EXACT,
         posterior_var=var,

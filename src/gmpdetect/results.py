@@ -110,7 +110,7 @@ class RelaxationChoice:
             raise ValueError("relaxation factor w must be finite and positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionResult:
     """Output of one detector run on one realized problem; plain data.
 
@@ -119,16 +119,21 @@ class DetectionResult:
     ``harness.run_detector``. Message passing also fills ``relax`` and
     ``previous_estimate``: ``trace.step_change[-1]``, the residual of its
     decision rule at exit, equals ``max|estimate - previous_estimate|``.
+    Results compare by identity, since they hold arrays.
     """
 
     estimate: np.ndarray        # length-K posterior mean estimate of the sources
-    iterations: int             # 0 for one-shot detectors
     flops: int                  # analytic cost of a standalone run, reused set-up included
     terminated: Termination
     posterior_var: np.ndarray | None = None  # length-K; None for affine iterations
     trace: IterationTrace | None = None  # filled by iterative detectors
     relax: RelaxationChoice | None = None  # the relaxation a sagmpid run used
     previous_estimate: np.ndarray | None = None  # message passing: before the last update
+
+    @property
+    def iterations(self) -> int:
+        """The iterations run: the trace's length, 0 for one-shot detectors."""
+        return 0 if self.trace is None else len(self.trace)
 
     @property
     def result(self) -> DetectionResult:

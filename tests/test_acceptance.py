@@ -30,6 +30,7 @@ from gmpdetect import (
 )
 from gmpdetect import gmpid
 from gmpdetect.harness import resolve_relaxation
+from instances import drawn
 from node_reference import message_state
 
 ACCEPTANCE_LINES = []
@@ -107,7 +108,7 @@ def test_criterion_04_mean_convergence_below_threshold():
     """K=20, M=400 (load 0.05): within 1e-6 of MMSE inside 200 iterations."""
     worst = 0.0
     for s in range(20):
-        inst = build_instance(20, 400, noise_var=1e-8, channel_seed=4000 + s)
+        inst = drawn(20, 400, noise_var=1e-8, channel_seed=4000 + s)
         y = realize(inst, 4000 + s + 10**6).received
         oracle = mmse_detect(inst, y).estimate
         out = gmpid_detect(inst, y, eps=0.0, max_iter=200)
@@ -125,7 +126,7 @@ def test_criterion_05_divergence_above_effective_radius_and_relaxed_rescue():
     min_ratio = np.inf
     for t in range(20):
         cseed = 107 * 1000 + t
-        inst = build_instance(200, 300, noise_var=1e-5, channel_seed=cseed)
+        inst = drawn(200, 300, noise_var=1e-5, channel_seed=cseed)
         y = realize(inst, cseed + 10**6).received
         oracle = mmse_detect(inst, y).estimate
         # Distance to MMSE, up to the factor sqrt(K) the ratio cancels.

@@ -25,6 +25,7 @@ from gmpdetect import (
     variance_fixed_point,
     variance_recursion,
 )
+from instances import drawn
 from node_reference import message_state
 
 
@@ -139,7 +140,7 @@ def test_mse_prediction_matches_monte_carlo_trace_average():
     K, M, s = 100, 600, 0.01
     samples = []
     for seed in range(20):
-        inst = build_instance(K, M, noise_var=s, channel_seed=1400 + seed)
+        inst = drawn(K, M, noise_var=s, channel_seed=1400 + seed)
         H = inst.channel
         cov = np.linalg.inv(H.T @ H / s + np.eye(K))
         samples.append(np.trace(cov) / K)

@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from gmpdetect import (
     DetectionResult,
     RelaxationChoice,
-    SourcePrior,
-    SystemDims,
     SystemInstance,
     Termination,
     auto_relaxation,
@@ -38,19 +36,8 @@ from gmpdetect import (
 from gmpdetect import _native, gmpid
 from gmpdetect.gmpid import VARIANCE_SWEEP_CAP
 from gmpdetect.harness import DETECTORS
+from instances import drawn, from_channel
 from node_reference import MessageState, message_state, sum_node_update, variable_node_update
-
-
-def _instance(H, noise_var, prior_var=1.0):
-    H = np.asarray(H, dtype=float)
-    M, K = H.shape
-    variances = np.broadcast_to(np.asarray(prior_var, dtype=float), (K,)).copy()
-    return SystemInstance(
-        dims=SystemDims(n_users=K, n_antennas=M),
-        channel=H,
-        prior=SourcePrior(variances=variances),
-        noise_var=noise_var,
-    )
 
 
 def _naive_sum_update(state, inst, y):
@@ -92,7 +79,7 @@ def _naive_variable_update(state, inst):
 
 
 def test_sum_update_hand_arithmetic():
-    inst = _instance([[1.0, 1.0]], noise_var=0.1)
+    inst = from_channel([[1.0, 1.0]], noise_var=0.1)
     state = MessageState(
         user_to_sum_mean=np.array([[1.0], [1.0]]),
         user_to_sum_var=np.array([[0.5], [0.5]]),
@@ -169,7 +156,7 @@ def test_variable_update_with_no_information_returns_prior():
 
 
 def test_variable_update_hand_arithmetic():
-    inst = _instance([[2.0]], noise_var=0.1)
+    inst = from_channel([[2.0]], noise_var=0.1)
     state = MessageState(
         user_to_sum_mean=np.zeros((1, 1)),
         user_to_sum_var=np.ones((1, 1)),
@@ -287,7 +274,7 @@ def _scalar_variance_recursion(inst, tol=1e-14, max_iter=100_000):
 
 
 def test_variance_limit_matches_scalar_recursion_oracle():
-    inst = build_instance(100, 600, noise_var=0.01, channel_seed=0)
+    inst = drawn(100, 600, noise_var=0.01, channel_seed=0)
     fp = variance_fixed_point(inst)
     v_ref = _scalar_variance_recursion(inst)
     assert fp.sigma_hat_sq == pytest.approx(v_ref, rel=1e-10)
@@ -296,7 +283,7 @@ def test_variance_limit_matches_scalar_recursion_oracle():
 
 
 def test_variance_limit_underloaded_asymptote_reached_for_many_antennas():
-    inst = build_instance(10, 10**6, noise_var=0.01, channel_seed=0)
+    inst = drawn(10, 10**6, noise_var=0.01, channel_seed=0)
     fp = variance_fixed_point(inst)
     assert fp.asymptote_regime == "underloaded"
     assert fp.asymptote == pytest.approx(0.01 / (10**6 - 10 + 0.01), rel=1e-12)
@@ -304,14 +291,14 @@ def test_variance_limit_underloaded_asymptote_reached_for_many_antennas():
 
 
 def test_variance_limit_critical_load_asymptote():
-    inst = build_instance(100, 100, noise_var=1.0, channel_seed=0)
+    inst = drawn(100, 100, noise_var=1.0, channel_seed=0)
     fp = variance_fixed_point(inst)
     assert fp.asymptote_regime == "critical"
     assert fp.asymptote == pytest.approx(0.1, rel=1e-12)
 
 
 def test_variance_limit_overloaded_asymptote():
-    inst = build_instance(200, 100, noise_var=0.01, channel_seed=0)
+    inst = drawn(200, 100, noise_var=0.01, channel_seed=0)
     fp = variance_fixed_point(inst)
     assert fp.asymptote_regime == "overloaded"
     assert fp.asymptote == pytest.approx((200 - 100) * 1.0 / 200, rel=1e-12)
@@ -328,12 +315,7 @@ def test_variance_limit_ratio_bounded_by_inverse_users(shape, snr_db):
 
 def test_variance_limit_rejects_heterogeneous_prior_or_zero_noise():
     base = build_instance(2, 4, snr_db=10.0, channel_seed=0)
-    hetero = SystemInstance(
-        dims=base.dims,
-        channel=base.channel,
-        prior=SourcePrior(variances=np.array([1.0, 2.0])),
-        noise_var=base.noise_var,
-    )
+    hetero = from_channel(base.channel, base.noise_var, prior_var=[1.0, 2.0])
     with pytest.raises(ValueError, match="homogeneous"):
         variance_fixed_point(hetero)
     # At zero noise the ratio gamma would be 0 / 0: it raises, no warning.
@@ -346,7 +328,7 @@ def test_variance_limit_rejects_heterogeneous_prior_or_zero_noise():
 def test_every_schedule_reader_rejects_zero_noise():
     # The schedule checks its instance for every reader, before any
     # arithmetic: no 0/0 warning, no NaN variances, no LinAlgError.
-    noiseless = build_instance(4, 12, noise_var=0.0)
+    noiseless = drawn(4, 12, noise_var=0.0)
     readers = (
         variance_recursion,
         auto_relaxation,
@@ -686,8 +668,8 @@ def test_outputs_do_not_keep_their_instance_alive():
     # A result is plain data: holding it holds no channel or kept set-up,
     # whichever detector made it, called directly or through run_detector.
     assert [f.name for f in fields(DetectionResult)] == [
-        "estimate", "iterations", "flops", "terminated", "posterior_var", "trace",
-        "relax", "previous_estimate",
+        "estimate", "flops", "terminated", "posterior_var", "trace", "relax",
+        "previous_estimate",
     ]
     inst = build_instance(10, 80, snr_db=10.0, channel_seed=3)
     y = realize(inst, 4).received
@@ -847,7 +829,7 @@ def test_rounding_bound_freeze_stays_close_to_the_bitwise_repeat(
 
 def test_detect_converges_to_mmse_on_small_underloaded_system():
     for cs in range(5):
-        inst = build_instance(3, 12, noise_var=1e-14, channel_seed=14 + cs)
+        inst = drawn(3, 12, noise_var=1e-14, channel_seed=14 + cs)
         real = realize(inst, 15 + cs)
         out = gmpid_detect(inst, real.received, eps=1e-13, max_iter=2000)
         ref = mmse_detect(inst, real.received).estimate
@@ -856,7 +838,7 @@ def test_detect_converges_to_mmse_on_small_underloaded_system():
 
 
 def test_detect_relative_mmse_gap_below_threshold_load():
-    inst = build_instance(20, 400, noise_var=1e-8, channel_seed=4000)
+    inst = drawn(20, 400, noise_var=1e-8, channel_seed=4000)
     real = realize(inst, 4000 + 10**6)
     out = gmpid_detect(inst, real.received, max_iter=200)
     ref = mmse_detect(inst, real.received).estimate
@@ -915,9 +897,7 @@ def test_detect_trace_records_requested_diagnostics():
 
 def test_detect_rejects_invalid_configuration():
     inst = build_instance(2, 4, snr_db=10.0, channel_seed=0)
-    noiseless = SystemInstance(
-        dims=inst.dims, channel=inst.channel, prior=inst.prior, noise_var=0.0
-    )
+    noiseless = SystemInstance(channel=inst.channel, prior=inst.prior, noise_var=0.0)
     with pytest.raises(ValueError):
         gmpid_detect(noiseless, np.zeros(4))
 

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from gmpdetect import (
     RelaxationChoice,
-    SourcePrior,
     SystemDims,
-    SystemInstance,
     Termination,
     auto_relaxation,
     generate_channel,
@@ -30,6 +28,7 @@ from gmpdetect import (
     sagmpid_detect,
     variance_recursion,
 )
+from instances import from_channel
 from node_reference import message_state, variances
 
 CONSUMERS = (
@@ -59,16 +58,6 @@ def _arrays(K, M, snr_db, seed, hetero):
     x = rng.standard_normal(K) * np.sqrt(variances)
     y = H @ x + rng.standard_normal(M) * np.sqrt(noise_var)
     return H, variances, noise_var, x, y
-
-
-def _instance(H, variances, noise_var):
-    M, K = H.shape
-    return SystemInstance(
-        dims=SystemDims(K, M),
-        channel=H,
-        prior=SourcePrior(variances=variances),
-        noise_var=noise_var,
-    )
 
 
 def _message_passing(inst, y, w, max_iter, truth):
@@ -139,10 +128,10 @@ def _assert_same(got, want, what):
 def _check_reuse(K, extra, snr_db, seed, hetero, order, max_iter, w):
     M = K + extra
     H, variances, noise_var, x, y = _arrays(K, M, snr_db, seed, hetero)
-    shared = _instance(H, variances, noise_var)
+    shared = from_channel(H, noise_var, variances)
     for name in order:
         got = _consume(name, shared, y, w, max_iter, x)
-        want = _consume(name, _instance(H, variances, noise_var), y, w, max_iter, x)
+        want = _consume(name, from_channel(H, noise_var, variances), y, w, max_iter, x)
         _assert_same(got, want, name)
 
 
@@ -198,13 +187,13 @@ def test_reused_instance_matches_fresh_instance_in_row_blocks(
 def test_reuse_examples_reach_their_edge_runs():
     # The explicit examples above must exercise what their comments claim.
     H, variances, noise_var, x, y = _arrays(5, 5, 30.0, 6, False)
-    inst = _instance(H, variances, noise_var)
+    inst = from_channel(H, noise_var, variances)
     assert gmpid_detect(inst, y, max_iter=80).terminated is Termination.DIVERGED
     with pytest.raises(ValueError, match="beta < 1"):
         sagmpid_convergence_report(inst)
 
     H, variances, noise_var, x, y = _arrays(4, 12, 30.0, 5, True)
-    inst = _instance(H, variances, noise_var)
+    inst = from_channel(H, noise_var, variances)
     _, _, sweeps = variance_recursion(inst)
     out = gmpid_detect(inst, y, max_iter=3)
     assert out.terminated is Termination.MAX_ITERATIONS and out.iterations < sweeps
@@ -214,7 +203,7 @@ def test_runs_on_one_instance_report_standalone_flops():
     # Flops are the analytic cost of a standalone run: a run that replays
     # the variance schedule another run recorded is charged the same.
     H, variances, noise_var, x, y = _arrays(20, 80, 10.0, 7, False)
-    inst = _instance(H, variances, noise_var)
+    inst = from_channel(H, noise_var, variances)
     for run in (
         lambda: gmpid_detect(inst, y),
         lambda: sagmpid_detect(inst, y, RelaxationChoice(w=0.8)),

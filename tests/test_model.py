@@ -2,6 +2,7 @@
 trial realization, seed derivation, and the MSE metric."""
 
 import copy
+import inspect
 import pickle
 
 import numpy as np
@@ -14,10 +15,12 @@ from gmpdetect import (
     build_instance,
     derive_trial_seeds,
     generate_channel,
+    jacobi_for_mmse,
     mmse_detect,
     mse,
     realize,
 )
+from instances import drawn
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +74,45 @@ def test_prior_rejects_nonpositive_variance():
 
 
 def test_instance_rejects_negative_noise_var():
-    dims = SystemDims(n_users=2, n_antennas=3)
     H = np.zeros((3, 2))
     prior = SourcePrior.homogeneous(2, 1.0)
     with pytest.raises(ValueError):
-        SystemInstance(dims=dims, channel=H, prior=prior, noise_var=-0.1)
+        SystemInstance(channel=H, prior=prior, noise_var=-0.1)
 
 
 def test_instance_rejects_channel_shape_mismatch():
-    dims = SystemDims(n_users=2, n_antennas=3)
+    # The channel fixes K and M; a prior for another K, a channel that is not
+    # a matrix and one with no entries are rejected.
     prior = SourcePrior.homogeneous(2, 1.0)
-    with pytest.raises(ValueError):
-        SystemInstance(dims=dims, channel=np.zeros((2, 3)), prior=prior, noise_var=1.0)
+    with pytest.raises(ValueError, match="prior length"):
+        SystemInstance(channel=np.zeros((2, 3)), prior=prior, noise_var=1.0)
+    for H in (np.zeros(2), np.zeros((1, 3, 2))):
+        with pytest.raises(ValueError, match="M x K matrix"):
+            SystemInstance(channel=H, prior=prior, noise_var=1.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        SystemInstance(channel=np.zeros((0, 2)), prior=prior, noise_var=1.0)
+
+
+def test_instance_reads_dims_from_the_channel():
+    assert list(inspect.signature(SystemInstance).parameters) == ["channel", "prior", "noise_var"]
+    inst = SystemInstance(
+        channel=np.ones((5, 2)), prior=SourcePrior.homogeneous(2, 1.0), noise_var=0.1
+    )
+    assert inst.dims == SystemDims(n_users=2, n_antennas=5)
+    assert build_instance(3, 7, snr_db=10.0).dims == SystemDims(3, 7)
+
+
+def test_array_holding_types_compare_and_hash_by_identity():
+    # Value equality would compare arrays element-wise and raise; the
+    # frozen ones would hash an array and raise.
+    inst = build_instance(3, 5, snr_db=10.0, channel_seed=0)
+    real = realize(inst, 1)
+    objects = [inst, inst.prior, real, jacobi_for_mmse(inst, real.received),
+               mmse_detect(inst, real.received)]
+    for obj in objects:
+        assert obj == obj and obj != copy.copy(obj)
+    keys = {obj: i for i, obj in enumerate(objects[:4])}
+    assert [keys[obj] for obj in objects[:4]] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -91,7 +121,6 @@ def test_instance_rejects_a_non_finite_channel(bad):
     H[2, 1] = bad
     with pytest.raises(ValueError, match="^channel must be finite"):
         SystemInstance(
-            dims=SystemDims(n_users=3, n_antennas=12),
             channel=H,
             prior=SourcePrior.homogeneous(3, 1.0),
             noise_var=0.1,
@@ -105,7 +134,6 @@ def test_instance_channel_and_prior_are_read_only_views():
     H = np.arange(6.0).reshape(3, 2) + 1.0
     v = np.array([1.0, 2.0])
     inst = SystemInstance(
-        dims=SystemDims(n_users=2, n_antennas=3),
         channel=H,
         prior=SourcePrior(variances=v),
         noise_var=0.1,
@@ -143,6 +171,7 @@ def test_a_copied_instance_is_read_only_too(twin):
         prior.variances[0] = 5.0
     np.testing.assert_array_equal(t.channel, inst.channel)
     assert t.channel.flags.c_contiguous
+    assert t.__dict__["dims"] == inst.dims
     np.testing.assert_array_equal(mmse_detect(t, y).estimate, mmse_detect(inst, y).estimate)
 
 
@@ -173,7 +202,7 @@ def test_channel_seed_determinism():
 
 
 def test_realize_near_noiseless_observation_matches_channel_times_symbols():
-    inst = build_instance(5, 9, noise_var=1e-30, channel_seed=3)
+    inst = drawn(5, 9, noise_var=1e-30, channel_seed=3)
     real = realize(inst, seed=4)
     assert np.max(np.abs(real.received - inst.channel @ real.symbols)) < 1e-12
 
@@ -193,7 +222,7 @@ def test_received_sample_variance_matches_population_value():
     # channel entries are unit-variance: here 4*1 + 1 = 5.
     samples = []
     for t in range(10_000):
-        inst = build_instance(4, 8, noise_var=1.0, channel_seed=t)
+        inst = drawn(4, 8, noise_var=1.0, channel_seed=t)
         real = realize(inst, seed=t + 5 * 10**5)
         samples.append(real.received)
     var = float(np.var(np.concatenate(samples)))
@@ -241,17 +270,15 @@ def test_trial_seed_derivation_is_deterministic_and_collision_free():
     assert len(seen) == 16
 
 
-def test_build_instance_requires_exactly_one_noise_setting():
-    with pytest.raises(ValueError):
-        build_instance(2, 4)
-    with pytest.raises(ValueError):
-        build_instance(2, 4, snr_db=10.0, noise_var=0.1)
-    inst = build_instance(2, 4, snr_db=10.0)
-    assert inst.noise_var == pytest.approx(0.1)
+def test_build_instance_sets_noise_from_snr():
+    assert build_instance(2, 4, snr_db=10.0).noise_var == pytest.approx(0.1)
+    assert build_instance(2, 4, snr_db=10.0, prior_var=2.0).noise_var == pytest.approx(0.2)
 
 
+# An infinite, a NaN and an overflowing noise variance.
 @pytest.mark.parametrize(
-    "kwargs", [{"snr_db": -np.inf}, {"noise_var": np.inf}, {"noise_var": np.nan}]
+    "kwargs",
+    [{"snr_db": -np.inf}, {"snr_db": np.nan}, {"snr_db": -3000.0, "prior_var": 1e10}],
 )
 def test_build_instance_rejects_non_finite_noise(kwargs):
     with pytest.raises(ValueError, match="noise_var"):

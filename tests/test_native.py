@@ -214,9 +214,7 @@ def test_every_channel_layout_requests_the_kernel_and_gives_the_c_bits(K, M, lay
         channel = np.zeros((M, 2 * K))[:, ::2]
         channel[...] = c_order.channel
     assert not channel.flags.c_contiguous
-    inst = SystemInstance(
-        dims=c_order.dims, channel=channel, prior=c_order.prior, noise_var=c_order.noise_var
-    )
+    inst = SystemInstance(channel=channel, prior=c_order.prior, noise_var=c_order.noise_var)
     assert inst.channel.flags.c_contiguous
     real = realize(c_order, 1)
     kernel, calls = _native.load(), []

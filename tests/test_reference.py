@@ -11,9 +11,6 @@ import numpy as np
 import pytest
 
 from gmpdetect import (
-    SourcePrior,
-    SystemDims,
-    SystemInstance,
     Termination,
     build_instance,
     classic,
@@ -28,19 +25,7 @@ from gmpdetect import (
     richardson_for_mmse,
 )
 from gmpdetect.reference import _inverse_factor, _mmse_setup
-
-
-def _instance(H, noise_var, prior_var=1.0):
-    """Wrap an explicit channel matrix into a SystemInstance."""
-    H = np.asarray(H, dtype=float)
-    M, K = H.shape
-    variances = np.broadcast_to(np.asarray(prior_var, dtype=float), (K,)).copy()
-    return SystemInstance(
-        dims=SystemDims(n_users=K, n_antennas=M),
-        channel=H,
-        prior=SourcePrior(variances=variances),
-        noise_var=noise_var,
-    )
+from instances import drawn, from_channel
 
 
 def _naive_mmse(inst, y):
@@ -57,7 +42,7 @@ def _naive_mmse(inst, y):
 
 
 def test_mmse_scalar_wiener_filter():
-    inst = _instance([[1.0]], noise_var=1.0)
+    inst = from_channel([[1.0]], noise_var=1.0)
     r = mmse_detect(inst, np.array([2.0]))
     assert r.estimate[0] == pytest.approx(1.0)
     assert r.posterior_var[0] == pytest.approx(0.5)
@@ -66,7 +51,7 @@ def test_mmse_scalar_wiener_filter():
 
 
 def test_mmse_identity_channel_shrinks_towards_zero():
-    inst = _instance(np.eye(2), noise_var=0.5)
+    inst = from_channel(np.eye(2), noise_var=0.5)
     r = mmse_detect(inst, np.array([1.0, -1.0]))
     np.testing.assert_allclose(r.estimate, [2 / 3, -2 / 3], rtol=1e-12)
     np.testing.assert_allclose(r.posterior_var, [1 / 3, 1 / 3], rtol=1e-12)
@@ -99,7 +84,7 @@ def test_mmse_flops_scale_with_user_cubed_plus_setup():
 
 
 def test_mmse_rejects_zero_noise():
-    inst = _instance(np.eye(2), noise_var=0.0)
+    inst = from_channel(np.eye(2), noise_var=0.0)
     with pytest.raises(ValueError):
         mmse_detect(inst, np.zeros(2))
 
@@ -207,14 +192,14 @@ def test_inverse_factor_peak_rss_stays_under_one_and_a_half_factors():
 
 
 def test_matched_filter_single_user_average():
-    inst = _instance([[1.0], [1.0]], noise_var=1.0)
+    inst = from_channel([[1.0], [1.0]], noise_var=1.0)
     r = matched_filter_detect(inst, np.array([1.0, 1.0]))
     assert r.estimate[0] == pytest.approx(1.0)
 
 
 def test_matched_filter_exact_for_orthogonal_columns_without_noise():
     H = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    inst = _instance(H, noise_var=0.0)
+    inst = from_channel(H, noise_var=0.0)
     x = np.array([0.7, -0.3])
     r = matched_filter_detect(inst, H @ x)
     np.testing.assert_allclose(r.estimate, x, rtol=1e-14)
@@ -259,7 +244,7 @@ def test_inverse_filter_matches_mmse_for_positive_noise():
 
 
 def test_inverse_filter_noiseless_inverts_scalar_channel():
-    inst = _instance([[2.0]], noise_var=0.0)
+    inst = from_channel([[2.0]], noise_var=0.0)
     r = inverse_filter_detect(inst, np.array([3.0]))
     assert r.estimate[0] == pytest.approx(1.5)
     assert r.posterior_var[0] == 0.0
@@ -269,7 +254,7 @@ def test_inverse_filter_at_zero_noise_equals_pseudoinverse():
     # At zero noise no prior moves the decorrelator's estimate: it is the
     # least-squares solution, with zero posterior variances.
     inst = build_instance(2, 4, snr_db=10.0, channel_seed=11)
-    noiseless = build_instance(2, 4, noise_var=0.0, channel_seed=11)
+    noiseless = drawn(2, 4, noise_var=0.0, channel_seed=11)
     y = realize(inst, 12).received  # a y off the channel's column space
     r = inverse_filter_detect(noiseless, y)
     np.testing.assert_allclose(r.estimate, np.linalg.pinv(noiseless.channel) @ y, rtol=1e-10)
@@ -299,7 +284,7 @@ def test_gmp_block_matches_mmse(shape):
 
 
 def test_gmp_block_scalar_wiener_filter():
-    inst = _instance([[1.0]], noise_var=1.0)
+    inst = from_channel([[1.0]], noise_var=1.0)
     r = gmp_block_detect(inst, np.array([2.0]))
     assert r.estimate[0] == pytest.approx(1.0)
     assert r.posterior_var[0] == pytest.approx(0.5)

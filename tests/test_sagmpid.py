@@ -31,21 +31,16 @@ from gmpdetect import (
     variance_fixed_point,
     variance_recursion,
 )
-from gmpdetect import SourcePrior, SystemDims, SystemInstance
 from gmpdetect import gmpid
 from gmpdetect.harness import resolve_relaxation, run_detector
 from gmpdetect.sagmpid import _measured_matrix, _measured_spectrum
+from instances import drawn, from_channel
 from node_reference import MessageState, message_state, sum_node_update, variable_node_update
 
 
 def _orthogonal_instance(n_users=3, n_antennas=6, noise_var=0.1, seed=1):
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n_antennas, n_users)))
-    return SystemInstance(
-        dims=SystemDims(n_users, n_antennas),
-        channel=Q,
-        prior=SourcePrior.homogeneous(n_users, 1.0),
-        noise_var=noise_var,
-    )
+    return from_channel(Q, noise_var)
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +54,7 @@ def test_system_matrix_is_identity_for_orthogonal_columns():
 
 
 def test_system_matrix_hand_arithmetic():
-    inst = SystemInstance(
-        dims=SystemDims(2, 2),
-        channel=np.array([[1.0, 1.0], [0.0, 0.0]]),
-        prior=SourcePrior.homogeneous(2, 1.0),
-        noise_var=0.1,
-    )
+    inst = from_channel([[1.0, 1.0], [0.0, 0.0]], noise_var=0.1)
     # K = M = 2, noise 0.1, unit prior: b = 0.1, sigma_hat^2 =
     # (sqrt(0.01 + 0.8) - 0.1) / 4 = 0.2, sigma_tilde^2 = 2 * 0.2 + 0.1 = 0.5,
     # so gamma = 0.4 scales the off-diagonal of H^T H = [[1, 1], [1, 1]].
@@ -76,7 +66,7 @@ def test_system_matrix_hand_arithmetic():
 def test_system_matrix_rejects_nonpositive_gamma():
     # At the least subnormal noise variance sigma_hat_sq = 2 s / (b + root)
     # underflows to 0, and so does gamma.
-    inst = build_instance(4, 8, noise_var=5e-324, channel_seed=0)
+    inst = drawn(4, 8, noise_var=5e-324, channel_seed=0)
     assert variance_fixed_point(inst).gamma == 0.0
     with pytest.raises(ValueError, match="gamma must be positive"):
         relaxation_system_matrix(inst)
@@ -251,11 +241,10 @@ def _small_instance(K, extra, snr_db, seed, hetero):
     M = K + extra
     rng = np.random.default_rng(seed)
     variances = rng.uniform(0.5, 2.0, K) if hetero else np.ones(K)
-    inst = SystemInstance(
-        dims=SystemDims(K, M),
-        channel=rng.standard_normal((M, K)),
-        prior=SourcePrior(variances=variances),
+    inst = from_channel(
+        rng.standard_normal((M, K)),
         noise_var=float(np.mean(variances)) * 10.0 ** (-snr_db / 10.0),
+        prior_var=variances,
     )
     x = rng.standard_normal(K) * np.sqrt(variances)
     y = inst.channel @ x + rng.standard_normal(M) * np.sqrt(inst.noise_var)
@@ -378,12 +367,7 @@ def test_symmetric_spectrum_bounds_the_exact_one_on_small_shapes(
     H[:, 0] *= 2.0**-scale
     variances = inst.prior.variances.copy()
     variances[0] *= 4.0**scale
-    rescaled = SystemInstance(
-        dims=inst.dims,
-        channel=H,
-        prior=SourcePrior(variances=variances),
-        noise_var=inst.noise_var,
-    )
+    rescaled = from_channel(H, inst.noise_var, prior_var=variances)
     assert auto_relaxation(rescaled) == relax
 
 
@@ -509,7 +493,7 @@ def test_measured_relaxation_and_gamma_do_not_depend_on_units():
 
 def test_error_decay_rate_tracks_iteration_matrix_radius():
     for sidx in range(3):
-        inst = build_instance(100, 200, noise_var=1e-8, channel_seed=50 + sidx)
+        inst = drawn(100, 200, noise_var=1e-8, channel_seed=50 + sidx)
         real = realize(inst, 60 + sidx)
         ref = mmse_detect(inst, real.received).estimate
         w = _closed_form_optimal_w(inst)[0]
