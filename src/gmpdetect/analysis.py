@@ -13,7 +13,7 @@ Three layers:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class ConvergenceReport:
     asymptotic_radius: float
     predicted_converges: bool
     beta: float
-    threshold_beta: float = THRESHOLD_BETA
+    threshold_beta: float = field(default=THRESHOLD_BETA, init=False)
     gamma: float | None = None            # closed-form variance ratio used
     gamma_measured: float | None = None   # converged-recursion ratio
     closed_form_radius: float | None = None

@@ -40,6 +40,8 @@ class AffineIteration:
     setup_flops: int = 0
 
     def __post_init__(self) -> None:
+        if self.offset.ndim != 1:  # B @ x + c would broadcast a column into a matrix
+            raise ValueError("offset must be a vector")
         K = self.offset.shape[0]
         if K == 0:
             raise ValueError("AffineIteration is empty: it needs at least one unknown")

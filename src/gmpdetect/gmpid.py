@@ -346,7 +346,10 @@ def _run_message_passing(
     w = 1.0 if relax is None else float(relax.w)
     schedule = _schedule(inst)
     flops = K * M if w == 1.0 else 2 * K * M + M + 1
-    sweep_flops = 8 * K * M + M + K  # a sweep, then A = W o sqrt(w) H
+    # A sweep: H o H (KM), c = (H o H) vv + s (2KM + M), V = c - (H o H) o vv
+    # (2KM), A = H / V (KM), u = the column sums of H o A (2KM) and the
+    # division of vv = 1 / (u + 1/prior) (K).
+    sweep_flops = 8 * K * M + M + K
 
     ev = np.zeros(K)
     ev_prev = None

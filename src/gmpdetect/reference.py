@@ -6,7 +6,8 @@ trace, so 0 iterations, and ``terminated=Termination.EXACT``, and raise ValueErr
 unless ``y`` is a finite vector of length M. Flop counts follow the dense-linear-algebra route of
 a standalone call, counting one multiply or add as one flop (a
 multiply-accumulate is two); set-up that an instance keeps (the Gram
-matrix, the MMSE factor) is charged to every call that uses it.
+matrix, the MMSE factor) is charged to every call that uses it. Exact
+MMSE factors the user-side normal matrix at every K and M.
 """
 from __future__ import annotations
 
@@ -72,45 +73,23 @@ def _normal_matrix(inst: SystemInstance) -> np.ndarray:
     return W
 
 
-def _mmse_cholesky(inst: SystemInstance) -> np.ndarray:
-    """Cholesky factor of ``H^T H / s + diag(1/prior)`` (K <= M) or of
-    ``H diag(prior) H^T + s I`` (M < K).
-
-    The matrix is a local here, freed on return: the triangular inverse
-    then runs beside the factor alone, not beside the matrix too.
-    """
-    H = inst.channel
-    M, K = H.shape
-    if K <= M:
-        W = _normal_matrix(inst)
-    else:
-        W = (H * inst.prior.variances[None, :]) @ H.T
-        W[np.diag_indices_from(W)] += inst.noise_var
-    return np.linalg.cholesky(W)
-
-
 def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """The part of the MMSE solve that does not depend on ``y``.
 
-    Returns the inverse of :func:`_mmse_cholesky`'s factor, the posterior
-    variances and the factor's flop cost. Formed once per instance and kept
-    there (read-only); :func:`inverse_filter_detect` combines with the same
-    user-side factor. Over the kept Gram matrix, the factor and its
-    inverse are the only K x K arrays (M x M on the antenna side) live at
-    once, beside one quarter-size product while :func:`_inverse_factor`
-    runs: the matrix is freed once factored, and the factor once inverted.
+    Returns the inverse of the Cholesky factor of :func:`_normal_matrix`,
+    the posterior variances and the factor's flop cost. The prior is
+    proper, so the user-side matrix is positive definite at every K and M.
+    Formed once per instance and kept there (read-only);
+    :func:`inverse_filter_detect` combines with the same factor. Over the
+    kept Gram matrix, the factor and its inverse are the only K x K arrays
+    live at once, beside one quarter-size product while
+    :func:`_inverse_factor` runs: the matrix is a temporary, freed once
+    factored, and the factor once inverted.
     """
 
     def build(inst: SystemInstance):
-        H = inst.channel
-        M, K = H.shape
-        Linv, f = _inverse_factor(_mmse_cholesky(inst))  # the factor is freed once inverted
-        if K <= M:
-            post_var = (Linv * Linv).sum(axis=0)
-        else:
-            vx = inst.prior.variances
-            T = Linv @ H
-            post_var = vx - vx * vx * (T * T).sum(axis=0)
+        Linv, f = _inverse_factor(np.linalg.cholesky(_normal_matrix(inst)))
+        post_var = (Linv * Linv).sum(axis=0)
         Linv.flags.writeable = post_var.flags.writeable = False
         return Linv, post_var, f
 
@@ -129,9 +108,9 @@ def _exact(x: np.ndarray, var: np.ndarray, flops: int) -> DetectionResult:
 def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     """Exact linear MMSE estimate with per-user posterior variances.
 
-    Solves the user-side normal equations when K <= M and switches to the
-    antenna-side (matrix-inversion-lemma) form when M < K, so the cubic cost
-    always scales with min(K, M).
+    Solves the user-side normal equations
+    ``(H^T H / s + diag(1/prior)) x = H^T y / s`` with the kept inverse
+    factor, at every K and M.
     """
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
@@ -139,21 +118,11 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     s = inst.noise_var
     if not s > 0:
         raise ValueError("mmse_detect requires positive noise variance")
-    vx = inst.prior.variances
 
     Linv, post_var, f = _mmse_setup(inst)
-    if K <= M:
-        flops = 2 * M * K * K + K * K + K + f
-        b = H.T @ y / s
-        flops += 2 * M * K + K
-        x_hat = Linv.T @ (Linv @ b)
-        flops += 4 * K * K + 2 * K * K
-    else:
-        flops = K * M + 2 * K * M * M + M + f
-        z = Linv.T @ (Linv @ y)
-        flops += 4 * M * M
-        x_hat = vx * (H.T @ z)
-        flops += 2 * K * M + K + 2 * M * M * K + 2 * M * K + 3 * K
+    x_hat = Linv.T @ (Linv @ (H.T @ y / s))
+    # The factor, the matrix, H^T y / s, two K x K products and the variances.
+    flops = f + (2 * M * K * K + K * K + K) + (2 * M * K + K) + 6 * K * K
 
     return _exact(x_hat, post_var, flops)
 

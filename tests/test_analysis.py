@@ -1,6 +1,7 @@
 """Tests for the convergence-analysis layer: load threshold, asymptotic
 spectral radii, closed-form MSE prediction, and convergence reports."""
 
+import inspect
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 
@@ -9,6 +10,7 @@ import pytest
 
 from gmpdetect import (
     THRESHOLD_BETA,
+    ConvergenceReport,
     RelaxationChoice,
     Termination,
     auto_relaxation,
@@ -387,3 +389,6 @@ def test_report_serializes_to_plain_dict():
         assert key in d
     assert isinstance(d["spectral_radius"], float)
     assert isinstance(d["predicted_converges"], bool)
+    # The threshold is the constant, not a value a caller can set.
+    assert d["threshold_beta"] == THRESHOLD_BETA
+    assert "threshold_beta" not in inspect.signature(ConvergenceReport).parameters

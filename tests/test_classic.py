@@ -89,6 +89,10 @@ def test_iterate_validates_inputs():
             iterate(it, eps=eps)
     with pytest.raises(ValueError):
         AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(3))
+    # A column or a stack of one is no offset: B @ x + c would broadcast it.
+    for K, shape in ((2, (2, 1)), (1, (1, 1, 1))):
+        with pytest.raises(ValueError, match=r"^offset must be a vector$"):
+            AffineIteration(matrix=np.zeros((K, K)), offset=np.ones(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
