@@ -45,7 +45,8 @@ class ConvergenceReport:
     is the radius of the paper's approximation
     ``I - w (gamma*(H^T H - D) + I)``, and ``gamma_measured`` the ratio
     ``v / (K v + noise_var)`` at the mean ``v`` of the settled user
-    variances, next to the closed-form ``gamma``. ``diag_dominant`` is the
+    variances, next to the closed-form ``gamma``; both closed-form fields
+    are None unless the prior is homogeneous. ``diag_dominant`` is the
     max absolute row sum of the iteration matrix below 1.
     ``beta``/``asymptotic_radius`` are NaN when not applicable.
     """
@@ -163,11 +164,14 @@ def _mean_iteration_report(
     solve.
     """
     row_abs_sums, mu, vv = _measured_spectrum(inst)  # first: its checks guard gamma
-    gamma = variance_fixed_point(inst).gamma
-    lam = inst._cached(
-        "closed_form_spectrum",
-        lambda inst: _read_only(np.linalg.eigvalsh(relaxation_system_matrix(inst))),
-    )
+    gamma = closed_form_radius = None  # the closed form needs a homogeneous prior
+    if inst.prior.is_homogeneous:
+        gamma = variance_fixed_point(inst).gamma
+        lam = inst._cached(
+            "closed_form_spectrum",
+            lambda inst: _read_only(np.linalg.eigvalsh(relaxation_system_matrix(inst))),
+        )
+        closed_form_radius = float(np.max(np.abs(1.0 - w * lam)))
     rho = float(np.max(np.abs(1.0 - w * mu)))
     # Max absolute row sum of I - w Mt, whose diagonal is exactly 1 - w.
     row_sum = abs(1.0 - w) + w * (float(np.max(row_abs_sums)) - 1.0)
@@ -180,7 +184,7 @@ def _mean_iteration_report(
         beta=inst.dims.beta,
         gamma=gamma,
         gamma_measured=v / (inst.dims.n_users * v + inst.noise_var),
-        closed_form_radius=float(np.max(np.abs(1.0 - w * lam))),
+        closed_form_radius=closed_form_radius,
         w=w,
     )
 

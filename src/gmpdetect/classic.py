@@ -103,14 +103,11 @@ def _normal_equations(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """System matrix and right-hand side whose solution is the MMSE estimate,
     and the set-up flops of a splitting: the two plus a K x K matrix and offset."""
-    if not inst.noise_var > 0:
-        raise ValueError("normal equations require positive noise variance")
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
-    s = inst.noise_var
     A = _normal_matrix(inst)
-    b = H.T @ y / s
+    b = H.T @ y / inst.noise_var
     return A, b, (2 * M * K * K + K * K + K + 2 * M * K + K) + (K * K + K)
 
 

@@ -85,15 +85,6 @@ class ExperimentConfig:
             raise ConfigError("eps must be positive when given")
         if not 0 < self.prior_var < np.inf:
             raise ConfigError("prior_var must be finite and positive")
-        # Each point's noise variance, as build_instance computes it: 0 runs only if.
-        for snr in self.snr_grid_db:
-            try:
-                s = _noise_var(snr, self.prior_var)
-            except OverflowError:
-                s = np.inf
-            if not (0 < s < np.inf or s == 0 and set(self.detectors) == {"if"}):
-                raise ConfigError(f"snr point {snr} dB gives noise variance {s}: it must be "
-                                  "finite and positive (0 runs only detector if)")
         _parse_w_mode(self.w_mode)  # raises ConfigError on a bad mode or manual w
 
 
@@ -200,23 +191,31 @@ def run_detector(
 
 def _points(config: ExperimentConfig, what: str, loads: list[float] | None = None):
     """Check ``config`` for runner ``what`` and return the ``(snr_db, M)``
-    points it draws at. Every ConfigError of a runner comes from here or
-    from its own detector rule, before its first draw.
+    points it draws at. Every ConfigError of a runner comes from here,
+    before its first draw.
 
-    Every runner but ``sweep`` takes one SNR point of positive noise
-    variance, and ``analyze`` a load K / M < 1. The points are the SNR grid
+    Each SNR point's noise variance must be finite and positive, or 0 in a
+    ``sweep`` of ``if`` alone. Every runner but ``sweep`` takes one SNR
+    point, and ``analyze`` a load K / M < 1. The points are the SNR grid
     at ``config.dims.n_antennas`` antennas or, given ``loads`` (the table),
     each load ``0 < beta < 1`` at M = round(K / beta) > K antennas, a size
     :class:`SystemDims` takes. At every point ``if`` needs K <= M and
-    ``sagmpid`` under w-mode ``beta`` needs K < M.
+    ``sagmpid`` under w-mode ``beta`` needs K < M. ``mset trace`` runs one
+    of ``gmpid`` and ``sagmpid``, ``complexity`` only iterative detectors.
     """
     config.validate()
     K, snr_grid = config.dims.n_users, config.snr_grid_db
-    if what != "sweep":
-        if len(snr_grid) != 1:
-            raise ConfigError(f"{what} requires a single SNR point")
-        if not _noise_var(snr_grid[0], config.prior_var) > 0:
-            raise ConfigError(f"{what} requires a positive noise variance")
+    noiseless_ok = what == "sweep" and set(config.detectors) == {"if"}
+    for snr in snr_grid:
+        try:
+            s = _noise_var(snr, config.prior_var)
+        except OverflowError:
+            s = np.inf
+        if not (0 < s < np.inf or s == 0 and noiseless_ok):
+            raise ConfigError(f"snr point {snr} dB gives noise variance {s}: it must be finite "
+                              "and positive (0 runs only in a sweep whose sole detector is if)")
+    if what != "sweep" and len(snr_grid) != 1:
+        raise ConfigError(f"{what} requires a single SNR point")
     if what == "analyze" and not config.dims.beta < 1:
         raise ConfigError("analyze requires load beta < 1")
     if loads is None:
@@ -241,6 +240,12 @@ def _points(config: ExperimentConfig, what: str, loads: list[float] | None = Non
             raise ConfigError("detector if requires users <= antennas")
         if "sagmpid" in config.detectors and config.w_mode == "beta" and not K < M:
             raise ConfigError("w-mode beta requires load beta < 1")
+    if what == "mset trace" and (len(config.detectors) != 1
+                                 or config.detectors[0] not in ("gmpid", "sagmpid")):
+        raise ConfigError("mset trace requires exactly one of: gmpid, sagmpid")
+    if what == "complexity":
+        _check_detectors(config.detectors, DETECTORS - ONE_SHOT_DETECTORS,
+                         "complexity detectors must be iterative:")
     return points
 
 
@@ -325,24 +330,16 @@ def run_mset_trace(config: ExperimentConfig) -> list[MsetRow]:
     is disabled) so traces align; rows average only iterations present in
     all trials.
     """
-    points = _points(config, "mset trace")
-    if len(config.detectors) != 1 or config.detectors[0] not in ("gmpid", "sagmpid"):
-        raise ConfigError("mset trace requires exactly one of: gmpid, sagmpid")
-    var_traces: list[list[float]] = []
-    mse_traces: list[list[float]] = []
-    name = config.detectors[0]
-    for _, _, _, inst, real in _draws(config, points):
-        tr = _run(config, name, inst, real.received, eps=0.0, truth=real.symbols).trace
-        var_traces.append(list(tr.mean_variance))
-        mse_traces.append(list(tr.mse_to_truth))
-    n = min(len(v) for v in var_traces)
+    traces = [_run(config, config.detectors[0], inst, real.received, eps=0.0,
+                   truth=real.symbols).trace
+              for _, _, _, inst, real in _draws(config, _points(config, "mset trace"))]
     return [
         MsetRow(
             iteration=t + 1,
-            mean_variance=float(np.mean([v[t] for v in var_traces])),
-            mse=float(np.mean([m[t] for m in mse_traces])),
+            mean_variance=float(np.mean([tr.mean_variance[t] for tr in traces])),
+            mse=float(np.mean([tr.mse_to_truth[t] for tr in traces])),
         )
-        for t in range(n)
+        for t in range(min(len(tr.mean_variance) for tr in traces))
     ]
 
 
@@ -425,20 +422,13 @@ def run_complexity(config: ExperimentConfig) -> list[ComplexityRecord]:
     solve) is not charged either: ``sagmpid`` reports equal flops under
     auto and given ``w``, so ``--w-mode auto`` undercounts it.
     """
-    points = _points(config, "complexity")
-    _check_detectors(
-        config.detectors,
-        DETECTORS - ONE_SHOT_DETECTORS,
-        "complexity detectors must be iterative:",
-    )
     out: list[ComplexityRecord] = []
-    for _, trial, _, inst, real in _draws(config, points):
+    for _, trial, _, inst, real in _draws(config, _points(config, "complexity")):
         ref = mmse_detect(inst, real.received)
         mmse_err = float(mse(ref.estimate, real.symbols))
         for name in config.detectors:
             run = _run(config, name, inst, real.received, truth=real.symbols)
-            reach = None
-            flops_to_target = None
+            reach = flops_to_target = None
             for idx, m in enumerate(run.trace.mse_to_truth):
                 if abs(m / mmse_err - 1.0) < COMPLEXITY_REL_TARGET:
                     reach = idx + 1

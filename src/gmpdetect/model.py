@@ -3,8 +3,9 @@
 The observation model throughout is ``y = H x + n`` with an M x K real
 channel matrix H of i.i.d. unit-variance Gaussian entries, zero-mean
 Gaussian sources x with per-user prior variances, and white Gaussian
-noise n. The number of users K is smaller than the number of antennas M
-in every supported operating regime (load factor beta = K/M < 1).
+noise n. The paper's regime has K < M (load factor beta = K/M < 1), but
+only the convergence reports, ``analyze`` and ``if`` need K < M or K <= M;
+the other detectors and the sweep run at K > M too.
 """
 from __future__ import annotations
 
@@ -23,9 +24,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
+def _require_real(v, name: str) -> None:
+    """Raise ValueError naming ``v`` unless it is an array of real numbers."""
+    dtype = np.asarray(v).dtype
+    if dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, not {dtype}")
+
+
 def _require_finite(v: np.ndarray, name: str = "y", length: int | None = None):
-    """Raise ValueError naming ``v`` when an entry is NaN or infinite or,
-    given ``length``, when ``v`` is not a vector of that length."""
+    """Raise ValueError naming ``v`` when it is not real, when an entry is NaN
+    or infinite or, given ``length``, when ``v`` is not a vector of that length."""
+    _require_real(v, name)
     if (length is not None and np.shape(v) != (length,)) or not np.all(np.isfinite(v)):
         shape = "" if length is None else f", in shape ({length},)"
         raise ValueError(f"{name} must be finite, with no NaN or infinite entry{shape}")
@@ -55,13 +64,14 @@ class SystemDims:
 class SourcePrior:
     """Independent zero-mean Gaussian source prior, one variance per user.
 
-    Entries must be finite and positive, so every detector reads the same
-    proper prior. ``variances`` is a read-only view of the array passed in.
+    Entries must be real, finite and positive, so every detector reads the
+    same proper prior. ``variances`` is a read-only view of the array passed in.
     """
 
     variances: np.ndarray
 
     def __post_init__(self) -> None:
+        _require_real(self.variances, "prior variances")
         v = np.asarray(self.variances, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("variances must be a non-empty 1-D vector")
@@ -94,17 +104,16 @@ class SystemInstance:
     ``dims`` is read from the channel's shape. Instances compare and hash by
     identity, like the other types here that hold arrays.
 
-    ``noise_var`` is positive and finite in every supported operating mode;
-    a value of exactly 0 is tolerated at construction only for the
-    noiseless decorrelator edge case, and detectors that require positive
-    noise raise.
+    ``noise_var`` must be finite and non-negative. ``if`` and ``mf`` read 0;
+    the user-side normal matrix, the variance schedule and the closed form
+    ``variance_fixed_point`` refuse it with ValueError for their readers.
 
-    ``channel`` must be finite. It is a read-only view of the array passed
-    in, or of a C-contiguous float64 copy of it when it is not one, so the
-    set-up the detectors keep per instance (the Gram matrix, the MMSE
-    factor, the message-variance schedule, the measured spectrum) cannot go
-    stale through it, and every channel has the layout the compiled
-    sum-node loop reads.
+    ``channel`` must be real and finite. It is a read-only view of the array
+    passed in, or of a C-contiguous float64 copy of it when it is not one,
+    so the set-up the detectors keep per instance (the Gram matrix, the
+    MMSE factor, the message-variance schedule, the measured spectrum)
+    cannot go stale through it, and every channel has the layout the
+    compiled sum-node loop reads.
     """
 
     dims: SystemDims = field(init=False)
@@ -114,6 +123,7 @@ class SystemInstance:
     _setup: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _require_real(self.channel, "channel")  # the float cast drops an imaginary part
         H = np.ascontiguousarray(self.channel, dtype=float)
         if H.ndim != 2:
             raise ValueError(f"channel must be an M x K matrix, not of shape {H.shape}")

@@ -3,7 +3,8 @@ and the block-message formulation that is algebraically equivalent to MMSE.
 
 All four return a :class:`~gmpdetect.results.DetectionResult` with no
 trace, so 0 iterations, and ``terminated=Termination.EXACT``, and raise ValueError
-unless ``y`` is a finite vector of length M. Flop counts follow the dense-linear-algebra route of
+unless ``y`` is a finite vector of length M; ``mmse`` and ``gmp`` raise it
+at noise 0, in :func:`_normal_matrix`. Flop counts follow the dense-linear-algebra route of
 a standalone call, counting one multiply or add as one flop (a
 multiply-accumulate is two); set-up that an instance keeps (the Gram
 matrix, the MMSE factor) is charged to every call that uses it. Exact
@@ -65,8 +66,11 @@ def _normal_matrix(inst: SystemInstance) -> np.ndarray:
     over the kept Gram: one K x K buffer, no ``diag(1/prior)`` array.
 
     MMSE's factor, the Jacobi and Richardson splittings and the block
-    detector all read this matrix, so theirs are the same bits.
+    detector all read this matrix, so theirs are the same bits, and this is
+    their one zero-noise check: noise 0 raises ValueError before any division.
     """
+    if not inst.noise_var > 0:
+        raise ValueError("the normal matrix requires positive noise variance")
     K = inst.dims.n_users
     W = np.divide(inst._gram(), inst.noise_var)
     W.reshape(-1)[:: K + 1] += inst.prior.precisions  # its diagonal, in place
@@ -116,8 +120,6 @@ def mmse_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     H = inst.channel
     M, K = H.shape
     s = inst.noise_var
-    if not s > 0:
-        raise ValueError("mmse_detect requires positive noise variance")
 
     Linv, post_var, f = _mmse_setup(inst)
     x_hat = Linv.T @ (Linv @ (H.T @ y / s))
@@ -214,14 +216,10 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
-    s = inst.noise_var
-    if not s > 0:
-        raise ValueError("gmp_block_detect requires positive noise variance")
 
-    pre = H.T @ (y * (1.0 / s))
+    V = np.linalg.inv(_normal_matrix(inst))  # first: it refuses noise 0
+    pre = H.T @ (y * (1.0 / inst.noise_var))
     flops = M + 2 * M * M * K + 2 * M * K * K + 2 * M * M + 2 * M * K
-
-    V = np.linalg.inv(_normal_matrix(inst))
     x_hat = V @ pre
     flops += K + 2 * K**3 + 2 * K * K
 

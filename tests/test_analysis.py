@@ -27,7 +27,7 @@ from gmpdetect import (
     variance_fixed_point,
     variance_recursion,
 )
-from instances import drawn
+from instances import drawn, from_channel
 from node_reference import message_state
 
 
@@ -226,6 +226,26 @@ def test_both_reports_carry_the_same_measured_gamma():
     assert relaxed.gamma_measured == plain.gamma_measured
     v = float(np.mean(variance_recursion(inst)[0]))
     assert plain.gamma_measured == v / (100 * v + inst.noise_var)
+
+
+def test_reports_on_a_heterogeneous_prior_leave_out_only_the_closed_form():
+    # The measured radius, the verdict, dominance and gamma_measured read the
+    # settled schedule, not the closed form, which needs one prior variance.
+    base = build_instance(20, 80, snr_db=10.0, channel_seed=0)
+    inst = from_channel(base.channel, base.noise_var, prior_var=np.linspace(0.5, 2.0, 20))
+    choice = auto_relaxation(inst)
+    v = float(np.mean(variance_recursion(inst)[0]))
+    plain, relaxed = gmpid_mean_convergence_report(inst), sagmpid_convergence_report(inst)
+    for report, w in ((plain, 1.0), (relaxed, choice.w)):
+        assert report.gamma is None and report.closed_form_radius is None
+        assert report.w == w
+        assert report.spectral_radius == max(abs(1.0 - w * choice.lambda_min),
+                                             abs(1.0 - w * choice.lambda_max))
+        assert report.gamma_measured == v / (20 * v + inst.noise_var)
+        assert isinstance(report.diag_dominant, bool)
+    assert relaxed.predicted_converges
+    y = realize(inst, 1).received
+    assert sagmpid_detect(inst, y).terminated is Termination.CONVERGED
 
 
 def test_plain_radius_matches_contraction_after_weights_freeze():

@@ -194,6 +194,27 @@ def test_every_detector_rejects_an_observation_of_the_wrong_shape(name, cut):
         run_detector(name, inst, y[:, None] if cut == "column" else y[:-1])
 
 
+@pytest.mark.parametrize("kind", ["complex", "text"])
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_every_detector_refuses_an_observation_that_is_not_real(name, kind):
+    # A complex y used to give mmse and mf a complex estimate and gmpid a
+    # numpy casting error; a text y raised TypeError. One ValueError names y.
+    inst = build_instance(4, 16, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    bad = y + 0.5j if kind == "complex" else y.astype(str)
+    with pytest.raises(ValueError, match=r"^y must hold real numbers, not (complex128|<U\d+)$"):
+        run_detector(name, inst, bad)
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS - ONE_SHOT_DETECTORS))
+def test_every_iterative_detector_refuses_a_complex_truth(name):
+    # A complex truth used to be cast to its real part in mse_to_truth.
+    inst = build_instance(8, 32, snr_db=10.0, channel_seed=0)
+    real = realize(inst, 1)
+    with pytest.raises(ValueError, match=r"^truth must hold real numbers, not complex128$"):
+        run_detector(name, inst, real.received, truth=real.symbols + 1j)
+
+
 @pytest.mark.parametrize("bad", ["one", "long", "nan"])
 @pytest.mark.parametrize("name", sorted(DETECTORS - ONE_SHOT_DETECTORS))
 def test_every_iterative_detector_rejects_a_bad_truth(name, bad):
@@ -294,7 +315,7 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
 )
 def test_invalid_configurations_rejected(overrides):
     with pytest.raises(ConfigError):
-        _config(**overrides).validate()
+        harness._points(_config(**overrides), "sweep")
 
 
 def test_infinite_snr_point_runs_the_inverse_filter_only():
@@ -455,6 +476,24 @@ def test_mset_requires_one_iterative_message_passing_detector():
         run_mset_trace(_config(detectors=("gmpid",), snr_grid_db=[0.0, 10.0]))
 
 
+def test_every_runner_rule_is_checked_in_points():
+    # The noise rule and the detector rules of mset and complexity live in
+    # _points, which every runner calls before its first draw.
+    inf = float("inf")
+    cases = [
+        ("mset trace", _config(detectors=("mmse",)), "exactly one of"),
+        ("mset trace", _config(detectors=("gmpid", "sagmpid")), "exactly one of"),
+        ("complexity", _config(detectors=("mf",)), "must be iterative"),
+        ("table", _config(snr_grid_db=[inf], detectors=("if",)), "noise variance 0.0"),
+        ("sweep", _config(snr_grid_db=[inf], detectors=("if", "mmse")), "noise variance 0.0"),
+    ]
+    for what, cfg, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            harness._points(cfg, what, [0.5] if what == "table" else None)
+    cfg = _config(snr_grid_db=[10.0, inf], detectors=("if",))
+    assert harness._points(cfg, "sweep") == [(10.0, 40), (inf, 40)]
+
+
 # ---------------------------------------------------------------------------
 # Convergence verdict table
 # ---------------------------------------------------------------------------
@@ -573,7 +612,7 @@ _RUNNERS = {
 }
 _INF, _NAN = float("inf"), float("nan")
 # Three finite-noise branches to one of points whose noise variance is 0,
-# infinite or NaN, so that most grids get past validate() and draw.
+# infinite or NaN, so that most grids get past the noise rule and draw.
 _SNR_POINTS = st.one_of(
     *[st.sampled_from([0.0, 10.0, 40.0])] * 3,
     st.sampled_from([_INF, -_INF, 4000.0, -4000.0, _NAN]),

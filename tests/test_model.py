@@ -4,6 +4,7 @@ trial realization, seed derivation, and the MSE metric."""
 import copy
 import inspect
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_prior_rejects_nonpositive_variance():
     for bad in ([1.0, 0.0], [-1.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="finite and positive"):
             SourcePrior(variances=np.array(bad))
+
+
+@pytest.mark.parametrize("kind", ["complex", "text"])
+def test_instance_and_prior_refuse_arrays_that_are_not_real(kind):
+    # A complex array used to lose its imaginary part with only a
+    # ComplexWarning, and a text one was parsed: both now raise first.
+    H = generate_channel(SystemDims(n_users=3, n_antennas=12), seed=0)
+    variances = np.array([1.0, 2.0, 0.5])
+    convert = (lambda a: a + 0.5j) if kind == "complex" else (lambda a: a.astype(str))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^prior variances must hold real numbers, not"):
+            SourcePrior(variances=convert(variances))
+        with pytest.raises(ValueError, match="^channel must hold real numbers, not"):
+            SystemInstance(channel=convert(H), prior=SourcePrior(variances), noise_var=0.1)
 
 
 def test_instance_rejects_negative_noise_var():

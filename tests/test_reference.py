@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -84,10 +85,52 @@ def test_mmse_flops_scale_with_user_cubed_plus_setup():
     assert 2 * M * K * K < r.flops < 2 * M * K * K + 3 * K**3
 
 
-def test_mmse_rejects_zero_noise():
-    inst = from_channel(np.eye(2), noise_var=0.0)
-    with pytest.raises(ValueError):
-        mmse_detect(inst, np.zeros(2))
+@pytest.mark.parametrize(
+    "detect", [mmse_detect, gmp_block_detect, jacobi_for_mmse, richardson_for_mmse],
+    ids=["mmse", "gmp", "jacobi", "richardson"],
+)
+def test_every_normal_matrix_reader_refuses_zero_noise_at_its_door(detect):
+    # The user-side matrix is the one zero-noise check of its four readers:
+    # it raises before any division, so no 1/0 warning, no ZeroDivisionError
+    # and no check of the reader's own runs first.
+    noiseless = drawn(4, 12, noise_var=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the normal matrix requires positive noise") as exc:
+            detect(noiseless, np.ones(12))
+    assert exc.traceback[-1].name == "_normal_matrix"
+
+
+def _documented_flops(name, K, M, noiseless=False):
+    """Each one-shot detector's flops, term by term as its code counts them."""
+    factor = K**3 // 3 + K**3  # a Cholesky factor and its triangle inverse
+    gram = 2 * M * K * K
+    if name == "mmse":  # the factor, the matrix, H^T y / s, two K x K products, the variances
+        return factor + (gram + K * K + K) + (2 * M * K + K) + 6 * K * K
+    if name == "mf":  # the Gram, H^T y / d, the interference and the variances
+        return gram + 2 * M * K + K + 2 * K * K + 6 * K
+    if name == "if":  # the Gram, its factor, the decorrelator's solve ...
+        flops = gram + factor + 2 * M * K + 4 * K * K
+        # ... then, with noise, MMSE's matrix and factor and the combine
+        return flops if noiseless else flops + (K * K + K + factor) + 2 * K * K + K + 6 * K * K
+    # gmp: H^T (y / s), the block's dense products, the inverse and its product
+    return M + 2 * M * M * K + 2 * M * K * K + 2 * M * M + 2 * M * K + K + 2 * K**3 + 2 * K * K
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("mmse", (6, 10)), ("mf", (6, 10)), ("if", (6, 10)), ("gmp", (6, 10)),
+     ("mmse", (10, 6)), ("mf", (10, 6)), ("gmp", (10, 6))],
+)
+def test_one_shot_flops_are_the_documented_counts(name, shape):
+    detect = {"mmse": mmse_detect, "mf": matched_filter_detect,
+              "if": inverse_filter_detect, "gmp": gmp_block_detect}[name]
+    inst = build_instance(*shape, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    assert detect(inst, y).flops == _documented_flops(name, *shape)
+    if name == "if":
+        noiseless = drawn(*shape, noise_var=0.0)
+        assert detect(noiseless, y).flops == _documented_flops(name, *shape, noiseless=True)
 
 
 def test_mmse_setup_frees_the_matrix_before_the_triangular_inverse():
