@@ -15,7 +15,7 @@ uninformative start is an exact ``A = 0``.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,45 +125,30 @@ class _VarianceSchedule:
     test settles settles at step ``VARIANCE_SWEEP_CAP - 1``. That step is
     ``settle``, the last one recorded.
 
-    :meth:`step` computes ``A`` in row blocks of ``_BLOCK_ENTRIES`` entries
-    (``max(1, _BLOCK_ENTRIES // K)`` rows), small enough to stay in cache,
-    each written in turn into a row-block buffer that the caller owns.
-    Each block forms its rows of ``A`` from its own rows of ``H`` (``H[rows]
-    * H[rows]`` is ``H^2[rows]`` bit for bit) and, while in cache, also
-    feeds its share of the engine's ``A^T r`` and, in a sweep, of ``c`` and
-    ``u``; the block shares of ``A^T r`` and ``u`` are summed in block
-    order. Only a step past the recorded end runs the square and gemv for
-    ``c``, the reduction and the settle test; a recorded step is replayed
-    by the same statements, so it is the swept step bit for bit. Where one
-    block covers the channel (``M K <= _BLOCK_ENTRIES``) every sum is the
-    unblocked one. Where :func:`_native.load` gives the compiled loops, a
-    block's ``A`` is formed by one loop instead of four element-wise numpy
-    passes (square, scale, subtract, divide), a sweep's square by
-    another, and at K >= 2 the sweep's loop also sums ``u`` row after row,
-    the order of the einsum it stands in for (at K = 1 einsum sums in
-    another order and keeps ``u``): the same operations in the same order,
-    so the same bits.
-
-    The schedule keeps a reference to the channel, not a copy of it, and
-    one (M, K) buffer ``A``, which has one writer: the settle pass, run
-    right after the sweep that settles, replays the settled step through
-    :meth:`step` into it, each block into its own rows, and makes it
-    read-only. The engine's frozen phase and the measured spectrum read it
-    in place. Zero noise raises ValueError for every reader.
+    :meth:`blocks` gives a step's ``A`` in cache-sized row blocks of
+    ``_BLOCK_ENTRIES`` entries; the block shares of ``u``, like the
+    engine's of ``A^T r``, are summed in block order, the unblocked sums
+    where one block covers the channel. A replayed step runs its sweep's
+    statements, so it is the swept step bit for bit. The schedule keeps a
+    reference to the channel and one (M, K) buffer ``A``, written once by
+    the settle pass and read in place by the engine's frozen phase and the
+    measured spectrum. Zero noise raises ValueError for every reader.
     """
 
     def __init__(self, inst: SystemInstance):
         if not inst.noise_var > 0:
             raise ValueError("message passing requires positive noise variance")
         self.H = inst.channel
-        self.A = np.zeros(inst.channel.shape)  # the settled step's A, once settled
+        M, K = inst.channel.shape
+        self.A = np.zeros((M, K))  # the settled step's A, once settled
         self.s, self.px = inst.noise_var, inst.prior.precisions
         self.u, self.c = [], [None]
         self.settle: int | None = None  # index of the settled step, once reached
-        self._rtol = inst.dims.n_antennas * 2.0**-53  # rounding bound of u's sum
+        self.starts = range(0, M, max(1, _BLOCK_ENTRIES // K))  # each row block's first row
+        self._rtol = M * 2.0**-53  # rounding bound of u's sum
         self._seen: dict[int, list[int]] = {}  # the steps, by the hash of their user weights
         self._base = _address(self.H)  # for the compiled loops: C-contiguous float64
-        self._record(np.zeros(inst.dims.n_users))
+        self._record(np.zeros(K))
 
     def _record(self, u: np.ndarray) -> None:
         pw = u + self.px
@@ -180,88 +165,87 @@ class _VarianceSchedule:
         u.flags.writeable = False
         self.u.append(u)
 
-    def _rows(self) -> int:
-        return max(1, _BLOCK_ENTRIES // self.H.shape[1])
-
     def block(self) -> np.ndarray:
         """A new buffer of one row block, for the computed steps of one run."""
-        M, K = self.H.shape
-        return np.empty((min(M, self._rows()), K))
+        return np.empty_like(self.H[: self.starts.step])
 
     def reach(self, t: int) -> int:
         """Sweep until step ``t`` is recorded or the schedule settles; return
         ``t``, or the settled step if that comes first."""
         block = self.block()
         while self.settle is None and len(self.u) <= t:
-            self.step(len(self.u), None, block)
+            for _ in self.blocks(len(self.u), block):
+                pass
         return min(t, len(self.u) - 1)
 
-    def step(
-        self, t: int, r: np.ndarray | None, out: np.ndarray
-    ) -> tuple[bool, np.ndarray | None]:
-        """Compute ``A = H / V`` of step ``t``, replaying a recorded step or
-        sweeping and recording step ``len(self.u)``.
-
-        Returns whether ``t`` is the settled step and, given ``r`` (M,),
-        ``A^T r`` (K,). Every computed step writes each block in turn into
-        the leading rows of ``out``, a buffer from :meth:`block`, or into
-        its own rows where ``out`` is ``self.A``: the settle pass, which
-        replays the settled step there. Otherwise the settled step is read
-        from ``self.A``, not computed again. Step 0 writes nothing: its
-        ``A`` is 0.
-        """
-        sweep = t == len(self.u)
-        M, K = self.H.shape
+    def blocks(self, t: int, out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(rows, A)``, those rows of step ``t``'s ``A = H / V``, for
+        each row block in order. Step 0 (``A`` is 0) yields nothing, the
+        settled step views of ``self.A``. Another recorded step is replayed,
+        and step ``len(self.u)`` swept, into the leading rows of ``out``, a
+        buffer from :meth:`block`; a sweep records its step after its last
+        block and, if that step settles, runs the settle pass: the same
+        statements into ``self.A``'s rows, which it then makes read-only."""
         if t == 0:
-            return t == self.settle, None if r is None else np.zeros(K)
-        n = self._rows()
-        starts = range(0, M, n)
-        Ar = None if r is None else np.empty((len(starts), K))
+            return
+        if t == self.settle:
+            for lo in self.starts:
+                yield slice(lo, lo + self.starts.step), self.A[lo : lo + self.starts.step]
+            return
+        if t < len(self.u):
+            yield from self._formed(t, out, self.c[t])
+            return
+        M, K = self.H.shape
+        c, u = np.empty(M), np.zeros((len(self.starts), K))
+        yield from self._formed(t, out, c, u)
+        self.c.append(c)
+        self._record(u.sum(axis=0))
+        if t == self.settle:  # the settle pass
+            for _ in self._formed(t, self.A, c, own_rows=True):
+                pass
+            self.A.flags.writeable = False
+
+    def _formed(self, t: int, out: np.ndarray, c: np.ndarray, u=None, own_rows=False):
+        """Form step ``t``'s ``A`` from the totals ``c`` into the leading rows
+        of ``out`` (with ``own_rows``, its own rows), yielding each block as
+        :meth:`blocks` does; a sweep, given ``u``, also writes ``c[rows]``
+        from each block's square and row ``i`` of ``u``. The compiled loops,
+        where they load, form ``A`` in one pass for numpy's four, a sweep's
+        square in another, and from K = 2 sum ``u`` in einsum's row order:
+        the same bits. The path and the loops' addresses are read once a step.
+        """
+        H, n = self.H, self.starts.step
+        M, K = H.shape
         vv = 1.0 / (self.u[t - 1] + self.px)  # formed once for every block
-        if sweep:
-            self.c.append(np.empty(M))
-            u = np.zeros((len(starts), K))
-        kept = t == self.settle and out is not self.A  # read from self.A, not formed again
-        if kept:
-            out = self.A
-        native = None if kept else _native.load()
-        # The loop sums u row after row, einsum's order from K = 2 (not at K = 1).
-        fused = sweep and native is not None and K > 1
+        native = _native.load()
+        fused = u is not None and native is not None and K > 1
         if native is not None:  # row 0's addresses: row lo lies 8 lo K bytes on (of c, 8 lo)
-            c0, vv0, out0 = _address(self.c[t]), _address(vv), _address(out)
+            c0, vv0, out0 = _address(c), _address(vv), _address(out)
             u0 = _address(u) if fused else None
-        for i, lo in enumerate(starts):
+        for i, lo in enumerate(self.starts):
             rows = slice(lo, lo + n)
-            at = lo if out is self.A else 0
+            at = lo if own_rows else 0
             A = out[at : at + min(n, M - lo)]
             if native is not None:
-                h, c, a = self._base + 8 * lo * K, c0 + 8 * lo, out0 + 8 * at * K
-            if native is None and not kept:  # the square H[rows]^2, read by c[t] and V
-                np.multiply(self.H[rows], self.H[rows], out=A)
-            elif sweep:
+                h, ci, a = self._base + 8 * lo * K, c0 + 8 * lo, out0 + 8 * at * K
+            if native is None:  # the square H[rows]^2, read by c[t] and V
+                np.multiply(H[rows], H[rows], out=A)
+            elif u is not None:
                 native.square(h, a, A.size)
-            if sweep:  # c[t][rows] from the block's square
-                total = np.matmul(A, vv, out=self.c[t][rows])
+            if u is not None:  # c[t][rows] from the block's square
+                total = np.matmul(A, vv, out=c[rows])
                 total += self.s
-            if native is not None:
-                if fused:
-                    native.sum_node_sweep(h, c, vv0, a, u0 + 8 * i * K, len(A), K)
-                else:
-                    native.sum_node_block(h, c, vv0, a, len(A), K)
-            elif not kept:  # V = c[t] - H^2 o vv[t-1], then A = H / V
+            if fused:
+                native.sum_node_sweep(h, ci, vv0, a, u0 + 8 * i * K, len(A), K)
+            elif native is not None:
+                native.sum_node_block(h, ci, vv0, a, len(A), K)
+            else:  # V = c[t] - H^2 o vv[t-1], then A = H / V
                 A *= vv
-                np.subtract(self.c[t][rows, None], A, out=A)
-                np.divide(self.H[rows], A, out=A)
-            if r is not None:
-                np.matmul(A.T, r[rows], out=Ar[i])
-            if sweep and not fused:
-                np.einsum("mk,mk->k", self.H[rows], A, out=u[i])
-        if sweep:
-            self._record(u.sum(axis=0))
-            if t == self.settle:  # the settle pass
-                self.step(t, None, self.A)
-                self.A.flags.writeable = False
-        return t == self.settle, None if r is None else Ar.sum(axis=0)
+                np.subtract(c[rows, None], A, out=A)
+                np.divide(H[rows], A, out=A)
+            if u is not None and not fused:
+                np.einsum("mk,mk->k", H[rows], A, out=u[i])
+            yield rows, A
 
 
 def _schedule(inst: SystemInstance) -> _VarianceSchedule:
@@ -316,18 +300,12 @@ def _run_message_passing(
     plain detector.
 
     Iteration ``t`` replays (or sweeps and records) step ``t - 1`` of the
-    instance's variance schedule, which also returns ``A^T r`` summed over
-    its cache-sized row blocks of ``A = H / V``. A replayed or swept step
-    cycles its blocks through one row-block buffer of the run's own; the
-    settled step is read from the schedule's (M, K) buffer, not computed
-    again. Once the sweeps settle, the schedule's ``A`` and ``u`` are
-    reused, and an iteration is two full gemv calls plus O(K) work. A
-    channel of more than one block sums ``A^T r`` in a different order
-    before the weights settle than after, so its estimates move in the
-    last digits against an unblocked engine. The weights
-    settle within the rounding error of their own sums, so the run stays
-    within rounding of sweeping on (about 1e-13 relative at 100x105,
-    80 dB, where the recursion contracts slowest).
+    instance's variance schedule through a row block of the run's own,
+    summing the blocks' shares of ``A^T r`` in block order; once the
+    sweeps settle, an iteration is two full gemv calls plus O(K) work.
+    There a multi-block channel sums ``A^T r`` unblocked, another order,
+    which stays within rounding of sweeping on (about 1e-13 relative at
+    100x105, 80 dB, where the recursion contracts slowest).
 
     ``flops`` is the analytic cost of a standalone run, which sweeps the
     variances itself and scales the system by sqrt(w): a replayed schedule
@@ -355,6 +333,7 @@ def _run_message_passing(
     ev_prev = None
     vv = np.full(K, np.inf)  # the uninformative state, returned if no iteration runs
     block = schedule.block()
+    parts = np.zeros((len(schedule.starts), K))  # each block's A^T r; 0 at step 0
     A = None  # the schedule's settled A, once the run reaches it
     trace = IterationTrace()
     terminated = Termination.MAX_ITERATIONS
@@ -364,8 +343,10 @@ def _run_message_passing(
         if A is not None:
             Ar = A.T @ r
         else:
-            settled, Ar = schedule.step(t - 1, r, block)
-            if settled:
+            for i, (rows, block_A) in enumerate(schedule.blocks(t - 1, block)):
+                np.matmul(block_A.T, r[rows], out=parts[i])
+            Ar = parts.sum(axis=0)
+            if t - 1 == schedule.settle:
                 A = schedule.A
             u = schedule.u[t - 1]
             vv = 1.0 / (u + schedule.px)

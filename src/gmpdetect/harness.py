@@ -207,10 +207,7 @@ def _points(config: ExperimentConfig, what: str, loads: list[float] | None = Non
     K, snr_grid = config.dims.n_users, config.snr_grid_db
     noiseless_ok = what == "sweep" and set(config.detectors) == {"if"}
     for snr in snr_grid:
-        try:
-            s = _noise_var(snr, config.prior_var)
-        except OverflowError:
-            s = np.inf
+        s = _noise_var(snr, config.prior_var)
         if not (0 < s < np.inf or s == 0 and noiseless_ok):
             raise ConfigError(f"snr point {snr} dB gives noise variance {s}: it must be finite "
                               "and positive (0 runs only in a sweep whose sole detector is if)")

@@ -183,7 +183,9 @@ def realize(inst: SystemInstance, seed: int) -> Realization:
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared error between two equal-length vectors (symmetric)."""
+    """Mean squared error between two equal-length real vectors (symmetric)."""
+    _require_real(a, "a")
+    _require_real(b, "b")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -207,8 +209,11 @@ def derive_trial_seeds(
 
 
 def _noise_var(snr_db: float, prior_var: float) -> float:
-    """Noise variance at ``snr_db`` dB; OverflowError on overflow, 0 on underflow."""
-    return prior_var * 10.0 ** (-snr_db / 10.0)
+    """Noise variance at ``snr_db`` dB; inf on overflow, 0 on underflow."""
+    try:
+        return prior_var * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return np.inf
 
 
 def build_instance(

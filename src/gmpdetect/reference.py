@@ -4,7 +4,8 @@ and the block-message formulation that is algebraically equivalent to MMSE.
 All four return a :class:`~gmpdetect.results.DetectionResult` with no
 trace, so 0 iterations, and ``terminated=Termination.EXACT``, and raise ValueError
 unless ``y`` is a finite vector of length M; ``mmse`` and ``gmp`` raise it
-at noise 0, in :func:`_normal_matrix`. Flop counts follow the dense-linear-algebra route of
+at noise 0, in :func:`_normal_matrix`, and where their solve of that matrix
+fails, in :func:`_solve_normal`. Flop counts follow the dense-linear-algebra route of
 a standalone call, counting one multiply or add as one flop (a
 multiply-accumulate is two); set-up that an instance keeps (the Gram
 matrix, the MMSE factor) is charged to every call that uses it. Exact
@@ -77,12 +78,27 @@ def _normal_matrix(inst: SystemInstance) -> np.ndarray:
     return W
 
 
+def _solve_normal(inst: SystemInstance, solve):
+    """``solve(W)``, MMSE's Cholesky factor or ``gmp``'s inverse, of ``W`` from
+    :func:`_normal_matrix`; ValueError where it fails or where, at K > M (a singular
+    Gram), the prior's precision rounds away beside ``||h_k||^2 / s`` on the diagonal."""
+    W = _normal_matrix(inst)
+    K, M = inst.dims.n_users, inst.dims.n_antennas
+    try:  # W's diagonal against its bits before the prior's precision was added
+        if K > M and (np.diagonal(W) == np.diagonal(inst._gram()) / inst.noise_var).any():
+            raise np.linalg.LinAlgError
+        return solve(W)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("the normal matrix is not positive definite in floating point: "
+                         "the prior's precision rounds away beside ||H||^2 / s") from exc
+
+
 def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """The part of the MMSE solve that does not depend on ``y``.
 
     Returns the inverse of the Cholesky factor of :func:`_normal_matrix`,
-    the posterior variances and the factor's flop cost. The prior is
-    proper, so the user-side matrix is positive definite at every K and M.
+    the posterior variances and the factor's flop cost, at every K and M
+    where the matrix is positive definite in floating point (:func:`_solve_normal`).
     Formed once per instance and kept there (read-only);
     :func:`inverse_filter_detect` combines with the same factor. Over the
     kept Gram matrix, the factor and its inverse are the only K x K arrays
@@ -92,7 +108,7 @@ def _mmse_setup(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, int]:
     """
 
     def build(inst: SystemInstance):
-        Linv, f = _inverse_factor(np.linalg.cholesky(_normal_matrix(inst)))
+        Linv, f = _inverse_factor(_solve_normal(inst, np.linalg.cholesky))
         post_var = (Linv * Linv).sum(axis=0)
         Linv.flags.writeable = post_var.flags.writeable = False
         return Linv, post_var, f
@@ -217,7 +233,7 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     H = inst.channel
     M, K = H.shape
 
-    V = np.linalg.inv(_normal_matrix(inst))  # first: it refuses noise 0
+    V = _solve_normal(inst, np.linalg.inv)  # first: it refuses noise 0
     pre = H.T @ (y * (1.0 / inst.noise_var))
     flops = M + 2 * M * M * K + 2 * M * K * K + 2 * M * M + 2 * M * K
     x_hat = V @ pre

@@ -51,7 +51,7 @@ class MessageState:
 def variances(schedule: _VarianceSchedule, t: int, out: np.ndarray) -> np.ndarray:
     """Write the sum-node variances ``V`` (M, K) of recorded step ``t`` of
     ``schedule`` into ``out``, by the numpy statements that
-    ``_VarianceSchedule.step`` runs on a block: ``V = c[t] - H^2 o vv[t-1]``
+    ``_VarianceSchedule.blocks`` runs on a block: ``V = c[t] - H^2 o vv[t-1]``
     with ``vv[t-1] = 1/(u[t-1] + 1/prior)``, and all infinite at step 0."""
     if t == 0:
         out.fill(np.inf)

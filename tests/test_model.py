@@ -262,6 +262,17 @@ def test_mse_matches_elementwise_average_of_squares():
     assert mse(a, b) == pytest.approx(manual, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [([1 + 5j, 2.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, 2 - 1j]), (["1", "2"], [1.0, 2.0]),
+     ([1.0, 2.0], np.array(["1", "2"]))],
+)
+def test_mse_refuses_complex_and_text_inputs(a, b):
+    # A cast to float would drop the imaginary part or parse the text.
+    with pytest.raises(ValueError, match="must hold real numbers"):
+        mse(a, b)
+
+
 def test_mse_symmetric_and_zero_on_identical():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(8)
@@ -291,10 +302,12 @@ def test_build_instance_sets_noise_from_snr():
     assert build_instance(2, 4, snr_db=10.0, prior_var=2.0).noise_var == pytest.approx(0.2)
 
 
-# An infinite, a NaN and an overflowing noise variance.
+# An infinite, a NaN and an overflowing noise variance, whether the product
+# or the power of ten overflows.
 @pytest.mark.parametrize(
     "kwargs",
-    [{"snr_db": -np.inf}, {"snr_db": np.nan}, {"snr_db": -3000.0, "prior_var": 1e10}],
+    [{"snr_db": -np.inf}, {"snr_db": np.nan}, {"snr_db": -3000.0, "prior_var": 1e10},
+     {"snr_db": -4000.0}],
 )
 def test_build_instance_rejects_non_finite_noise(kwargs):
     with pytest.raises(ValueError, match="noise_var"):

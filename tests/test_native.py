@@ -1,5 +1,5 @@
 """Tests for the compiled sum-node loops: they give the numpy statements'
-bits on every schedule step and every run, they load wherever ``cc`` runs,
+bits on every schedule block and every run, they load wherever ``cc`` runs,
 every channel reaches them, whatever the layout of the array passed in,
 and only the settle pass writes the schedule's (M, K) buffer."""
 
@@ -58,6 +58,17 @@ def _assert_bitwise(a, b):
         assert a == b
 
 
+def _block_sums(schedule, t, residuals, out):
+    """``A^T r`` of step ``t`` for each of ``residuals`` from one pass of
+    ``schedule.blocks``: each block's gemv, then the block-order sum, the
+    engine's statements for one residual."""
+    parts = np.zeros((len(residuals), len(schedule.starts), schedule.H.shape[1]))
+    for i, (rows, A) in enumerate(schedule.blocks(t, out)):
+        for part, r in zip(parts, residuals):
+            np.matmul(A.T, r[rows], out=part[i])
+    return [part.sum(axis=0) for part in parts]
+
+
 def _assert_same_runs(got, want):
     for a, b in zip(got, want, strict=True):
         for field in ("estimate", "posterior_var", "previous_estimate"):
@@ -106,30 +117,68 @@ def test_kernel_and_numpy_statements_agree_bitwise(K, M, snr_db, channel_seed):
         pw = [(u + ours.px).tobytes() for u in ours.u]
         assert pw[-1] in pw[:-1]
 
-    # Every replayed step's A in full (a block as large as the channel), and
-    # its A^T r and last block through the run's own blocks.
+    # Every replayed step's blocks, which make up H / V in full, and its
+    # A^T r through the run's own blocks.
     r = realize(fast, 2).received
-    full = np.empty((M, K)), np.empty((M, K))
     blocks = ours.block(), theirs.block()
     for t in range(1, ours.settle):
-        with mock.patch.object(gmpid, "_BLOCK_ENTRIES", M * K):
-            ours.step(t, None, full[0])
-            with _numpy_statements():
-                theirs.step(t, None, full[1])
-        _assert_bitwise(*full)
-        Ar = ours.step(t, r, blocks[0])[1]
+        full = np.concatenate([A.copy() for _, A in ours.blocks(t, blocks[0])])
         with _numpy_statements():
-            _assert_bitwise(Ar, theirs.step(t, r, blocks[1])[1])
-        _assert_bitwise(*blocks)
+            want = np.concatenate([A.copy() for _, A in theirs.blocks(t, blocks[1])])
+        _assert_bitwise(full, want)
+        _assert_bitwise(full, fast.channel / variances(ours, t, np.empty((M, K))))
+        Ar = _block_sums(ours, t, [r], blocks[0])[0]
+        with _numpy_statements():
+            _assert_bitwise(Ar, _block_sums(theirs, t, [r], blocks[1])[0])
 
     # The settled step is read from the schedule's buffer, not formed again:
     # its A^T r has the same bits on both paths, and the caller's block is
     # left untouched.
     nan = np.full_like(blocks[0], np.nan), np.full_like(blocks[1], np.nan)
-    settled, Ar = ours.step(ours.settle, r, nan[0])
+    Ar = _block_sums(ours, ours.settle, [r], nan[0])[0]
     with _numpy_statements():
-        _assert_bitwise(Ar, theirs.step(theirs.settle, r, nan[1])[1])
-    assert settled and np.isnan(nan).all()
+        _assert_bitwise(Ar, _block_sums(theirs, theirs.settle, [r], nan[1])[0])
+    assert all(A.base is ours.A for _, A in ours.blocks(ours.settle, nan[0]))
+    assert np.isnan(nan).all()
+
+
+@pytest.mark.parametrize("K, M", [(100, 600), (300, 400)])  # one block, then two
+def test_one_pass_of_the_blocks_serves_two_residuals(K, M):
+    # The blocks of a step hold no residual: one pass, sweeping or replaying,
+    # gives each of two residuals the A^T r that a pass for it alone gives.
+    def build():
+        return build_instance(K, M, snr_db=10.0, channel_seed=0)
+
+    inst, twin = build(), build()
+    r = realize(inst, 1).received, realize(inst, 2).received
+    ours, theirs = gmpid._schedule(inst), gmpid._schedule(twin)
+    block = ours.block()
+
+    def check(t):
+        for got, residual in zip(_block_sums(ours, t, r, block), r, strict=True):
+            _assert_bitwise(got, _block_sums(theirs, t, [residual], block)[0])
+
+    t = 0
+    while ours.settle is None:  # step 0, then the sweeps
+        check(t)
+        t += 1
+    check(ours.settle)  # read from the schedule's buffer
+    assert t == ours.settle + 1 > 2 and theirs.settle == ours.settle
+
+
+def test_an_abandoned_sweep_records_nothing():
+    # A sweep records its step only after its last block: a caller that
+    # drops the generator part way leaves the schedule as it was.
+    def build():
+        return build_instance(300, 400, snr_db=10.0, channel_seed=0)
+
+    inst = build()
+    schedule = gmpid._schedule(inst)
+    assert len(schedule.starts) == 2 and schedule.reach(2) == 2
+    next(schedule.blocks(3, schedule.block()))
+    assert len(schedule.u) == len(schedule.c) == 3
+    y = realize(inst, 1).received
+    _assert_same_runs([gmpid_detect(inst, y)], [gmpid_detect(build(), y)])
 
 
 @pytest.mark.parametrize("path", ["loop", "numpy"])

@@ -101,6 +101,19 @@ def test_every_normal_matrix_reader_refuses_zero_noise_at_its_door(detect):
     assert exc.traceback[-1].name == "_normal_matrix"
 
 
+@pytest.mark.parametrize("detect", [mmse_detect, gmp_block_detect], ids=["mmse", "gmp"])
+@pytest.mark.parametrize("K, M", [(30, 20), (8, 4)])
+@pytest.mark.parametrize("snr_db", [160.0, 200.0])
+def test_more_users_than_antennas_at_high_snr_raise_one_value_error(detect, K, M, snr_db):
+    # At K > M only the prior's precision makes the normal matrix definite;
+    # beside ||h_k||^2 / s it rounds away, and both solves refuse the matrix
+    # with the same ValueError, not numpy's LinAlgError or a wrong estimate.
+    for seed in range(3):
+        inst = build_instance(K, M, snr_db=snr_db, channel_seed=seed)
+        with pytest.raises(ValueError, match="prior's precision rounds away beside"):
+            detect(inst, realize(inst, 1).received)
+
+
 def _documented_flops(name, K, M, noiseless=False):
     """Each one-shot detector's flops, term by term as its code counts them."""
     factor = K**3 // 3 + K**3  # a Cholesky factor and its triangle inverse
