@@ -15,9 +15,7 @@ import numpy as np
 
 from .model import SystemInstance, _require_finite
 from .reference import _normal_matrix
-from .results import (
-    DEFAULT_MAX_ITER, DetectionResult, IterationTrace, Termination, _stop_rule,
-)
+from .results import DEFAULT_MAX_ITER, DetectionResult, _Run
 
 __all__ = [
     "AffineIteration",
@@ -73,29 +71,13 @@ def iterate(
     B, c = iteration.matrix, iteration.offset
     _require_finite(c, "offset")
     K = c.shape[0]
-    if truth is not None:
-        _require_finite(truth, "truth", length=K)
+    run = _Run(c, eps, 1, K, truth, iteration.setup_flops)
     x = np.zeros(K)
-    stop = _stop_rule(c, eps, first=1)
-
-    trace = IterationTrace()
-    terminated = Termination.MAX_ITERATIONS
-    flops = iteration.setup_flops
     for t in range(1, max_iter + 1):
-        x_new = B @ x + c
-        change, verdict = stop(t, x_new - x, x_new)
-        x = x_new
-        flops += 2 * K * K + 3 * K
-        trace.append(change, flops, x, truth=truth)
-        if verdict is not None:
-            terminated = verdict
+        x_prev, x = x, B @ x + c
+        if run.step(t, x_prev, x, 2 * K * K + 3 * K):
             break
-    return DetectionResult(
-        estimate=x,
-        flops=flops,
-        terminated=terminated,
-        trace=trace,
-    )
+    return run.result(x)
 
 
 def _normal_equations(

@@ -22,10 +22,7 @@ import numpy as np
 
 from . import _native
 from .model import SystemInstance, _read_only, _require_finite
-from .results import (
-    DEFAULT_MAX_ITER, DetectionResult, IterationTrace, RelaxationChoice, Termination,
-    _stop_rule,
-)
+from .results import DEFAULT_MAX_ITER, DetectionResult, RelaxationChoice, _Run
 
 VARIANCE_SWEEP_CAP = 5000  # the variance schedule settles by this sweep at the latest
 _BLOCK_ENTRIES = 2**16  # float64 entries per row block of a schedule step: 512 KiB
@@ -314,20 +311,19 @@ def _run_message_passing(
     H = inst.channel
     M, K = H.shape
     _require_finite(y, length=inst.dims.n_antennas)
-    if truth is not None:
-        _require_finite(truth, "truth", length=K)
     # The first sweep only installs the prior (means stay zero), so the
     # step-change test is armed from the second sweep onward.
-    stop = _stop_rule(y, eps, first=2)
+    run = _Run(y, eps, 2, K, truth)
     if callable(relax):  # it sweeps the schedule: only for inputs that passed
         relax = relax(inst)
     w = 1.0 if relax is None else float(relax.w)
     schedule = _schedule(inst)
-    flops = K * M if w == 1.0 else 2 * K * M + M + 1
+    run.flops = K * M if w == 1.0 else 2 * K * M + M + 1
     # A sweep: H o H (KM), c = (H o H) vv + s (2KM + M), V = c - (H o H) o vv
     # (2KM), A = H / V (KM), u = the column sums of H o A (2KM) and the
     # division of vv = 1 / (u + 1/prior) (K).
     sweep_flops = 8 * K * M + M + K
+    mean_flops = 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)
 
     ev = np.zeros(K)
     ev_prev = None
@@ -335,11 +331,10 @@ def _run_message_passing(
     block = schedule.block()
     parts = np.zeros((len(schedule.starts), K))  # each block's A^T r; 0 at step 0
     A = None  # the schedule's settled A, once the run reaches it
-    trace = IterationTrace()
-    terminated = Termination.MAX_ITERATIONS
 
     for t in range(1, max_iter + 1):
         r = y - H @ ev
+        flops = mean_flops
         if A is not None:
             Ar = A.T @ r
         else:
@@ -354,25 +349,11 @@ def _run_message_passing(
             mean_var = float(np.mean(vv))
             flops += (sweep_flops if t > 1 else 0) + (2 * K if w == 1.0 else 3 * K)
         g = Ar + u * ev
-        ev_new = vw * g if w == 1.0 else vw * g - (w - 1.0) * ev
-        change, verdict = stop(t, ev_new - ev, ev_new)
-        flops += 4 * K * M + M + (5 * K if w == 1.0 else 7 * K)
-        ev_prev, ev = ev, ev_new
-
-        trace.append(change, flops, ev, truth=truth, mean_variance=mean_var)
-        if verdict is not None:
-            terminated = verdict
+        ev_prev, ev = ev, (vw * g if w == 1.0 else vw * g - (w - 1.0) * ev)
+        if run.step(t, ev_prev, ev, flops, mean_var):
             break
 
-    return DetectionResult(
-        estimate=ev,
-        posterior_var=vv,
-        flops=flops,
-        terminated=terminated,
-        trace=trace,
-        relax=relax,
-        previous_estimate=ev_prev,
-    )
+    return run.result(ev, posterior_var=vv, relax=relax, previous_estimate=ev_prev)
 
 
 def gmpid_detect(

@@ -2,14 +2,17 @@
 and the block-message formulation that is algebraically equivalent to MMSE.
 
 All four return a :class:`~gmpdetect.results.DetectionResult` with no
-trace, so 0 iterations, and ``terminated=Termination.EXACT``, and raise ValueError
-unless ``y`` is a finite vector of length M; ``mmse`` and ``gmp`` raise it
-at noise 0, in :func:`_normal_matrix`, and where their solve of that matrix
-fails, in :func:`_solve_normal`. Flop counts follow the dense-linear-algebra route of
-a standalone call, counting one multiply or add as one flop (a
-multiply-accumulate is two); set-up that an instance keeps (the Gram
-matrix, the MMSE factor) is charged to every call that uses it. Exact
-MMSE factors the user-side normal matrix at every K and M.
+trace, so 0 iterations, and ``terminated=Termination.EXACT``. All four
+raise ValueError unless ``y`` is a finite vector of length M. ``mmse`` and
+``gmp`` raise it at noise 0, in :func:`_normal_matrix`, and where their
+solve of that matrix fails, in :func:`_solve_normal`; at K > M ``gmp``
+also refuses wherever ``mmse`` does. ``mf`` raises it at a zero-norm
+column, ``if`` at K > M and where the Gram's Cholesky fails. Flop counts
+follow the dense-linear-algebra route of a standalone call, counting one
+multiply or add as one flop (a multiply-accumulate is two); set-up that
+an instance keeps (the Gram matrix, the MMSE factor) is charged to every
+call that uses it. Exact MMSE factors the user-side normal matrix at
+every K and M.
 """
 from __future__ import annotations
 
@@ -80,14 +83,18 @@ def _normal_matrix(inst: SystemInstance) -> np.ndarray:
 
 def _solve_normal(inst: SystemInstance, solve):
     """``solve(W)``, MMSE's Cholesky factor or ``gmp``'s inverse, of ``W`` from
-    :func:`_normal_matrix`; ValueError where it fails or where, at K > M (a singular
+    :func:`_normal_matrix`; ValueError where it fails, where its output has a
+    non-finite entry or a non-positive diagonal, or where, at K > M (a singular
     Gram), the prior's precision rounds away beside ``||h_k||^2 / s`` on the diagonal."""
     W = _normal_matrix(inst)
     K, M = inst.dims.n_users, inst.dims.n_antennas
     try:  # W's diagonal against its bits before the prior's precision was added
         if K > M and (np.diagonal(W) == np.diagonal(inst._gram()) / inst.noise_var).any():
             raise np.linalg.LinAlgError
-        return solve(W)
+        out = solve(W)
+        if not (np.isfinite(out).all() and (np.diagonal(out) > 0).all()):
+            raise np.linalg.LinAlgError
+        return out
     except np.linalg.LinAlgError as exc:
         raise ValueError("the normal matrix is not positive definite in floating point: "
                          "the prior's precision rounds away beside ||H||^2 / s") from exc
@@ -152,7 +159,8 @@ def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     interference plus noise after the correlator:
     sum_{i != k} sigma_x_i^2 (h_k^T h_i)^2 / ||h_k||^4 + sigma_n^2/||h_k||^2.
     This normalization (unit gain on the desired user) is a documented
-    choice; other conventions rescale the same statistic.
+    choice; other conventions rescale the same statistic. A column of zero
+    norm (in floating point) raises ValueError.
     """
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
@@ -162,6 +170,8 @@ def matched_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
 
     G = inst._gram()
     d = np.diag(G)
+    if not (d > 0).all():
+        raise ValueError("the matched filter requires every channel column to have a positive norm")
     x_hat = (H.T @ y) / d
     interference = (G * G) @ vx - d * d * vx
     post_var = interference / (d * d) + s / d
@@ -178,10 +188,11 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
     step makes the output identical (up to rounding) to the MMSE estimate
     for positive noise; at zero noise the output is the plain decorrelator,
     the pseudo-inverse estimate, with zero posterior variances. Requires
-    K <= M and a full-column-rank channel: a column-rank-deficient one
-    usually makes ``np.linalg.cholesky`` raise
-    ``numpy.linalg.LinAlgError``, but where rounding leaves a tiny positive
-    pivot it factors and the estimate is finite. No rank check is made.
+    K <= M and a full-column-rank channel, else ValueError: a
+    column-rank-deficient one (equal columns, a zero column) usually fails
+    the Gram's Cholesky, which raises ValueError, but where rounding leaves
+    a tiny positive pivot it factors and the estimate is finite. No rank
+    check is made.
     """
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
@@ -192,7 +203,11 @@ def inverse_filter_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResul
 
     G = inst._gram()
     flops = 2 * M * K * K
-    Lginv, f = _inverse_factor(np.linalg.cholesky(G))
+    try:
+        Lginv, f = _inverse_factor(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("the channel's columns are linearly dependent in floating point: "
+                         "its Gram matrix is not positive definite") from exc
     flops += f
     z0 = H.T @ y
     x_tilde = Lginv.T @ (Lginv @ z0)
@@ -227,12 +242,15 @@ def gmp_block_detect(inst: SystemInstance, y: np.ndarray) -> DetectionResult:
     precision is MMSE's user-side matrix, bit for bit, read from the
     instance's kept Gram ``H^T H``; for K > M that K x K Gram is larger
     than the M x K array ``H / s`` it replaces. ``flops`` stays the block
-    formulation's analytic cost, dense M x M products included.
+    formulation's analytic cost, dense M x M products included. At K > M
+    it first reads MMSE's kept factor, so it refuses what ``mmse`` refuses.
     """
     _require_finite(y, length=inst.dims.n_antennas)
     H = inst.channel
     M, K = H.shape
 
+    if K > M:  # where MMSE's factor fails, this inverse may not: refuse with it
+        _mmse_setup(inst)
     V = _solve_normal(inst, np.linalg.inv)  # first: it refuses noise 0
     pre = H.T @ (y * (1.0 / inst.noise_var))
     flops = M + 2 * M * M * K + 2 * M * K * K + 2 * M * M + 2 * M * K

@@ -1,10 +1,13 @@
-"""Shared result containers: termination reasons, relaxation choices, results, traces."""
+"""Shared result containers (termination reasons, relaxation choices, results,
+traces) and the run record of every iterative detector."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .model import _require_finite
 
 DEFAULT_MAX_ITER = 500  # iteration budget of every iterative detector
 
@@ -18,74 +21,76 @@ class Termination(Enum):
     EXACT = "Exact"                  # one-shot (non-iterative) solution
 
 
-def _stop_rule(ref: np.ndarray, eps: float | None, first: int):
-    """The stop policy of every iterative detector, with ``scale = 1 + ||ref||_inf``.
-
-    ``stop(t, d, x)``, for step ``t`` moving the iterate by ``d`` to ``x``,
-    returns ``||d||_inf`` and Diverged once ``||x||_inf`` passes ``1e12 *
-    scale`` or is NaN, Converged once that change is below ``eps`` (default
-    ``1e-8 * scale``; 0 never stops) at ``t >= first``, else None. A
-    negative or NaN ``eps`` raises ValueError.
-    """
-    if eps is not None and not eps >= 0:
-        raise ValueError("eps must be non-negative")
-    scale = 1.0 + float(np.max(np.abs(ref), initial=0.0))
-    eps = 1e-8 * scale if eps is None else eps
-    thresh = 1e12 * scale
-
-    def stop(t: int, d: np.ndarray, x: np.ndarray) -> tuple[float, Termination | None]:
-        # max |d| from two reductions; abs() gives an all-zero d a +0 change.
-        change = abs(float(max(d.max(), -d.min())))
-        # NaN fails the comparison too, so one test covers non-finite values.
-        if not max(x.max(), -x.min()) <= thresh:
-            return change, Termination.DIVERGED
-        if t >= first and change < eps:
-            return change, Termination.CONVERGED
-        return change, None
-
-    return stop
-
-
 @dataclass
 class IterationTrace:
-    """Per-iteration progress of an iterative detector.
-
-    Column lists all share one length, the iterations run. Optional columns
-    stay None unless the run was asked to record them.
-    """
+    """Per-iteration progress of an iterative detector, written by ``_Run.step``:
+    each column holds one entry per iteration run. Optional columns stay
+    None unless the run recorded them."""
 
     step_change: list[float] = field(default_factory=list)   # ||x(t)-x(t-1)||_inf
     cum_flops: list[int] = field(default_factory=list)  # cost to t, set-up included
     mean_variance: list[float] | None = None     # message-passing only: avg posterior variance
     mse_to_truth: list[float] | None = None      # mean((x(t) - truth)^2) when truth supplied
 
-    def append(
-        self,
-        step_change: float,
-        cum_flops: int,
-        x: np.ndarray,
-        *,
-        truth: np.ndarray | None = None,
-        mean_variance: float | None = None,
-    ) -> None:
-        """Record the next iteration, with iterate ``x``. ``truth``, any
-        length-K reference (the symbols sent, the MMSE estimate), fills the
-        MSE column; the 2-norm distance is ``sqrt(K * mse_to_truth)``."""
-        self.step_change.append(float(step_change))
-        self.cum_flops.append(int(cum_flops))
-        if mean_variance is not None:
-            self._column("mean_variance").append(float(mean_variance))
-        if truth is not None:
-            self._column("mse_to_truth").append(float(np.mean((x - truth) ** 2)))
-
-    def _column(self, name: str) -> list[float]:
-        """The optional column ``name``, started empty on first use."""
-        if getattr(self, name) is None:
-            setattr(self, name, [])
-        return getattr(self, name)
-
     def __len__(self) -> int:
         return len(self.step_change)
+
+
+class _Run:
+    """The record of one iterative run: its stop rule, trace, flop tally and result.
+
+    ``ref`` sets ``scale = 1 + ||ref||_inf``. Construction checks ``truth``,
+    any finite length-``n`` reference (the symbols sent, the MMSE estimate)
+    whose MSE the trace then records (the 2-norm distance is ``sqrt(n *
+    mse_to_truth)``), and then ``eps``: the default is ``1e-8 * scale``,
+    0 never stops, a negative or NaN ``eps`` raises ValueError. ``flops``
+    is the charge before the first step. A run ends MaxIterations unless
+    :meth:`step` stops it.
+    """
+
+    def __init__(self, ref: np.ndarray, eps: float | None, first: int, n: int,
+                 truth: np.ndarray | None = None, flops: int = 0):
+        if truth is not None:
+            _require_finite(truth, "truth", length=n)
+        if eps is not None and not eps >= 0:
+            raise ValueError("eps must be non-negative")
+        scale = 1.0 + float(np.max(np.abs(ref), initial=0.0))
+        self.eps = 1e-8 * scale if eps is None else eps
+        self.thresh, self.first, self.truth = 1e12 * scale, first, truth
+        self.flops = flops
+        self.trace = IterationTrace()
+        self.terminated = Termination.MAX_ITERATIONS
+
+    def step(self, t: int, x: np.ndarray, x_new: np.ndarray, flops: int,
+             mean_variance: float | None = None) -> bool:
+        """Record step ``t`` from ``x`` to ``x_new``, which cost ``flops``; True
+        once the run stops: Diverged once ``||x_new||_inf`` passes ``1e12 *
+        scale`` or is NaN, Converged once the change is below ``eps`` at
+        ``t >= first``."""
+        d = x_new - x
+        # max |d| from two reductions; abs() gives an all-zero d a +0 change.
+        change = abs(float(max(d.max(), -d.min())))
+        self.flops += flops
+        trace = self.trace
+        trace.step_change.append(change)
+        trace.cum_flops.append(int(self.flops))
+        if mean_variance is not None:
+            trace.mean_variance = trace.mean_variance or []
+            trace.mean_variance.append(float(mean_variance))
+        if self.truth is not None:
+            trace.mse_to_truth = trace.mse_to_truth or []
+            trace.mse_to_truth.append(float(np.mean((x_new - self.truth) ** 2)))
+        # NaN fails the comparison too, so one test covers non-finite values.
+        if not max(x_new.max(), -x_new.min()) <= self.thresh:
+            self.terminated = Termination.DIVERGED
+        elif t >= self.first and change < self.eps:
+            self.terminated = Termination.CONVERGED
+        return self.terminated is not Termination.MAX_ITERATIONS
+
+    def result(self, x: np.ndarray, **fields) -> DetectionResult:
+        """The run's result, with final iterate ``x`` and the optional ``fields``."""
+        return DetectionResult(estimate=x, flops=self.flops, terminated=self.terminated,
+                               trace=self.trace, **fields)
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,7 @@ def test_resolve_relaxation_modes():
 
 
 def test_every_iterative_detector_takes_one_eps_rule():
-    # results._stop_rule checks eps for every iterative detector: a
+    # results._Run checks eps for every iterative detector: a
     # negative or NaN eps raises one ValueError, and eps = 0 never stops.
     inst = build_instance(4, 40, snr_db=10.0, channel_seed=0)
     y = realize(inst, 1).received

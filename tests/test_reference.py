@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmpdetect import (
     Termination,
@@ -112,6 +114,95 @@ def test_more_users_than_antennas_at_high_snr_raise_one_value_error(detect, K, M
         inst = build_instance(K, M, snr_db=snr_db, channel_seed=seed)
         with pytest.raises(ValueError, match="prior's precision rounds away beside"):
             detect(inst, realize(inst, 1).received)
+
+
+_EXACT = {
+    "mmse": mmse_detect,
+    "mf": matched_filter_detect,
+    "if": inverse_filter_detect,
+    "gmp": gmp_block_detect,
+}
+
+
+def _box_channel(K, M, seed, kind="drawn"):
+    """``build_instance``'s channel for ``seed``; ``kind`` "equal" copies its
+    first column into its second, "zero" zeroes its last column."""
+    H = drawn(K, M, 1.0, seed).channel.copy()
+    if kind == "equal":
+        H[:, 1] = H[:, 0]
+    elif kind == "zero":
+        H[:, -1] = 0.0
+    return H
+
+
+def _assert_exact_detectors_refuse_or_answer(H, snr_db, hetero):
+    """Each exact detector, on its own instance, returns a finite estimate
+    with finite, positive posterior variances or raises ValueError, with no
+    warning; and ``gmp`` refuses wherever ``mmse`` does. Return the refusers."""
+    K = H.shape[1]
+    prior_var = np.linspace(0.5, 2.0, K) if hetero else 1.0
+    refused = set()
+    for name, detect in _EXACT.items():
+        inst = from_channel(H, 10.0 ** (-snr_db / 10.0), prior_var)
+        y = realize(inst, 1).received
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = detect(inst, y)
+            except ValueError as exc:  # a documented one: numpy's LinAlgError subclasses it
+                assert not isinstance(exc, np.linalg.LinAlgError), (name, exc)
+                refused.add(name)
+                continue
+        assert np.all(np.isfinite(out.estimate)), name
+        assert np.all(np.isfinite(out.posterior_var) & (out.posterior_var > 0)), name
+    assert "mmse" not in refused or "gmp" in refused
+    return refused
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    K=st.integers(1, 20),
+    M=st.integers(1, 21),
+    snr_db=st.floats(-40.0, 200.0),
+    seed=st.integers(0, 2**16),
+    hetero=st.booleans(),
+)
+@example(K=60, M=40, snr_db=140.0, seed=0, hetero=False)
+@example(K=60, M=40, snr_db=140.0, seed=1, hetero=False)
+@example(K=60, M=40, snr_db=140.0, seed=2, hetero=False)
+@example(K=60, M=40, snr_db=140.0, seed=3, hetero=False)
+@example(K=60, M=40, snr_db=140.0, seed=4, hetero=False)
+@example(K=13, M=2, snr_db=150.0, seed=1, hetero=True)
+@example(K=20, M=2, snr_db=150.0, seed=2, hetero=False)
+def test_exact_detectors_answer_or_refuse_over_the_input_box(K, M, snr_db, seed, hetero):
+    _assert_exact_detectors_refuse_or_answer(_box_channel(K, M, seed), snr_db, hetero)
+
+
+@pytest.mark.parametrize("kind", ["equal", "zero"])
+def test_exact_detectors_answer_or_refuse_on_rank_deficient_channels(kind):
+    # M = 8 antennas, K = 4 users; seed 1's equal columns fail the Gram's
+    # Cholesky, where other seeds' can leave a tiny positive pivot. if names
+    # the cause, and mf refuses the zero column.
+    H = _box_channel(4, 8, 1, kind)
+    refused = _assert_exact_detectors_refuse_or_answer(H, 10.0, False)
+    assert refused == ({"if"} if kind == "equal" else {"mf", "if"})
+    inst = from_channel(H, 0.1)
+    with pytest.raises(ValueError, match="^the channel's columns are linearly dependent"):
+        inverse_filter_detect(inst, np.ones(8))
+    if kind == "zero":
+        with pytest.raises(ValueError, match="positive norm"):
+            matched_filter_detect(inst, np.ones(8))
+
+
+@pytest.mark.parametrize("K, M, snr_db, seeds", [(60, 40, 140.0, range(5)), (20, 2, 150.0, [2])])
+def test_gmp_refuses_below_the_rounded_away_precision(K, M, snr_db, seeds):
+    # At 60x40, 140 dB MMSE's Cholesky fails while gmp's inverse returns a
+    # non-finite or non-positive answer; at 20x2, 150 dB, seed 2, the inverse
+    # has a non-positive diagonal. gmp refuses both with MMSE's ValueError.
+    for seed in seeds:
+        inst = build_instance(K, M, snr_db=snr_db, channel_seed=seed)
+        with pytest.raises(ValueError, match="prior's precision rounds away beside"):
+            gmp_block_detect(inst, realize(inst, 1).received)
 
 
 def _documented_flops(name, K, M, noiseless=False):
