@@ -65,13 +65,14 @@ def iterate(
     ``t`` steps, as for message passing. ``truth`` adds the per-iteration
     ``mse_to_truth`` column (diagnostic only, not counted as detector
     work). The final iterate is the result's ``estimate``;
-    ``posterior_var`` stays None. A non-finite offset, or a ``truth`` not
-    a finite vector of length K, raises ValueError before the first step.
+    ``posterior_var`` stays None. A non-finite offset, a ``truth`` not a
+    finite vector of length K, or a negative ``max_iter`` raises
+    ValueError before the first step.
     """
     B, c = iteration.matrix, iteration.offset
     _require_finite(c, "offset")
     K = c.shape[0]
-    run = _Run(c, eps, 1, K, truth, iteration.setup_flops)
+    run = _Run(c, eps, max_iter, 1, K, truth, iteration.setup_flops)
     x = np.zeros(K)
     for t in range(1, max_iter + 1):
         x_prev, x = x, B @ x + c

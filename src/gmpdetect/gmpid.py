@@ -284,7 +284,8 @@ def _run_message_passing(
 
     ``relax`` is a checked relaxation choice, None for the plain w = 1, or
     a function that measures one on the instance (``auto_relaxation``),
-    called only once ``y``, ``truth`` and ``eps`` have passed their checks.
+    called only once ``y``, ``truth``, ``eps`` and ``max_iter`` have passed
+    their checks.
     Rank-1 fast path: user-side messages are edge-independent, so the state
     is one mean vector ``ev`` and one variance vector ``vv``. Relaxation
     scales the system by sqrt(w) in the mean updates and adds a
@@ -313,7 +314,7 @@ def _run_message_passing(
     _require_finite(y, length=inst.dims.n_antennas)
     # The first sweep only installs the prior (means stay zero), so the
     # step-change test is armed from the second sweep onward.
-    run = _Run(y, eps, 2, K, truth)
+    run = _Run(y, eps, max_iter, 2, K, truth)
     if callable(relax):  # it sweeps the schedule: only for inputs that passed
         relax = relax(inst)
     w = 1.0 if relax is None else float(relax.w)
@@ -370,8 +371,9 @@ def gmpid_detect(
     ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
     NaN ``eps`` raises ValueError), the iteration budget runs out, or the
     estimate grows past the divergence threshold. A ``y`` that is not a
-    finite vector of length M, or a ``truth`` not one of length K, raises
-    ValueError. ``truth`` enables the per-iteration ``mse_to_truth`` trace
-    column. The result's ``relax`` is None.
+    finite vector of length M, a ``truth`` not one of length K, or a
+    negative ``max_iter`` raises ValueError. ``truth`` enables the
+    per-iteration ``mse_to_truth`` trace column. The result's ``relax``
+    is None.
     """
     return _run_message_passing(inst, y, None, eps=eps, max_iter=max_iter, truth=truth)

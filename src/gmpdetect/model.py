@@ -9,6 +9,7 @@ the other detectors and the sweep run at K > M too.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,16 +43,21 @@ def _require_finite(v: np.ndarray, name: str = "y", length: int | None = None):
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Problem dimensions: K transmitting users, M receive antennas, such that
-    numpy can index an M x K float64 array (M K 8 bytes within ``np.intp``)."""
+    """Problem dimensions: K transmitting users, M receive antennas, integers
+    (Python's or numpy's) such that numpy can index an M x K float64 array
+    (M K 8 bytes within ``np.intp``)."""
 
     n_users: int
     n_antennas: int
 
     def __post_init__(self) -> None:
-        if self.n_users < 1 or self.n_antennas < 1:
+        try:  # Python ints, which cannot overflow in the product below
+            K, M = operator.index(self.n_users), operator.index(self.n_antennas)
+        except TypeError:
+            raise ValueError("both dimensions must be integers") from None
+        if K < 1 or M < 1:
             raise ValueError("both dimensions must be at least 1")
-        if self.n_users * self.n_antennas * 8 > _INTP_MAX:
+        if K * M * 8 > _INTP_MAX:
             raise ValueError("an M x K float64 channel exceeds the largest array numpy can index")
 
     @property
@@ -190,6 +196,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("vectors must have identical shape")
+    if a.size == 0:
+        raise ValueError("vectors must not be empty")
     d = a - b
     return float(np.mean(d * d))
 

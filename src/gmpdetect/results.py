@@ -42,18 +42,21 @@ class _Run:
     ``ref`` sets ``scale = 1 + ||ref||_inf``. Construction checks ``truth``,
     any finite length-``n`` reference (the symbols sent, the MMSE estimate)
     whose MSE the trace then records (the 2-norm distance is ``sqrt(n *
-    mse_to_truth)``), and then ``eps``: the default is ``1e-8 * scale``,
-    0 never stops, a negative or NaN ``eps`` raises ValueError. ``flops``
-    is the charge before the first step. A run ends MaxIterations unless
-    :meth:`step` stops it.
+    mse_to_truth)``), then ``eps``: the default is ``1e-8 * scale``, 0
+    never stops, a negative or NaN ``eps`` raises ValueError; and then the
+    budget ``max_iter``: 0 runs no step, a negative one raises ValueError.
+    ``flops`` is the charge before the first step. A run ends
+    MaxIterations unless :meth:`step` stops it.
     """
 
-    def __init__(self, ref: np.ndarray, eps: float | None, first: int, n: int,
+    def __init__(self, ref: np.ndarray, eps: float | None, max_iter: int, first: int, n: int,
                  truth: np.ndarray | None = None, flops: int = 0):
         if truth is not None:
             _require_finite(truth, "truth", length=n)
         if eps is not None and not eps >= 0:
             raise ValueError("eps must be non-negative")
+        if not max_iter >= 0:
+            raise ValueError("max_iter must be non-negative")
         scale = 1.0 + float(np.max(np.abs(ref), initial=0.0))
         self.eps = 1e-8 * scale if eps is None else eps
         self.thresh, self.first, self.truth = 1e12 * scale, first, truth

@@ -123,6 +123,12 @@ def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     return RelaxationChoice(w, source="auto", lambda_min=lam_min, lambda_max=lam_max)
 
 
+def _require_choice(relax) -> None:
+    """Raise ValueError unless ``relax`` is None (auto ``w``) or a RelaxationChoice."""
+    if relax is not None and not isinstance(relax, RelaxationChoice):
+        raise ValueError(f"relax must be None or a RelaxationChoice, not {type(relax).__name__}")
+
+
 def relaxation_iteration_matrix(inst: SystemInstance, w: float) -> np.ndarray:
     """The closed-form mean-update iteration matrix ``I - w A``.
 
@@ -147,11 +153,13 @@ def sagmpid_detect(
 
     ``relax=None`` selects w automatically via :func:`auto_relaxation`
     (source ``"auto"``), which sweeps the variance schedule only once
-    ``y``, ``truth`` and ``eps`` have passed the checks of
-    :func:`gmpid.gmpid_detect`; a bad one raises ValueError first.
+    ``y``, ``truth``, ``eps`` and ``max_iter`` have passed the checks of
+    :func:`gmpid.gmpid_detect`; a bad one raises ValueError first. So does
+    a ``relax`` that is neither None nor a :class:`RelaxationChoice`.
     With ``relax.w == 1`` the run is bit-identical to
     :func:`gmpid.gmpid_detect` on the same inputs. The returned result
     carries the relaxation choice used as ``relax``.
     """
+    _require_choice(relax)
     relax = auto_relaxation if relax is None else relax  # measured by the engine
     return _run_message_passing(inst, y, relax, eps=eps, max_iter=max_iter, truth=truth)

@@ -138,6 +138,12 @@ def test_help_exits_zero():
         ["sweep", "--users", "2", "--antennas", _M31, "--trials", "1", "--detectors", "mmse"],
         ["mset", "--users", "2", "--antennas", _M31, "--trials", "1"],
         ["analyze", "--users", "2", "--antennas", _M31],
+        # A manual w-mode needs a finite, positive value.
+        ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "manual"],
+        ["analyze", "--users", "8", "--antennas", "32", "--w-mode", "manual:0"],
+        # w-mode beta at load 1 behind another detector.
+        ["sweep", "--users", "8", "--antennas", "8", "--trials", "1", "--detectors", "mmse,sagmpid",
+         "--w-mode", "beta"],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):
@@ -154,6 +160,11 @@ def test_configuration_errors_exit_one(argv, tmp_path, capsys):
 
 
 def test_runtime_failure_exits_two(monkeypatch, capsys):
+    # At K > M and 140 dB the prior's precision rounds away: gmp refuses
+    # the normal matrix, as MMSE's Cholesky does.
+    argv = "sweep --users 60 --antennas 40 --snr-db 140 --trials 2 --detectors gmp --no-wall-time"
+    assert main(argv.split()) == 2
+    assert "prior's precision rounds away" in capsys.readouterr().err
     # a numerical failure inside a runner is a runtime error
     def failing_runner(config):
         raise np.linalg.LinAlgError("matrix is not positive definite")
@@ -399,34 +410,26 @@ def test_mset_trace_rows(tmp_path):
 
 
 def test_table_verdicts(tmp_path):
+    # At load 0.05 all four detectors converge. At loads 0.5 and 0.9 the
+    # shared stop rule takes both branches: jacobi and gmpid end Diverged,
+    # richardson and sagmpid Converged after up to ~1,500 iterations.
     path = tmp_path / "table.csv"
-    code = main(
-        [
-            "table",
-            "--beta",
-            "0.05",
-            "--users",
-            "10",
-            "--snr-db",
-            "40",
-            "--trials",
-            "1",
-            "--max-iter",
-            "2000",
-            "--out",
-            str(path),
+    for users, snr_db, loads, diverging in [
+        ("10", "40", {"0.05": "200"}, ()),
+        ("20", "80", {"0.5": "40", "0.9": "22"}, ("jacobi", "gmpid")),
+    ]:
+        argv = ["table", "--beta", ",".join(loads), "--users", users, "--snr-db", snr_db,
+                "--trials", "1", "--max-iter", "2000", "--out", str(path)]
+        assert main(argv) == 0
+        lines = path.read_text().splitlines()
+        header = "beta,n_users,n_antennas,detector,fraction_converged,verdict"
+        assert lines[0] == header
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(f[0], f[1], f[2], f[3], f[5]) for f in rows] == [
+            (beta, users, antennas, detector, "D" if detector in diverging else "C")
+            for beta, antennas in loads.items()
+            for detector in ("jacobi", "gmpid", "richardson", "sagmpid")
         ]
-    )
-    assert code == 0
-    lines = path.read_text().splitlines()
-    header = "beta,n_users,n_antennas,detector,fraction_converged,verdict"
-    assert lines[0] == header
-    assert len(lines) == 5  # four detectors at one load factor
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[0] == "0.05"
-        assert fields[2] == "200"
-        assert fields[5] == "C"
 
 
 def test_complexity_rows(tmp_path):
@@ -508,16 +511,21 @@ def test_analyze_report_keys(tmp_path):
 
 def test_analyze_writes_the_runner_report(capsys):
     # At 140 dB too, where the closed forms keep their digits: the variance
-    # limit equals the MMSE error prediction, and gamma stays positive.
-    for snr_db in (20.0, 140.0):
-        argv = ["--users", "100", "--antennas", "600", "--snr-db", str(snr_db), "--seed", "3"]
+    # limit equals the MMSE error prediction, and gamma stays positive. At
+    # 100x105, 80 dB, seed 1016 the symmetric-part radius, an upper bound,
+    # is nearest 1 (0.9996-0.9998): the report must still read "converges".
+    for K, M, snr_db, seed in [(100, 600, 20.0, 3), (100, 600, 140.0, 3), (100, 105, 80.0, 1016)]:
+        argv = ["--users", str(K), "--antennas", str(M), "--snr-db", str(snr_db), "--seed", str(seed)]
         assert main(["analyze", *argv]) == 0
-        config = ExperimentConfig(dims=SystemDims(100, 600), snr_grid_db=[snr_db],
-                                  master_seed=3, detectors=("gmpid", "sagmpid"))
+        config = ExperimentConfig(dims=SystemDims(K, M), snr_grid_db=[snr_db],
+                                  master_seed=seed, detectors=("gmpid", "sagmpid"))
         report = json.loads(capsys.readouterr().out)
         assert run_analysis(config) == report
         fixed = report["variance_fixed_point"]["sigma_hat_sq"]
         assert report["mmse_mse_prediction"]["exact"] == pytest.approx(fixed, rel=2e-15, abs=0)
+        assert report["sagmpid"]["predicted_converges"] is True
+        for detector in ("gmpid", "sagmpid"):
+            assert isinstance(report[detector]["gamma_measured"], float)
 
 
 def _run_module_sweep(out, args, **env):

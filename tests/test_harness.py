@@ -258,6 +258,13 @@ def test_exact_detectors_agree_on_shared_realizations():
         assert by[("if", trial)] == pytest.approx(by[("mmse", trial)], rel=1e-9)
         assert by[("gmp", trial)] == pytest.approx(by[("mmse", trial)], rel=1e-9)
         assert by[("mf", trial)] > by[("mmse", trial)]
+    # More users than antennas: MMSE solves the user-side normal equations
+    # that gmp inverts, so each gmp MSE is its MMSE one within criterion 1's
+    # 1e-10 relative.
+    cfg = _config(dims=SystemDims(30, 20), trials=2, detectors=("mmse", "gmp"))
+    by = {(r.detector, r.trial): r.mse for r in run_experiment(cfg)}
+    for trial in range(2):
+        assert by[("gmp", trial)] == pytest.approx(by[("mmse", trial)], rel=1e-10, abs=0)
 
 
 def test_iterative_detector_tracks_exact_mmse_in_mean():
@@ -340,12 +347,15 @@ def test_resolve_relaxation_modes():
 def test_every_iterative_detector_takes_one_eps_rule():
     # results._Run checks eps for every iterative detector: a
     # negative or NaN eps raises one ValueError, and eps = 0 never stops.
+    # Beside it, a negative budget raises too.
     inst = build_instance(4, 40, snr_db=10.0, channel_seed=0)
     y = realize(inst, 1).received
     for name in sorted(DETECTORS - ONE_SHOT_DETECTORS):
         for eps in (-1.0, np.nan):
             with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
                 run_detector(name, inst, y, eps=eps)
+        with pytest.raises(ValueError, match=r"^max_iter must be non-negative$"):
+            run_detector(name, inst, y, max_iter=-1)
         out = run_detector(name, inst, y, eps=0.0, max_iter=25)
         assert (out.iterations, out.terminated) == (25, Termination.MAX_ITERATIONS), name
 

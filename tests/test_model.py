@@ -45,9 +45,19 @@ def test_dims_reject_a_channel_numpy_cannot_index():
     # M K 8 bytes must fit in np.intp; one more antenna crosses the bound.
     limit = int(np.iinfo(np.intp).max) // 8
     assert SystemDims(n_users=1, n_antennas=limit).n_antennas == limit
-    for K, M in [(1, limit + 1), (2, 10**30), (10**30, 2)]:
+    for K, M in [(1, limit + 1), (2, 10**30), (10**30, 2), (np.int64(2), np.int64(10**18))]:
         with pytest.raises(ValueError, match="numpy can index"):
             SystemDims(n_users=K, n_antennas=M)
+
+
+def test_dims_reject_sizes_that_are_not_integers():
+    # numpy's draw takes integer sizes only; numpy's integers stay accepted.
+    assert SystemDims(np.int64(3), np.int32(7)) == SystemDims(3, 7)
+    for K, M in [(2.5, 4.0), (2, 4.0), ("2", 4)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            SystemDims(n_users=K, n_antennas=M)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_instance(2.5, 4, snr_db=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +281,14 @@ def test_mse_refuses_complex_and_text_inputs(a, b):
     # A cast to float would drop the imaginary part or parse the text.
     with pytest.raises(ValueError, match="must hold real numbers"):
         mse(a, b)
+
+
+def test_mse_refuses_empty_vectors():
+    # Not NaN with numpy's "Mean of empty slice" warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must not be empty"):
+            mse(np.array([]), np.array([]))
 
 
 def test_mse_symmetric_and_zero_on_identical():

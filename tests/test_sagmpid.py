@@ -132,22 +132,37 @@ def test_every_relaxation_names_its_source():
 
 
 @pytest.mark.parametrize("via", ["sagmpid_detect", "run_detector"])
-@pytest.mark.parametrize("bad", ["y", "truth", "eps"])
+@pytest.mark.parametrize("bad", ["y", "truth", "eps", "max_iter"])
 def test_auto_relaxation_waits_for_checked_inputs(via, bad):
     # Auto w sweeps the whole variance schedule and solves for the measured
-    # spectrum, so a bad y, truth or eps must raise before either: the
-    # instance keeps neither the schedule nor the spectrum.
+    # spectrum, so a bad y, truth, eps or budget must raise before either:
+    # the instance keeps neither the schedule nor the spectrum.
     inst = build_instance(8, 32, snr_db=10.0, channel_seed=0)
     real = realize(inst, 1)
-    run = {"y": real.received, "truth": real.symbols, "eps": None}
-    run[bad] = {"y": np.ones(3), "truth": np.ones(3), "eps": -1.0}[bad]
+    run = {"y": real.received, "truth": real.symbols, "eps": None, "max_iter": 500}
+    run[bad] = {"y": np.ones(3), "truth": np.ones(3), "eps": -1.0, "max_iter": -1}[bad]
     with pytest.raises(ValueError):
         if via == "sagmpid_detect":
-            sagmpid_detect(inst, run["y"], eps=run["eps"], truth=run["truth"])
+            sagmpid_detect(inst, run["y"], eps=run["eps"], max_iter=run["max_iter"],
+                           truth=run["truth"])
         else:
-            run_detector("sagmpid", inst, run["y"], w_mode="auto", eps=run["eps"], truth=run["truth"])
+            run_detector("sagmpid", inst, run["y"], w_mode="auto", eps=run["eps"],
+                         max_iter=run["max_iter"], truth=run["truth"])
     assert "variance_schedule" not in inst._setup
     assert "measured_spectrum" not in inst._setup
+
+
+@pytest.mark.parametrize("relax", [0.8, 0])
+def test_relax_is_none_or_a_relaxation_choice(relax):
+    # A bare w is no RelaxationChoice, and 0 is not None: the detector and
+    # the report refuse both before auto w's sweeps.
+    inst = build_instance(8, 32, snr_db=10.0, channel_seed=0)
+    y = realize(inst, 1).received
+    with pytest.raises(ValueError, match="^relax must be None or a RelaxationChoice"):
+        sagmpid_detect(inst, y, relax)
+    with pytest.raises(ValueError, match="^relax must be None or a RelaxationChoice"):
+        sagmpid_convergence_report(inst, relax)
+    assert "variance_schedule" not in inst._setup
 
 
 def test_auto_relaxation_returns_positive_auto_choice():
