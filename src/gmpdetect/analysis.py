@@ -22,8 +22,7 @@ from .model import SystemInstance, _read_only
 from .sagmpid import (
     RelaxationChoice,
     _measured_spectrum,
-    _require_choice,
-    auto_relaxation,
+    _resolve,
     relaxation_iteration_matrix,  # noqa: F401 - a site the benchmark tracer wraps
     relaxation_system_matrix,
 )
@@ -219,9 +218,8 @@ def sagmpid_convergence_report(
     variance ratio of the settled recursion, as in the plain report.
     ``relax=None`` reports on :func:`auto_relaxation`'s w, the one
     :func:`sagmpid_detect` runs by default; any other ``relax`` that is
-    not a :class:`RelaxationChoice` raises ValueError.
+    not a :class:`RelaxationChoice` raises ValueError after the load check.
     """
-    _require_choice(relax)
     beta = _underloaded(inst)
-    w = float((auto_relaxation(inst) if relax is None else relax).w)
+    w = float(_resolve(inst, relax).w)
     return _mean_iteration_report(inst, w, 2.0 * np.sqrt(beta) / (1.0 + beta))

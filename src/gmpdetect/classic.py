@@ -58,23 +58,23 @@ def iterate(
 
     Terminates Converged when the max-norm step change drops below ``eps``
     (default ``1e-8 * (1 + ||c||_inf)``; ``eps=0`` turns the stop off, a
-    negative or NaN ``eps`` raises ValueError), Diverged when the iterate grows
-    past ``1e12 * (1 + ||c||_inf)`` or turns non-finite, otherwise
-    MaxIterations. The flop count starts at ``iteration.setup_flops``, so
+    negative, NaN or infinite ``eps`` raises ValueError), Diverged when the
+    iterate grows past ``1e12 * (1 + ||c||_inf)`` or turns non-finite,
+    otherwise MaxIterations. The flop count starts at ``iteration.setup_flops``, so
     ``trace.cum_flops[t-1]`` is the cost of a standalone run stopped after
     ``t`` steps, as for message passing. ``truth`` adds the per-iteration
     ``mse_to_truth`` column (diagnostic only, not counted as detector
     work). The final iterate is the result's ``estimate``;
     ``posterior_var`` stays None. A non-finite offset, a ``truth`` not a
-    finite vector of length K, or a negative ``max_iter`` raises
-    ValueError before the first step.
+    finite vector of length K, or a ``max_iter`` that is not a non-negative
+    integer raises ValueError before the first step.
     """
     B, c = iteration.matrix, iteration.offset
     _require_finite(c, "offset")
     K = c.shape[0]
     run = _Run(c, eps, max_iter, 1, K, truth, iteration.setup_flops)
     x = np.zeros(K)
-    for t in range(1, max_iter + 1):
+    for t in range(1, run.max_iter + 1):
         x_prev, x = x, B @ x + c
         if run.step(t, x_prev, x, 2 * K * K + 3 * K):
             break

@@ -15,7 +15,7 @@ uninformative start is an exact ``A = 0``.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,21 +271,23 @@ def variance_recursion(inst: SystemInstance) -> tuple[np.ndarray, np.ndarray, in
     return _read_only(1.0 / (schedule.u[t] + schedule.px)), schedule.A, t + 1
 
 
+def _message_run(inst: SystemInstance, y: np.ndarray, eps: float | None, max_iter: int,
+                 truth: np.ndarray | None) -> _Run:
+    """Check ``y`` and build the record of one message-passing run on ``inst``,
+    which checks ``truth``, ``eps`` and ``max_iter`` and keeps the budget."""
+    _require_finite(y, length=inst.dims.n_antennas)
+    # The first sweep only installs the prior (means stay zero), so the
+    # step-change test is armed from the second sweep onward.
+    return _Run(y, eps, max_iter, 2, inst.dims.n_users, truth)
+
+
 def _run_message_passing(
-    inst: SystemInstance,
-    y: np.ndarray,
-    relax: RelaxationChoice | Callable[[SystemInstance], RelaxationChoice] | None,
-    *,
-    eps: float | None,
-    max_iter: int,
-    truth: np.ndarray | None = None,
+    inst: SystemInstance, y: np.ndarray, relax: RelaxationChoice | None, run: _Run
 ) -> DetectionResult:
     """Shared engine for plain (w=1) and relaxed (w != 1) message passing.
 
-    ``relax`` is a checked relaxation choice, None for the plain w = 1, or
-    a function that measures one on the instance (``auto_relaxation``),
-    called only once ``y``, ``truth``, ``eps`` and ``max_iter`` have passed
-    their checks.
+    ``run`` is the checked record of :func:`_message_run` for ``y``, and
+    ``relax`` a resolved relaxation choice, or None for the plain w = 1.
     Rank-1 fast path: user-side messages are edge-independent, so the state
     is one mean vector ``ev`` and one variance vector ``vv``. Relaxation
     scales the system by sqrt(w) in the mean updates and adds a
@@ -311,12 +313,6 @@ def _run_message_passing(
     """
     H = inst.channel
     M, K = H.shape
-    _require_finite(y, length=inst.dims.n_antennas)
-    # The first sweep only installs the prior (means stay zero), so the
-    # step-change test is armed from the second sweep onward.
-    run = _Run(y, eps, max_iter, 2, K, truth)
-    if callable(relax):  # it sweeps the schedule: only for inputs that passed
-        relax = relax(inst)
     w = 1.0 if relax is None else float(relax.w)
     schedule = _schedule(inst)
     run.flops = K * M if w == 1.0 else 2 * K * M + M + 1
@@ -333,7 +329,7 @@ def _run_message_passing(
     parts = np.zeros((len(schedule.starts), K))  # each block's A^T r; 0 at step 0
     A = None  # the schedule's settled A, once the run reaches it
 
-    for t in range(1, max_iter + 1):
+    for t in range(1, run.max_iter + 1):
         r = y - H @ ev
         flops = mean_flops
         if A is not None:
@@ -368,12 +364,12 @@ def gmpid_detect(
     """Iterative Gaussian message-passing detection (plain, unrelaxed).
 
     Stops when the max-norm mean change falls below ``eps`` (default
-    ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative or
-    NaN ``eps`` raises ValueError), the iteration budget runs out, or the
-    estimate grows past the divergence threshold. A ``y`` that is not a
-    finite vector of length M, a ``truth`` not one of length K, or a
-    negative ``max_iter`` raises ValueError. ``truth`` enables the
-    per-iteration ``mse_to_truth`` trace column. The result's ``relax``
-    is None.
+    ``1e-8 * (1 + ||y||_inf)``; ``eps=0`` turns the stop off, a negative,
+    NaN or infinite ``eps`` raises ValueError), the iteration budget runs
+    out, or the estimate grows past the divergence threshold. A ``y`` that
+    is not a finite vector of length M, a ``truth`` not one of length K,
+    or a ``max_iter`` that is not a non-negative integer raises
+    ValueError. ``truth`` enables the per-iteration ``mse_to_truth`` trace
+    column. The result's ``relax`` is None.
     """
-    return _run_message_passing(inst, y, None, eps=eps, max_iter=max_iter, truth=truth)
+    return _run_message_passing(inst, y, None, _message_run(inst, y, eps, max_iter, truth))

@@ -15,8 +15,11 @@ execution order would produce identical bytes.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -68,24 +71,43 @@ class ExperimentConfig:
     record_wall_time: bool = True
 
     def validate(self) -> None:
-        if self.trials < 1:
+        if _integer(self.trials, "trials") < 1:
             raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
+        if _integer(self.master_seed, "seed") < 0:
             raise ConfigError("seed must be non-negative")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be non-empty")
+        for snr in self.snr_grid_db:
+            _real(snr, "each snr point")
+        if isinstance(self.detectors, str) or not isinstance(self.detectors, Sequence):
+            raise ConfigError(f"detectors must be a sequence of names, not {self.detectors!r}")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
         _check_detectors(self.detectors)
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigError(f"duplicate detectors in {list(self.detectors)}")
-        if self.max_iter < 1:
+        if _integer(self.max_iter, "max_iter") < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.eps is not None and not self.eps > 0:
-            raise ConfigError("eps must be positive when given")
-        if not 0 < self.prior_var < np.inf:
+        if self.eps is not None and not 0 < _real(self.eps, "eps") < np.inf:
+            raise ConfigError("eps must be finite and positive when given")
+        if not 0 < _real(self.prior_var, "prior_var") < np.inf:
             raise ConfigError("prior_var must be finite and positive")
         _parse_w_mode(self.w_mode)  # raises ConfigError on a bad mode or manual w
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an integer (Python's or numpy's); ConfigError if it is none."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, not {value!r}") from None
+
+
+def _real(value, name: str):
+    """``value`` if it is a real number; ConfigError if it is not."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, not {value!r}")
+    return value
 
 
 def _parse_w_mode(text: str) -> tuple[str, RelaxationChoice | None]:

@@ -2,6 +2,7 @@
 traces) and the run record of every iterative detector."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,20 +44,25 @@ class _Run:
     any finite length-``n`` reference (the symbols sent, the MMSE estimate)
     whose MSE the trace then records (the 2-norm distance is ``sqrt(n *
     mse_to_truth)``), then ``eps``: the default is ``1e-8 * scale``, 0
-    never stops, a negative or NaN ``eps`` raises ValueError; and then the
-    budget ``max_iter``: 0 runs no step, a negative one raises ValueError.
-    ``flops`` is the charge before the first step. A run ends
-    MaxIterations unless :meth:`step` stops it.
+    never stops, a negative, NaN or infinite ``eps`` raises ValueError; and
+    then the budget ``max_iter``, an integer (Python's or numpy's) the run
+    keeps and its loop runs to: 0 runs no step, a negative or non-integer
+    one raises ValueError. ``flops`` is the charge before the first step.
+    A run ends MaxIterations unless :meth:`step` stops it.
     """
 
     def __init__(self, ref: np.ndarray, eps: float | None, max_iter: int, first: int, n: int,
                  truth: np.ndarray | None = None, flops: int = 0):
         if truth is not None:
             _require_finite(truth, "truth", length=n)
-        if eps is not None and not eps >= 0:
-            raise ValueError("eps must be non-negative")
-        if not max_iter >= 0:
-            raise ValueError("max_iter must be non-negative")
+        if eps is not None and not 0 <= eps < np.inf:
+            raise ValueError("eps must be finite and non-negative")
+        try:
+            self.max_iter = operator.index(max_iter)
+        except TypeError:
+            raise ValueError("max_iter must be a non-negative integer") from None
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be a non-negative integer")
         scale = 1.0 + float(np.max(np.abs(ref), initial=0.0))
         self.eps = 1e-8 * scale if eps is None else eps
         self.thresh, self.first, self.truth = 1e12 * scale, first, truth

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gmpid import _run_message_passing, variance_fixed_point, variance_recursion
+from .gmpid import _message_run, _run_message_passing, variance_fixed_point, variance_recursion
 from .model import SystemInstance, _read_only
 from .results import DEFAULT_MAX_ITER, DetectionResult, RelaxationChoice
 
@@ -123,10 +123,11 @@ def auto_relaxation(inst: SystemInstance) -> RelaxationChoice:
     return RelaxationChoice(w, source="auto", lambda_min=lam_min, lambda_max=lam_max)
 
 
-def _require_choice(relax) -> None:
-    """Raise ValueError unless ``relax`` is None (auto ``w``) or a RelaxationChoice."""
-    if relax is not None and not isinstance(relax, RelaxationChoice):
+def _resolve(inst: SystemInstance, relax) -> RelaxationChoice:
+    """``relax``, or :func:`auto_relaxation`'s for None; anything else raises ValueError."""
+    if not isinstance(relax, (RelaxationChoice, type(None))):
         raise ValueError(f"relax must be None or a RelaxationChoice, not {type(relax).__name__}")
+    return auto_relaxation(inst) if relax is None else relax
 
 
 def relaxation_iteration_matrix(inst: SystemInstance, w: float) -> np.ndarray:
@@ -154,12 +155,11 @@ def sagmpid_detect(
     ``relax=None`` selects w automatically via :func:`auto_relaxation`
     (source ``"auto"``), which sweeps the variance schedule only once
     ``y``, ``truth``, ``eps`` and ``max_iter`` have passed the checks of
-    :func:`gmpid.gmpid_detect`; a bad one raises ValueError first. So does
-    a ``relax`` that is neither None nor a :class:`RelaxationChoice`.
+    :func:`gmpid.gmpid_detect`; a bad one raises ValueError first, and
+    then a ``relax`` that is neither None nor a :class:`RelaxationChoice`.
     With ``relax.w == 1`` the run is bit-identical to
     :func:`gmpid.gmpid_detect` on the same inputs. The returned result
     carries the relaxation choice used as ``relax``.
     """
-    _require_choice(relax)
-    relax = auto_relaxation if relax is None else relax  # measured by the engine
-    return _run_message_passing(inst, y, relax, eps=eps, max_iter=max_iter, truth=truth)
+    run = _message_run(inst, y, eps, max_iter, truth)
+    return _run_message_passing(inst, y, _resolve(inst, relax), run)

@@ -1,15 +1,20 @@
 """The benchmark tracer wraps package functions by name: every site it
 names, and every name the package exports, must resolve. The benchmark
 also reads ``.result`` of a message-passing run, which must be the run's
-own result."""
+own result. The CI workflow's job-summary probes read package internals
+by name too, and must compile and resolve."""
 
+import ast
 import importlib
+import re
 import sys
+import textwrap
 from pathlib import Path
 
 import gmpdetect
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def test_every_traced_site_and_exported_name_resolves(monkeypatch):
@@ -42,3 +47,46 @@ def test_result_bridge_is_the_result_itself():
     for out in (gmpdetect.gmpid_detect(inst, y), gmpdetect.sagmpid_detect(inst, y)):
         assert type(out) is gmpdetect.DetectionResult
         assert out.result is out
+
+
+def _chain(node: ast.expr) -> list[str] | None:
+    """``["a", "b", "c"]`` for the expression ``a.b.c``; None if it is no such chain."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.insert(0, node.attr)
+        node = node.value
+    return [node.id, *names] if isinstance(node, ast.Name) else None
+
+
+def test_every_workflow_probe_compiles_and_resolves():
+    # The job-summary probes are the workflow's python3 heredocs, read with a
+    # regex since PyYAML is no test dependency. Each must compile, and each
+    # name it imports from gmpdetect, attribute chain it reads off one (say
+    # gmpid._VarianceSchedule.blocks) and attribute it patches must resolve.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    probes = re.findall(r"python3 - [^\n]*<<'EOF'\n(.*?)\n[ \t]*EOF\n", workflow, re.S)
+    assert len(probes) >= 5
+    missing = []
+    for source in probes:
+        tree = ast.parse(textwrap.dedent(source))
+        compile(tree, "<workflow probe>", "exec")
+        imported = {}  # what the probe's imports from gmpdetect bind
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gmpdetect":
+                try:
+                    exec(compile(ast.Module([node], []), "<workflow probe>", "exec"), imported)
+                except ImportError as exc:
+                    missing.append(str(exc))
+        reads = [_chain(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        reads += [  # mock.patch.object(target, "name", ...)
+            [*_chain(node.args[0]), node.args[1].value] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _chain(node.func) == ["mock", "patch", "object"]
+        ]
+        for chain in reads:
+            if chain and chain[0] in imported:
+                value = imported[chain[0]]
+                for attr in chain[1:]:
+                    value = getattr(value, attr, None)
+                if value is None:
+                    missing.append(".".join(chain))
+    assert missing == []

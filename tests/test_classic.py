@@ -85,7 +85,7 @@ def test_iterate_validates_inputs():
     out = iterate(it, eps=0.0, max_iter=9)
     assert (out.iterations, out.terminated) == (9, Termination.MAX_ITERATIONS)
     for eps in (-1.0, np.nan):
-        with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
+        with pytest.raises(ValueError, match=r"^eps must be finite and non-negative$"):
             iterate(it, eps=eps)
     with pytest.raises(ValueError):
         AffineIteration(matrix=np.zeros((2, 2)), offset=np.zeros(3))

@@ -144,6 +144,9 @@ def test_help_exits_zero():
         # w-mode beta at load 1 behind another detector.
         ["sweep", "--users", "8", "--antennas", "8", "--trials", "1", "--detectors", "mmse,sagmpid",
          "--w-mode", "beta"],
+        # eps must be finite, as w is.
+        ["sweep", "--users", "8", "--antennas", "32", "--trials", "1", "--detectors", "gmpid,jacobi",
+         "--eps", "inf", "--no-wall-time"],
     ],
 )
 def test_configuration_errors_exit_one(argv, tmp_path, capsys):

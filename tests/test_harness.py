@@ -318,11 +318,25 @@ def test_iterative_detector_tracks_exact_mmse_in_mean():
         {"master_seed": -1},
         {"detectors": ("mmse", "mmse")},
         {"detectors": ("mmse", "gmpid", "mmse")},
+        # What argparse guarantees on the CLI, a library caller is held to.
+        {"trials": 2.5},
+        {"master_seed": 1.5},
+        {"max_iter": 2.5},
+        {"snr_grid_db": ["10"]},
+        {"eps": "1e-8"},
+        {"eps": float("inf")},
+        {"prior_var": "1"},
     ],
 )
 def test_invalid_configurations_rejected(overrides):
     with pytest.raises(ConfigError):
         harness._points(_config(**overrides), "sweep")
+
+
+def test_a_bare_detector_name_is_no_sequence_of_names():
+    # The error names the string, not each of its letters as an unknown detector.
+    with pytest.raises(ConfigError, match="^detectors must be a sequence of names, not 'mmse'$"):
+        harness._points(_config(detectors="mmse"), "sweep")
 
 
 def test_infinite_snr_point_runs_the_inverse_filter_only():
@@ -345,19 +359,22 @@ def test_resolve_relaxation_modes():
 
 
 def test_every_iterative_detector_takes_one_eps_rule():
-    # results._Run checks eps for every iterative detector: a
-    # negative or NaN eps raises one ValueError, and eps = 0 never stops.
-    # Beside it, a negative budget raises too.
+    # results._Run checks eps for every iterative detector: a negative,
+    # NaN or infinite eps raises one ValueError, and eps = 0 never stops.
+    # Beside it, a budget that is not a non-negative integer raises too;
+    # a numpy integer is a budget.
     inst = build_instance(4, 40, snr_db=10.0, channel_seed=0)
     y = realize(inst, 1).received
     for name in sorted(DETECTORS - ONE_SHOT_DETECTORS):
-        for eps in (-1.0, np.nan):
-            with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
+        for eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"^eps must be finite and non-negative$"):
                 run_detector(name, inst, y, eps=eps)
-        with pytest.raises(ValueError, match=r"^max_iter must be non-negative$"):
-            run_detector(name, inst, y, max_iter=-1)
+        for max_iter in (-1, 2.5, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match=r"^max_iter must be a non-negative integer$"):
+                run_detector(name, inst, y, max_iter=max_iter)
         out = run_detector(name, inst, y, eps=0.0, max_iter=25)
         assert (out.iterations, out.terminated) == (25, Termination.MAX_ITERATIONS), name
+        assert run_detector(name, inst, y, eps=0.0, max_iter=np.int64(3)).iterations == 3
 
 
 def test_run_detector_rejects_unknown_name():

@@ -132,7 +132,9 @@ def test_every_relaxation_names_its_source():
 
 
 @pytest.mark.parametrize("via", ["sagmpid_detect", "run_detector"])
-@pytest.mark.parametrize("bad", ["y", "truth", "eps", "max_iter"])
+@pytest.mark.parametrize(
+    "bad", ["y", "truth", "eps", "max_iter", "infinite eps", "fractional max_iter"]
+)
 def test_auto_relaxation_waits_for_checked_inputs(via, bad):
     # Auto w sweeps the whole variance schedule and solves for the measured
     # spectrum, so a bad y, truth, eps or budget must raise before either:
@@ -140,7 +142,10 @@ def test_auto_relaxation_waits_for_checked_inputs(via, bad):
     inst = build_instance(8, 32, snr_db=10.0, channel_seed=0)
     real = realize(inst, 1)
     run = {"y": real.received, "truth": real.symbols, "eps": None, "max_iter": 500}
-    run[bad] = {"y": np.ones(3), "truth": np.ones(3), "eps": -1.0, "max_iter": -1}[bad]
+    run[bad.split()[-1]] = {
+        "y": np.ones(3), "truth": np.ones(3), "eps": -1.0, "max_iter": -1,
+        "infinite eps": np.inf, "fractional max_iter": 2.5,
+    }[bad]
     with pytest.raises(ValueError):
         if via == "sagmpid_detect":
             sagmpid_detect(inst, run["y"], eps=run["eps"], max_iter=run["max_iter"],
